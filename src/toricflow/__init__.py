@@ -16,14 +16,12 @@ from .errors import (
     NotPointed,
     RankLimitExceeded,
     ResourceError,
-    SafetyBoundExceeded,
     SceneError,
     ToricError,
 )
 from .lattice import (
     M_SIDE,
     N_SIDE,
-    IntMatrix,
     LatticeVector,
     dot,
     gcd_all,
@@ -39,8 +37,6 @@ from .monoid import (
     AffineMonoid,
     SaturationResult,
     hilbert_basis,
-    is_saturated,
-    monoid_membership,
 )
 from .grading import (
     FixedDivisor,
@@ -85,7 +81,6 @@ __all__ = [
     "HomogeneousLND",
     "HypothesisError",
     "IllDefinedRoot",
-    "IntMatrix",
     "InvariantCheck",
     "LatticeVector",
     "M_SIDE",
@@ -101,7 +96,6 @@ __all__ = [
     "RankLimitExceeded",
     "Report",
     "ResourceError",
-    "SafetyBoundExceeded",
     "SaturationResult",
     "Scene",
     "SceneError",
@@ -119,11 +113,9 @@ __all__ = [
     "hilbert_basis",
     "integer_kernel",
     "is_root",
-    "is_saturated",
     "limit_point",
     "load_scene",
     "matrix_rank",
-    "monoid_membership",
     "pairing",
     "primitive",
     "render_text",

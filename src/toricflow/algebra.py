@@ -7,17 +7,30 @@ ray p defines the derivation
     d(chi^u) = <p, u> * chi^(u + e)
 
 which lowers the <p, .>-degree by one, so it is locally nilpotent: a
-monomial of degree k dies after exactly k + 1 applications.  The
-exponential flow exp(s*d) is therefore a finite sum with exact rational
-coefficients.
+monomial of degree k dies after exactly k + 1 applications.  Since
+d^j(chi^u) = k(k-1)...(k-j+1) * chi^(u + j*e), the exponential flow has
+the closed form (Demazure 1970)
+
+    exp(s*d)(chi^u) = sum_j C(k, j) * s^j * chi^(u + j*e)
+                    = chi^u * (1 + s*chi^e)^k,     k = <p, u>,
+
+a finite sum with exact rational coefficients.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .demazure import DemazureRoot, is_root
-from .errors import IllDefinedRoot, NotADemazureRoot, SafetyBoundExceeded
+from .errors import IllDefinedRoot, NotADemazureRoot
 from .lattice import M_SIDE, LatticeVector, dot, matrix_rank
+
+
+def character_value(t, u):
+    """Value of chi^u at the torus point with coordinates t: prod t_k^(u_k)."""
+    value = Fraction(1)
+    for base, exponent in zip(t, u):
+        value *= base ** exponent
+    return value
 
 
 class AlgebraElement:
@@ -151,13 +164,8 @@ class AlgebraElement:
         t = tuple(Fraction(x) for x in t)
         if len(t) != self.monoid.rank:
             raise ValueError("rank mismatch")
-        total = Fraction(0)
-        for u, c in self.terms:
-            value = Fraction(1)
-            for base, exponent in zip(t, u.entries):
-                value *= base ** exponent
-            total += c * value
-        return total
+        return sum((c * character_value(t, u.entries) for u, c in self.terms),
+                   Fraction(0))
 
     def __repr__(self):
         if not self.terms:
@@ -216,36 +224,22 @@ class HomogeneousLND:
         """Least k with d^k f = 0; exactly 1 + max term degree."""
         if f.is_zero:
             raise ValueError("nilpotency degree of zero is undefined")
-        bound = 1 + max(self.degree(u) for u, _ in f.terms)
-        count = 0
-        while not f.is_zero:
-            f = self.apply(f)
-            count += 1
-            if count > bound:
-                raise SafetyBoundExceeded(
-                    "derivation failed to vanish within %d steps" % bound)
-        return count
+        return 1 + max(self.degree(u) for u, _ in f.terms)
 
     def exp_flow(self, s, f):
-        """exp(s*d) applied to f; a finite sum since d is locally nilpotent."""
+        """exp(s*d) applied to f, by the binomial closed form term by term."""
         if f.monoid != self.monoid:
             raise ValueError("element of a different algebra")
         s = Fraction(s)
-        if f.is_zero:
-            return f
-        bound = 1 + max(self.degree(u) for u, _ in f.terms)
-        result = f
-        power = f
-        k = 0
-        while True:
-            power = self.apply(power)
-            k += 1
-            if power.is_zero:
-                return result
-            if k > bound:
-                raise SafetyBoundExceeded(
-                    "flow expansion failed to terminate within %d steps" % bound)
-            result = result + power * Fraction(s ** k, factorial(k))
+        e = self.root.vector
+        out = []
+        for u, c in f.terms:
+            k = self.degree(u)
+            shifted = u
+            for j in range(k + 1):
+                out.append((shifted, c * comb(k, j) * s ** j))
+                shifted = shifted + e
+        return AlgebraElement(self.monoid, out)
 
     def kernel_generators(self):
         """Monoid generators of degree zero; they generate the kernel."""

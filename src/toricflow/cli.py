@@ -257,6 +257,12 @@ def _straightening_doc(mon, result):
     return entries
 
 
+def _by_ray_doc(sigma, roots, indices):
+    return [{"ray_index": index, "ray": _vec(sigma.rays[index]),
+             "count": sum(1 for r in roots if r.ray_index == index)}
+            for index in indices]
+
+
 def cmd_roots(scene, args):
     sigma = scene.sigma()
     ray_index = args.ray
@@ -264,22 +270,14 @@ def cmd_roots(scene, args):
         raise SceneError("ray index %d out of range, cone has %d rays"
                          % (ray_index, len(sigma.rays)))
     roots = roots_in_box(sigma, args.box, ray_index=ray_index)
-    if ray_index is None:
-        indices = range(len(sigma.rays))
-    else:
-        indices = [ray_index]
-    by_ray = []
-    for index in indices:
-        count = sum(1 for r in roots if r.ray_index == index)
-        by_ray.append({"ray_index": index, "ray": _vec(sigma.rays[index]),
-                       "count": count})
+    indices = range(len(sigma.rays)) if ray_index is None else [ray_index]
     return {
         "command": "roots",
         "scene_digest": scene.digest,
         "box": args.box,
         "ray_filter": ray_index,
         "count": len(roots),
-        "by_ray": by_ray,
+        "by_ray": _by_ray_doc(sigma, roots, indices),
         "roots": [_root_doc(r) for r in roots],
     }
 
@@ -425,15 +423,10 @@ def cmd_report(scene, args):
         witness_lnd = {}
     sigma = scene.sigma()
     roots = roots_in_box(sigma, args.box)
-    by_ray = []
-    for index in range(len(sigma.rays)):
-        count = sum(1 for r in roots if r.ray_index == index)
-        by_ray.append({"ray_index": index, "ray": _vec(sigma.rays[index]),
-                       "count": count})
     roots_section = {
         "box": args.box,
         "count": len(roots),
-        "by_ray": by_ray,
+        "by_ray": _by_ray_doc(sigma, roots, range(len(sigma.rays))),
         "roots": [_root_doc(r) for r in roots],
     }
     verification, facts = _verification_section(scene)

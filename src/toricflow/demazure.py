@@ -22,6 +22,19 @@ class DemazureRoot:
     ray_index: int
 
 
+def _distinguished_ray(rays, entries):
+    """Index of the one ray pairing to -1 with entries while every other
+    ray pairs nonnegatively, or None when the root condition fails."""
+    distinguished = None
+    for i, ray in enumerate(rays):
+        value = sum(a * b for a, b in zip(ray, entries))
+        if value < 0:
+            if value != -1 or distinguished is not None:
+                return None
+            distinguished = i
+    return distinguished
+
+
 def is_root(sigma, e):
     """Check the root condition of e against sigma's rays.
 
@@ -33,14 +46,8 @@ def is_root(sigma, e):
     entries = tuple(int(x) for x in (e.entries if isinstance(e, LatticeVector) else e))
     if len(entries) != sigma.rank:
         raise ValueError("rank mismatch")
-    distinguished = -1
-    for i, ray in enumerate(sigma.rays):
-        value = sum(a * b for a, b in zip(ray.entries, entries))
-        if value < 0:
-            if value != -1 or distinguished >= 0:
-                return None
-            distinguished = i
-    if distinguished < 0:
+    distinguished = _distinguished_ray([r.entries for r in sigma.rays], entries)
+    if distinguished is None:
         return None
     return DemazureRoot(LatticeVector(entries, M_SIDE), distinguished)
 
@@ -61,17 +68,8 @@ def roots_in_box(sigma, bound, ray_index=None):
     found = []
     span = range(-bound, bound + 1)
     for point in product(span, repeat=sigma.rank):
-        distinguished = -1
-        for i, ray in enumerate(rays):
-            value = sum(a * b for a, b in zip(ray, point))
-            if value < 0:
-                if value != -1 or distinguished >= 0:
-                    distinguished = -2
-                    break
-                distinguished = i
-        if distinguished < 0:
-            continue
-        if ray_index is None or distinguished == ray_index:
+        distinguished = _distinguished_ray(rays, point)
+        if distinguished is not None and ray_index in (None, distinguished):
             found.append((distinguished, point))
     found.sort()
     return [DemazureRoot(LatticeVector(point, M_SIDE), i) for i, point in found]

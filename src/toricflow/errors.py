@@ -76,7 +76,3 @@ class RankLimitExceeded(ResourceError):
 
 class BoundExceeded(ResourceError):
     pass
-
-
-class SafetyBoundExceeded(ToricError):
-    """An iteration ran past a bound theory says it cannot reach; a bug."""

@@ -137,35 +137,6 @@ def primitive_tuple(entries):
     return tuple(e // g for e in entries)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, stored by rows."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_columns(cls, columns):
-        cols = [tuple(c) for c in columns]
-        return cls(tuple(zip(*cols))) if cols else cls(())
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def rank(self):
-        return matrix_rank(self.rows)
-
-
 def _echelon(rows, pivot_cols_limit=None):
     """Integer row echelon form via unimodular row operations.
 
@@ -220,22 +191,19 @@ def matrix_rank(rows):
     return len(pivots)
 
 
-def integer_kernel(mat):
-    """Basis of the integer kernel lattice {x in Z^c : mat.x = 0}.
+def integer_kernel(rows):
+    """Basis of the integer kernel lattice {x in Z^c : mat.x = 0}, for the
+    matrix with the given equal-length int rows.
 
     Unimodular row reduction of [mat^T | I] leaves the kernel as the right
     halves of the rows whose left half vanished.  Basis vectors come out
     primitive; they are sign-normalized (first nonzero entry positive) and
     lex-sorted for determinism.
 
-    >>> m = IntMatrix(((1, 1, 1), (0, 1, 2)))
-    >>> [k.entries for k in integer_kernel(m)]
+    >>> [k.entries for k in integer_kernel([(1, 1, 1), (0, 1, 2)])]
     [(1, -2, 1)]
     """
-    if isinstance(mat, IntMatrix):
-        rows = mat.rows
-    else:
-        rows = tuple(tuple(r) for r in mat)
+    rows = tuple(tuple(r) for r in rows)
     if not rows:
         return []
     nrows, ncols = len(rows), len(rows[0])

@@ -14,7 +14,6 @@ from itertools import product
 from .cones import Cone
 from .errors import BoundExceeded, NotEffective, RankLimitExceeded
 from .lattice import (
-    IntMatrix,
     LatticeVector,
     M_SIDE,
     dot,
@@ -94,9 +93,13 @@ class AffineMonoid:
     Generator order is preserved; point coordinates and algebra elements
     are indexed against it.  Instances are immutable in value; the caches
     only ever grow.
+
+    _weight_cone is internal to cone scenes, whose generators are the
+    Hilbert basis of that cone in hilbert_basis order: the cone and the
+    basis are then taken as given rather than computed a second time.
     """
 
-    def __init__(self, generators, rank):
+    def __init__(self, generators, rank, _weight_cone=None):
         if rank < 1:
             raise ValueError("rank must be positive")
         gens = []
@@ -114,13 +117,16 @@ class AffineMonoid:
         self.rank = rank
         self.generators = tuple(LatticeVector(g, M_SIDE) for g in gens)
         self._gen_tuples = tuple(gens)
-        self.weight_cone = Cone.from_rays(gens, rank, M_SIDE)
+        if _weight_cone is None:
+            self.weight_cone = Cone.from_rays(gens, rank, M_SIDE)
+        else:
+            self.weight_cone = _weight_cone
         self.dual_cone = self.weight_cone.dual()
         if not generates_full_lattice(gens, rank):
             raise NotEffective(
                 "generators %s do not generate the full lattice" % (gens,))
         self._decompositions = {(0,) * rank: (0,) * len(gens)}
-        self._hilbert = None
+        self._hilbert = None if _weight_cone is None else self.generators
         self._saturation = None
         self._relations = None
 
@@ -200,14 +206,6 @@ class AffineMonoid:
     def relation_lattice(self):
         """Basis of the lattice of integer relations among the generators."""
         if self._relations is None:
-            matrix = IntMatrix.from_columns([g.entries for g in self.generators])
-            self._relations = tuple(integer_kernel(matrix))
+            rows = tuple(zip(*self._gen_tuples))
+            self._relations = tuple(integer_kernel(rows))
         return self._relations
-
-
-def monoid_membership(mon, u):
-    return mon.contains(u)
-
-
-def is_saturated(mon):
-    return mon.saturation()

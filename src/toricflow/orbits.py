@@ -4,15 +4,15 @@ Points are coordinate tuples aligned with the monoid generator list:
 coordinate j holds the value of chi^(u_j).  They are built as torus
 points, as flow images, or as limit points; each constructor checks the
 binomial relations from the generator relation lattice as a sanity
-assertion.  Flows act by pullback: the new coordinates are the flowed
-characters evaluated at the old point.  Limits are taken as the
-multiplicative parameter goes to zero.
+assertion.  Flows start from torus points t and use the closed form
+chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
+Limits are taken as the multiplicative parameter goes to zero.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, HomogeneousLND
+from .algebra import AlgebraElement, HomogeneousLND, character_value
 from .demazure import roots_in_box
 from .errors import BoundExceeded, NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
@@ -68,13 +68,8 @@ def torus_point(mon, t):
         raise ValueError("torus coordinate count must equal the rank")
     if any(x == 0 for x in t):
         raise ValueError("torus coordinates must be nonzero")
-    coords = []
-    for g in mon.generators:
-        value = Fraction(1)
-        for base, exponent in zip(t, g.entries):
-            value *= base ** exponent
-        coords.append(value)
-    return ToricPoint(mon, tuple(coords), (TORUS, t))
+    coords = tuple(character_value(t, g.entries) for g in mon.generators)
+    return ToricPoint(mon, coords, (TORUS, t))
 
 
 def gm_scale(mon, subgroup, t0, point):
@@ -138,15 +133,20 @@ def evaluate(element, point):
 
 
 def ga_flow_point(lnd, s, point):
-    """Image of a point under the additive flow at time s, by pullback."""
+    """Image of a torus point t under the additive flow at time s.
+
+    Coordinate j is t^(u_j) * (1 + s*t^e)^<p,u_j>, the closed form of
+    exp(s*d)(chi^(u_j)) evaluated at t.
+    """
     if point.monoid != lnd.monoid:
         raise ValueError("point belongs to a different monoid")
-    s = Fraction(s)
-    coords = []
-    for g in lnd.monoid.generators:
-        flowed = lnd.exp_flow(s, AlgebraElement.monomial(lnd.monoid, g))
-        coords.append(evaluate(flowed, point))
-    return ToricPoint(lnd.monoid, tuple(coords), (FLOW,))
+    if not point.is_torus:
+        raise ValueError("the additive flow starts from a torus point")
+    t = point.provenance[1]
+    step = 1 + Fraction(s) * character_value(t, lnd.root.vector.entries)
+    coords = tuple(character_value(t, g.entries) * step ** lnd.degree(g)
+                   for g in lnd.monoid.generators)
+    return ToricPoint(lnd.monoid, coords, (FLOW,))
 
 
 def smallest_root_at_ray(sigma, ray_index):
@@ -263,8 +263,7 @@ def verify_compatible(mon, subgroup, point,
         reached = any(q.coords == limit.coords for q in flowed)
     else:
         g = mon.generators[linear]
-        slope = evaluate(
-            AlgebraElement.monomial(mon, g + root.vector), point)
+        slope = character_value(point.provenance[1], (g + root.vector).entries)
         assert slope != 0, "torus points have nonvanishing characters"
         flow_parameter = (limit.coords[linear] - point.coords[linear]) / slope
         at_solved = ga_flow_point(lnd, flow_parameter, point)

@@ -145,8 +145,9 @@ class Scene:
                 except ValueError as error:
                     raise SceneError("monoid_generators: %s" % error)
             else:
-                basis = hilbert_basis(self.sigma().dual())
-                self._monoid = AffineMonoid(basis, self.rank)
+                cone = self.weight_cone()
+                self._monoid = AffineMonoid(hilbert_basis(cone), self.rank,
+                                            _weight_cone=cone)
         return self._monoid
 
     def point(self, name):

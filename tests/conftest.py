@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from toricflow import AffineMonoid, Cone, N_SIDE
+from toricflow import (AffineMonoid, AlgebraElement, Cone, HomogeneousLND,
+                       LatticeVector, M_SIDE, N_SIDE, evaluate)
 
 settings.register_profile(
     "ci",
@@ -37,6 +40,55 @@ def cone_fixture(name):
         if fix_name == name:
             return Cone.from_rays(rays, rank, N_SIDE)
     raise KeyError(name)
+
+
+# Flow oracles: the iterated derivation series that the closed forms in
+# HomogeneousLND.exp_flow and ga_flow_point replace.
+_ORACLE_STEP_CAP = 10_000
+
+
+def derivation_powers(lnd, f):
+    """f, d f, d^2 f, ... up to the last nonzero power, by repeated apply."""
+    powers = []
+    while not f.is_zero:
+        assert len(powers) < _ORACLE_STEP_CAP, "derivation is not nilpotent"
+        powers.append(f)
+        f = lnd.apply(f)
+    return powers
+
+
+def iterated_exp_flow(lnd, s, f):
+    """exp(s*d) f as the series sum_k s^k/k! d^k f."""
+    s = Fraction(s)
+    total = AlgebraElement.zero(f.monoid)
+    for k, power in enumerate(derivation_powers(lnd, f)):
+        total = total + power * (s ** k / factorial(k))
+    return total
+
+
+def pullback_flow_coords(lnd, s, point):
+    """Flowed coordinates by pullback: each generator's iterated flow,
+    evaluated at the point."""
+    mon = lnd.monoid
+    return tuple(evaluate(iterated_exp_flow(lnd, s, AlgebraElement.monomial(mon, g)),
+                          point)
+                 for g in mon.generators)
+
+
+# Rank-2 flow fixtures, (generators, root): the quadric and a2 at low
+# degree, and the weight monoid of the thin cone cone((1,0),(1,50)) with a
+# root at the ray (1,50), where chi^(0,1) has degree 50.
+FLOW_CASES = {
+    "quadric": ([(1, 0), (1, 1), (1, 2)], (0, -1)),
+    "a2": ([(1, 0), (0, 1)], (-1, 0)),
+    "thin50": ([(0, 1), (1, 0), (50, -1)], (49, -1)),
+}
+
+
+def flow_case(name):
+    generators, root = FLOW_CASES[name]
+    mon = AffineMonoid(generators, 2)
+    return mon, HomogeneousLND(mon, LatticeVector(root, M_SIDE))
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import FLOW_CASES, derivation_powers, flow_case, iterated_exp_flow
 
 from toricflow import (
     AffineMonoid,
@@ -13,7 +15,6 @@ from toricflow import (
     LatticeVector,
     M_SIDE,
     NotADemazureRoot,
-    SafetyBoundExceeded,
     is_root,
 )
 
@@ -159,6 +160,20 @@ def test_exp_flow_frozen_trace():
     assert flowed.coefficient(LatticeVector((1, 2), M_SIDE)) == 1
     assert flowed.coefficient(LatticeVector((1, 1), M_SIDE)) == 4
     assert flowed.coefficient(LatticeVector((1, 0), M_SIDE)) == 4
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CASES))
+@settings(max_examples=30)
+@given(s=st.fractions(min_value=-4, max_value=4, max_denominator=4), data=st.data())
+def test_closed_forms_match_apply_iteration(name, s, data):
+    mon, lnd = flow_case(name)
+    f = data.draw(_random_elements(mon, None))
+    g = data.draw(_random_elements(mon, None))
+    first = AlgebraElement.monomial(mon, mon.generators[0])
+    for h in (first, f, f * g + first):
+        assert lnd.exp_flow(s, h) == iterated_exp_flow(lnd, s, h)
+        if not h.is_zero:
+            assert lnd.nilpotency_degree(h) == len(derivation_powers(lnd, h))
 
 
 @given(s1=st.fractions(min_value=-4, max_value=4, max_denominator=4),

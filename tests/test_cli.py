@@ -145,6 +145,23 @@ def test_report_cusp_refusals(cusp_scene_path, capsys):
     assert doc["derived_facts"] == []
 
 
+def test_report_cone_scene_with_wide_hilbert_basis(tmp_path, capsys):
+    # The weight cone has 4 rays and 25 Hilbert basis elements; the cone
+    # scene's monoid must reuse that cone rather than eliminate over all 25.
+    scene = {
+        "rank": 3,
+        "cone_rays": [[0, 1, 0], [0, 0, 1], [4, -1, 0], [4, 0, -1]],
+        "points": {"p": {"torus": [2, "1/3", -1]}},
+        "subgroups": {"r0": [0, 1, 0], "r2": [4, -1, 0]},
+    }
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    doc = run_json(capsys, "--scene", str(path), "report")
+    assert {name: c["kind"] for name, c in doc["classification"].items()} == {
+        "r0": "Parabolic", "r2": "Parabolic"}
+    assert [e["verdict"] for e in doc["verification"]] == ["pass", "pass"]
+
+
 def test_report_hyperbolic_negation_warning(tmp_path, capsys):
     scene = dict(QUADRIC_SCENE, subgroups={"down": [0, -1]})
     path = tmp_path / "scene.json"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricflow import (
@@ -21,6 +21,8 @@ from toricflow import (
     torus_point,
     verify_compatible,
 )
+
+from conftest import FLOW_CASES, flow_case, pullback_flow_coords
 
 
 def n(*entries):
@@ -107,6 +109,40 @@ def test_ga_flow_frozen_trace(quadric):
     # and flowing by -2 from the start lands on the boundary
     at_limit = ga_flow_point(lnd, Fraction(-2), p)
     assert at_limit.coords == (3, 0, 0)
+    # the closed form needs torus coordinates: limit and flow points have none
+    for start in (at_limit, ToricPoint(quadric, (3, 0, 0), ("limit",))):
+        with pytest.raises(ValueError):
+            ga_flow_point(lnd, Fraction(1), start)
+
+
+torus_values = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CASES))
+@settings(max_examples=30)
+@given(t=st.tuples(torus_values, torus_values),
+       s=st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_ga_flow_point_matches_pullback(name, t, s):
+    mon, lnd = flow_case(name)
+    point = torus_point(mon, t)
+    assert ga_flow_point(lnd, s, point).coords == pullback_flow_coords(lnd, s, point)
+
+
+@pytest.mark.parametrize("name, subgroup",
+                         [("quadric", (0, 1)), ("a2", (1, 0)), ("thin50", (1, 0)),
+                          ("thin50", (1, 50))],
+                         ids=["quadric", "a2", "thin50-near", "thin50-wide"])
+@settings(max_examples=10)
+@given(t=st.tuples(torus_values, torus_values))
+def test_ga_flow_point_at_solved_parameter_matches_pullback(name, subgroup, t):
+    mon, _ = flow_case(name)
+    point = torus_point(mon, t)
+    report = verify_compatible(mon, n(*subgroup), point)
+    assert report.passed and report.flow_parameter is not None
+    lnd = HomogeneousLND(mon, report.root)
+    at_solved = ga_flow_point(lnd, report.flow_parameter, point)
+    assert at_solved.coords == report.limit.coords
+    assert at_solved.coords == pullback_flow_coords(lnd, report.flow_parameter, point)
 
 
 def test_smallest_roots(a2, quadric):

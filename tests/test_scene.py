@@ -13,6 +13,9 @@ def test_quadric_scene(quadric):
     assert scene.rank == 2
     assert [r.entries for r in scene.sigma().rays] == [(0, 1), (2, -1)]
     assert scene.monoid() == quadric
+    assert scene.monoid().weight_cone == quadric.weight_cone
+    assert scene.monoid().hilbert_basis() == quadric.hilbert_basis()
+    assert scene.monoid().saturation().saturated
     assert scene.point("p").coords == (3, 6, 12)
     assert scene.subgroup_vector("vertical").entries == (0, 1)
     assert scene.subgroup_vector("1,-2").entries == (1, -2)
