@@ -263,7 +263,13 @@ def _by_ray_doc(sigma, roots, indices):
             for index in indices]
 
 
+def _check_box(box):
+    if box < 0:
+        raise SceneError("--box must be nonnegative, got %d" % box)
+
+
 def cmd_roots(scene, args):
+    _check_box(args.box)
     sigma = scene.sigma()
     ray_index = args.ray
     if ray_index is not None and not 0 <= ray_index < len(sigma.rays):
@@ -407,6 +413,7 @@ def _verification_section(scene):
 
 
 def cmd_report(scene, args):
+    _check_box(args.box)
     warnings = []
     mon = scene.monoid()
     saturation = mon.saturation()

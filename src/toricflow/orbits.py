@@ -2,9 +2,12 @@
 
 Points are coordinate tuples aligned with the monoid generator list:
 coordinate j holds the value of chi^(u_j).  They are built as torus
-points, as flow images, or as limit points; each constructor checks the
-binomial relations from the generator relation lattice as a sanity
-assertion.  Flows start from torus points t and use the closed form
+points, as flow images, or as limit points; each constructor checks that
+the point lies on the variety.  A point with no zero coordinate must
+satisfy the binomial relations of the generator relation lattice; any
+other point must, by the orbit-cone correspondence, vanish exactly off
+the generators of one face of the weight cone and satisfy that face's
+relations.  Flows start from torus points t and use the closed form
 chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
 Limits are taken as the multiplicative parameter goes to zero.
 """
@@ -16,7 +19,7 @@ from .algebra import AlgebraElement, HomogeneousLND, character_value
 from .demazure import roots_in_box
 from .errors import BoundExceeded, NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
-from .lattice import LatticeVector, N_SIDE, dot
+from .lattice import LatticeVector, N_SIDE, dot, integer_kernel
 
 _ROOT_SEARCH_START = 5
 _ROOT_SEARCH_CAP = 1280
@@ -43,10 +46,15 @@ class ToricPoint:
         object.__setattr__(self, "coords", coords)
         if len(coords) != len(self.monoid.generators):
             raise ValueError("coordinate count does not match the generators")
-        for relation in self.monoid.relation_lattice():
+        support = [j for j, c in enumerate(coords) if c != 0]
+        if len(support) == len(coords):
+            relations = [r.entries for r in self.monoid.relation_lattice()]
+        else:
+            relations = _face_relations(self.monoid, support)
+        for relation in relations:
             lhs = Fraction(1)
             rhs = Fraction(1)
-            for c, k in zip(coords, relation.entries):
+            for c, k in zip(coords, relation):
                 if k > 0:
                     lhs *= c ** k
                 elif k < 0:
@@ -54,11 +62,40 @@ class ToricPoint:
             if lhs != rhs:
                 raise ValueError(
                     "coordinates %s violate the relation %s"
-                    % (coords, relation.entries))
+                    % (coords, relation))
 
     @property
     def is_torus(self):
         return self.provenance[0] == TORUS
+
+
+def _face_relations(mon, support):
+    """Relations among the generators at the support indices, padded with
+    zeros to the full generator count.
+
+    By the orbit-cone correspondence a point with zero coordinates lies
+    on the variety exactly when its support is the set of generators in
+    one face of the weight cone (the smallest face holding the support is
+    cut out by the facets that contain it) and the nonzero coordinates
+    satisfy the relations among those generators.
+    """
+    gens = [g.entries for g in mon.generators]
+    cut = [0] * mon.rank
+    for normal in mon.weight_cone.facet_normals:
+        if all(dot(normal.entries, gens[j]) == 0 for j in support):
+            cut = [a + b for a, b in zip(cut, normal.entries)]
+    face = [j for j, g in enumerate(gens) if dot(cut, g) == 0]
+    if face != support:
+        raise ValueError(
+            "the nonzero coordinates %s are not the generators of a face "
+            "of the weight cone" % (support,))
+    relations = []
+    for kernel in integer_kernel(list(zip(*(gens[j] for j in support)))):
+        relation = [0] * len(gens)
+        for j, k in zip(support, kernel.entries):
+            relation[j] = k
+        relations.append(tuple(relation))
+    return relations
 
 
 def torus_point(mon, t):

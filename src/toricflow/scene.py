@@ -73,6 +73,10 @@ class Scene:
             self.cone_rays = tuple(
                 _int_vector(r, rank, "cone_rays[%d]" % i)
                 for i, r in enumerate(rays))
+            for i, r in enumerate(self.cone_rays):
+                if all(e == 0 for e in r):
+                    raise SceneError("cone_rays[%d]: the zero vector is not a ray"
+                                     % i)
         else:
             gens = raw["monoid_generators"]
             if not isinstance(gens, list) or not gens:

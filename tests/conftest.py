@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -40,6 +41,20 @@ def cone_fixture(name):
         if fix_name == name:
             return Cone.from_rays(rays, rank, N_SIDE)
     raise KeyError(name)
+
+
+def box_scan_roots(sigma, bound, ray_index=None):
+    """Root oracle: the definition filter over every point of the max-norm
+    box, as (ray index, entries) pairs in (ray, lex) order."""
+    rays = [r.entries for r in sigma.rays]
+    found = []
+    for e in product(range(-bound, bound + 1), repeat=sigma.rank):
+        values = [sum(a * b for a, b in zip(r, e)) for r in rays]
+        if [v for v in values if v < 0] == [-1]:
+            index = values.index(-1)
+            if ray_index in (None, index):
+                found.append((index, e))
+    return sorted(found)
 
 
 # Flow oracles: the iterated derivation series that the closed forms in

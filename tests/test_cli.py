@@ -248,6 +248,30 @@ def test_exit_code_4_resource_errors(tmp_path, capsys):
     assert code == 4
 
 
+def test_exit_code_2_for_negative_box_and_zero_ray(tmp_path,
+                                                  quadric_scene_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"rank": 2, "cone_rays": [[1,0],[0,0]]}')
+    for argv in (["--scene", quadric_scene_path, "roots", "--box", "-1"],
+                 ["--scene", quadric_scene_path, "report", "--box", "-1"],
+                 ["--scene", str(zero), "dual"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
+
+
+def test_exit_code_4_root_point_cap(tmp_path, capsys):
+    orthant = tmp_path / "orthant4.json"
+    rays = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    orthant.write_text(json.dumps({"rank": 4, "cone_rays": rays}))
+    code, out, err = run(capsys, "--scene", str(orthant), "roots", "--box", "60")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
+    assert "7086244" in err and "1000000" in err and "--box" in err
+
+
 def test_report_is_deterministic(quadric_scene_path, capsys):
     code, first, _ = run(capsys, "--scene", quadric_scene_path, "report")
     code, second, _ = run(capsys, "--scene", quadric_scene_path, "report")

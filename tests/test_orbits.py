@@ -53,6 +53,32 @@ def test_point_relations_enforced(quadric):
     assert not ok.is_torus
 
 
+def test_point_support_must_be_a_face():
+    # the rational normal curve: weight cone cone((1,0),(1,3)) with the
+    # relations c0*c2 = c1^2, c1*c3 = c2^2 and c0*c3 = c1*c2
+    curve = AffineMonoid([(1, 0), (1, 1), (1, 2), (1, 3)], 2)
+    # satisfies a lattice basis of the relations, but c1*c3 - c2^2 = -1:
+    # the support {(1,2), (1,3)} is not the generator set of a face
+    with pytest.raises(ValueError):
+        ToricPoint(curve, (0, 0, 1, 1), ("limit",))
+    with pytest.raises(ValueError):
+        ToricPoint(curve, (0, 1, 0, 0), ("limit",))
+    for coords in ((2, 0, 0, 0), (0, 0, 0, 5), (0, 0, 0, 0)):
+        ToricPoint(curve, coords, ("limit",))
+    p = torus_point(curve, (3, 2))
+    for subgroup in ((0, 1), (3, -1), (1, 0)):
+        limit = limit_point(curve, n(*subgroup), p)
+        assert limit is not None
+    assert limit_point(curve, n(0, 1), p).coords == (3, 0, 0, 0)
+    assert limit_point(curve, n(3, -1), p).coords == (0, 0, 0, 24)
+    assert limit_point(curve, n(1, 0), p).coords == (0, 0, 0, 0)
+    report = verify_compatible(curve, n(0, 1), p)
+    assert report.passed and report.flow_parameter is not None
+    at_solved = ga_flow_point(HomogeneousLND(curve, report.root),
+                              report.flow_parameter, p)
+    assert at_solved.coords == report.limit.coords == (3, 0, 0, 0)
+
+
 def test_gm_scale_agrees_with_coordinate_action(quadric):
     p = torus_point(quadric, (3, 2))
     scaled = gm_scale(quadric, n(0, 1), Fraction(2), p)

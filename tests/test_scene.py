@@ -42,6 +42,7 @@ def test_scene_accepts_rational_strings():
     ('{"rank": 0, "cone_rays": [[1,0]]}', "positive"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "extra": 1}', "unknown"),
     ('{"rank": 2, "cone_rays": [[1,0,0],[0,1]]}', "2 integers"),
+    ('{"rank": 2, "cone_rays": [[1,0],[0,0]]}', "cone_rays[1]: the zero vector"),
     ('{"rank": 2, "cone_rays": [[1.5,0],[0,1]]}', "integers"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "points": {"p": [1,1]}}',
      "torus"),
