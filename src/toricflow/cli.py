@@ -291,6 +291,9 @@ def cmd_roots(scene, args):
 def _lnd_from_arg(scene, text):
     mon = scene.monoid()
     entries = _parse_int_csv(text, "--root")
+    if len(entries) != scene.rank:
+        raise SceneError("--root must have %d entries, got %r"
+                         % (scene.rank, text))
     root = is_root(mon.dual_cone, LatticeVector.m(entries))
     if root is None:
         raise NotADemazureRoot("%r pairs wrongly against the dual cone rays"
@@ -344,6 +347,8 @@ def cmd_verify(scene, args):
     kwargs = {}
     if args.ts is not None:
         kwargs["gm_samples"] = _parse_fraction_csv(args.ts, "--ts")
+        if 0 in kwargs["gm_samples"]:
+            raise SceneError("--ts samples must be nonzero, got %r" % args.ts)
     if args.ss is not None:
         kwargs["ga_samples"] = _parse_fraction_csv(args.ss, "--ss")
     rep = verify_compatible(mon, subgroup, point, **kwargs)

@@ -8,8 +8,8 @@ of the weight cone for membership, so the cuspidal-style monoids that miss
 lattice points of their cone are detected with an explicit witness.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 
 from .cones import Cone
 from .errors import BoundExceeded, NotEffective, RankLimitExceeded
@@ -22,17 +22,71 @@ from .lattice import (
 )
 
 HILBERT_RANK_LIMIT = 3
-_HILBERT_BOX_CAP = 400_000
+HILBERT_CANDIDATE_CAP = 400_000
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by cofactor expansion along
+    the first row (the matrices here have size at most 3)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def _parallelepiped_points(simplex):
+    """Nonzero lattice points of {sum q_i v_i : 0 <= q_i < 1} for the
+    linearly independent rows v_i of simplex; there are |det| - 1 of them.
+
+    A lattice point x has coefficients q = x adj(V) / det(V).  Over the
+    denominator D = |det|, the numerator vectors of all lattice points,
+    taken mod D, form the group Z^d / VZ^d: the closure of the rows of
+    adj(V), the numerators of the unit vectors up to the sign of det, which
+    a group absorbs.  A class c maps back to the point c V / D, whose
+    coefficients c / D lie in [0, 1).
+    """
+    d = len(simplex)
+    size = abs(_det(simplex))
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for k, row in enumerate(simplex) if k != i]
+        return (-1) ** (i + j) * _det(minor)
+
+    steps = [tuple(cofactor(i, j) % size for i in range(d)) for j in range(d)]
+    zero = (0,) * d
+    seen = {zero}
+    classes = [zero]
+    for c in classes:
+        for step in steps:
+            nxt = tuple((a + b) % size for a, b in zip(c, step))
+            if nxt not in seen:
+                seen.add(nxt)
+                classes.append(nxt)
+    return [tuple(sum(c[i] * simplex[i][k] for i in range(d)) // size
+                  for k in range(d))
+            for c in classes[1:]]
 
 
 def hilbert_basis(cone):
     """Minimal generating set of cone ∩ M for a pointed full-dimensional cone.
 
-    Every irreducible element lies in the zonotope spanned by the primitive
-    rays: an element with a ray coefficient >= 1 splits off that ray.  So it
-    suffices to scan the integer points of the zonotope's bounding box and
-    greedily discard sums of two nonzero cone points, in increasing order of
-    a strictly positive functional.  Rank is capped at HILBERT_RANK_LIMIT.
+    The cone is triangulated by joining its first ray r0 to every facet
+    that misses r0; in rank <= 3 every facet is simplicial, so each such
+    facet gives one simplicial cone.  An irreducible element of a
+    simplicial cone is one of its rays or a lattice point of its half-open
+    parallelepiped {sum q_i v_i : 0 <= q_i < 1}, so the extreme rays and
+    the parallelepiped points are the candidates: |det| of them per
+    simplex, counting the vertex 0.  A cone whose simplices hold more than
+    HILBERT_CANDIDATE_CAP of them is refused before enumerating.
+
+    Candidates are reduced in support form, v(u) = (<n, u> for each facet
+    normal n): u - h lies in the cone exactly when v(h) <= v(u)
+    componentwise.  They are taken in increasing level sum(v), and one is
+    kept unless an element kept before it lies below it.  If low is the
+    least level of a candidate, which is the least level of any nonzero
+    cone point, only kept elements of level at most level(u) - low can lie
+    below u; a candidate below level 2*low is kept without a scan.  Rank is
+    capped at HILBERT_RANK_LIMIT.
 
     >>> c = Cone.from_rays([(1, 0), (1, 2)], 2, M_SIDE)
     >>> [v.entries for v in hilbert_basis(c)]
@@ -44,39 +98,33 @@ def hilbert_basis(cone):
         raise RankLimitExceeded(
             "Hilbert basis supports rank <= %d, got %d"
             % (HILBERT_RANK_LIMIT, cone.rank))
-    rays = [r.entries for r in cone.rays]
-    d = cone.rank
-    lo = [sum(min(0, r[j]) for r in rays) for j in range(d)]
-    hi = [sum(max(0, r[j]) for r in rays) for j in range(d)]
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
-    if volume > _HILBERT_BOX_CAP:
+    r0 = cone.rays[0]
+    simplices = [[r.entries for r in (r0,) + face.rays]
+                 for face in cone.facets() if r0 not in face.rays]
+    count = sum(abs(_det(simplex)) for simplex in simplices)
+    if count > HILBERT_CANDIDATE_CAP:
         raise BoundExceeded(
-            "zonotope bounding box holds %d points, cap is %d"
-            % (volume, _HILBERT_BOX_CAP))
+            "cone is too wide for a Hilbert basis: its parallelepipeds hold "
+            "%d candidate points, over the cap of %d"
+            % (count, HILBERT_CANDIDATE_CAP))
+    candidates = {r.entries for r in cone.rays}
+    for simplex in simplices:
+        candidates.update(_parallelepiped_points(simplex))
     normals = [h.entries for h in cone.facet_normals]
-
-    def positive_level(u):
-        return sum(dot(h, u) for h in normals)
-
-    candidates = []
-    for u in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(e == 0 for e in u):
-            continue
-        if all(dot(h, u) >= 0 for h in normals):
-            candidates.append(u)
-    candidates.sort(key=lambda u: (positive_level(u), u))
-    basis = []
+    graded = []
     for u in candidates:
-        reducible = False
-        for h in basis:
-            w = tuple(a - b for a, b in zip(u, h))
-            if any(e != 0 for e in w) and cone.contains_tuple(w):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(u)
+        v = tuple(dot(h, u) for h in normals)
+        graded.append((sum(v), u, v))
+    graded.sort()
+    low = graded[0][0]
+    levels, forms, basis = [], [], []
+    for level, u, v in graded:
+        below = bisect_right(levels, level - low)
+        if any(all(a <= b for a, b in zip(forms[k], v)) for k in range(below)):
+            continue
+        levels.append(level)
+        forms.append(v)
+        basis.append(u)
     basis.sort()
     return [LatticeVector(u, M_SIDE) for u in basis]
 

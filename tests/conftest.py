@@ -57,6 +57,44 @@ def box_scan_roots(sigma, bound, ray_index=None):
     return sorted(found)
 
 
+_BOX_SCAN_CAP = 400_000
+
+
+def box_scan_hilbert_basis(cone):
+    """Hilbert basis oracle: every irreducible element lies in the zonotope
+    spanned by the primitive rays (one with a ray coefficient >= 1 splits
+    off that ray), so scan the zonotope's bounding box and greedily discard
+    sums of two nonzero cone points, in increasing order of a strictly
+    positive functional.  Returns lex-sorted entry tuples."""
+    rays = [r.entries for r in cone.rays]
+    d = cone.rank
+    lo = [sum(min(0, r[j]) for r in rays) for j in range(d)]
+    hi = [sum(max(0, r[j]) for r in rays) for j in range(d)]
+    volume = 1
+    for a, b in zip(lo, hi):
+        volume *= b - a + 1
+    assert volume <= _BOX_SCAN_CAP, "zonotope box too large for the oracle"
+    normals = [h.entries for h in cone.facet_normals]
+
+    def positive_level(u):
+        return sum(sum(a * b for a, b in zip(h, u)) for h in normals)
+
+    candidates = []
+    for u in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if any(e != 0 for e in u) and cone.contains_tuple(u):
+            candidates.append(u)
+    candidates.sort(key=lambda u: (positive_level(u), u))
+    basis = []
+    for u in candidates:
+        for h in basis:
+            w = tuple(a - b for a, b in zip(u, h))
+            if any(e != 0 for e in w) and cone.contains_tuple(w):
+                break
+        else:
+            basis.append(u)
+    return sorted(basis)
+
+
 # Flow oracles: the iterated derivation series that the closed forms in
 # HomogeneousLND.exp_flow and ga_flow_point replace.
 _ORACLE_STEP_CAP = 10_000

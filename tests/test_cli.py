@@ -1,7 +1,11 @@
 import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricflow.cli import main
 
@@ -290,3 +294,93 @@ def test_json_is_parseable_for_all_commands(quadric_scene_path, capsys):
     for command in commands:
         doc = run_json(capsys, "--scene", quadric_scene_path, *command)
         assert isinstance(doc, dict)
+
+
+def test_exit_code_2_for_malformed_root_and_samples(quadric_scene_path, capsys):
+    for argv in (["lnd", "--root", "1,2,3"],
+                 ["flow", "--point", "p", "--root=1,2,3", "--s", "1"],
+                 ["verify", "--point", "p", "--l", "vertical", "--ts", "0"],
+                 ["verify", "--point", "p", "--l", "vertical", "--ts", "1,0"]):
+        code, out, err = run(capsys, "--scene", quadric_scene_path, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
+
+
+_RATIONALS = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-7/3"])
+
+
+def _csv(values, size):
+    return st.lists(values, min_size=size, max_size=size).map(",".join)
+
+
+@st.composite
+def _argvs(draw, rank):
+    """argv for one subcommand in --flag=value form, so that negative
+    values parse; --root and --l sometimes have the wrong length."""
+    ints = st.integers(-3, 3).map(str)
+    sizes = st.sampled_from([rank, rank, 1 + rank % 3])
+    subgroup = st.one_of(st.just("l"), sizes.flatmap(lambda n: _csv(ints, n)))
+    root = sizes.flatmap(lambda n: _csv(ints, n))
+    samples = st.integers(1, 3).flatmap(lambda n: _csv(_RATIONALS, n))
+    box = st.integers(0, 3).map(str)
+    command = draw(st.sampled_from(
+        ["dual", "facets", "hilbert", "saturation", "straightening", "classify",
+         "roots", "lnd", "flow", "limit", "verify", "report"]))
+    options = {
+        "classify": {"--l": subgroup},
+        "roots": {"--box": box, "--ray": st.integers(-1, 4).map(str)},
+        "lnd": {"--root": root},
+        "flow": {"--point": st.sampled_from(["p", "q"]), "--root": root,
+                 "--s": _RATIONALS},
+        "limit": {"--point": st.just("p"), "--l": subgroup},
+        "verify": {"--point": st.just("p"), "--l": subgroup, "--ts": samples,
+                   "--ss": samples},
+        "report": {"--box": box},
+    }.get(command, {})
+    optional = {"--ray", "--ts", "--ss"}
+    argv = [command]
+    for flag, values in options.items():
+        if flag not in optional or draw(st.booleans()):
+            argv.append("%s=%s" % (flag, draw(values)))
+    return argv
+
+
+@st.composite
+def _runs(draw):
+    """A small rank 1-3 scene and an argv for one subcommand of it."""
+    rank = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    # most generator lists pair positively with a sign vector, so that most
+    # scenes are pointed and the commands get past building the cone
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+    pointed = vector.filter(lambda v: sum(a * b for a, b in zip(signs, v)) > 0)
+    key = draw(st.sampled_from(["cone_rays", "monoid_generators"]))
+    scene = {
+        "rank": rank,
+        key: draw(st.lists(st.one_of(pointed, pointed, pointed, vector),
+                           min_size=rank, max_size=rank + 2)),
+        "points": {"p": {"torus": draw(st.lists(
+            _RATIONALS.filter(lambda q: q != "0"), min_size=rank, max_size=rank))}},
+        "subgroups": {"l": draw(vector.filter(any))},
+    }
+    return scene, draw(_argvs(rank))
+
+
+@settings(max_examples=60, deadline=None)
+@example((QUADRIC_SCENE, ["lnd", "--root=1,2,3"]))
+@example((QUADRIC_SCENE, ["verify", "--point=p", "--l=vertical", "--ts=1,0"]))
+@given(_runs())
+def test_exit_code_contract(run_args):
+    scene, argv = run_args
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(scene))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines

@@ -1,8 +1,9 @@
 import doctest
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import toricflow.monoid
@@ -13,12 +14,13 @@ from toricflow import (
     M_SIDE,
     N_SIDE,
     NotEffective,
+    NotFullDimensional,
     NotPointed,
     RankLimitExceeded,
     hilbert_basis,
 )
 
-from conftest import cone_fixture
+from conftest import box_scan_hilbert_basis, cone_fixture
 
 
 def test_doctests():
@@ -68,9 +70,78 @@ def test_hilbert_basis_rank_limit():
 
 
 def test_hilbert_basis_box_cap():
+    # 999 parallelepiped points, though the zonotope box holds 2,000,000
     cone = Cone.from_rays([(1, 0), (1000, 999)], 2, M_SIDE)
-    with pytest.raises(BoundExceeded):
+    assert [v.entries for v in hilbert_basis(cone)] == [
+        (j + 1, j) for j in range(1000)]
+    cone = Cone.from_rays([(1, 0), (1, 400001)], 2, M_SIDE)
+    with pytest.raises(BoundExceeded, match="400001 candidate points.*400000"):
         hilbert_basis(cone)
+
+
+@st.composite
+def pointed_weight_cones(draw):
+    """A pointed full-dimensional cone of rank 1-3 on 2-6 generators with
+    entries in -4..4: every generator pairs positively with a random
+    functional, so the cone is pointed."""
+    rank = draw(st.integers(1, 3))
+    functional = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
+    vector = st.tuples(*[st.integers(-4, 4)] * rank).filter(
+        lambda r: sum(a * b for a, b in zip(functional, r)) > 0)
+    generators = draw(st.lists(vector, min_size=max(2, rank), max_size=6))
+    try:
+        return Cone.from_rays(generators, rank, M_SIDE)
+    except NotFullDimensional:
+        assume(False)
+
+
+@given(pointed_weight_cones())
+def test_hilbert_basis_matches_box_scan(cone):
+    assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+
+
+def test_hilbert_basis_square13_and_thin_cone():
+    square = [(1, 0, 0), (1, 13, 0), (1, 0, 13), (1, 13, 13)]
+    cone = Cone.from_rays(square, 3, M_SIDE)
+    assert [v.entries for v in hilbert_basis(cone)] == [
+        (1, a, b) for a in range(14) for b in range(14)]
+    cone = Cone.from_rays([(0, 1), (3000, -1)], 2, M_SIDE)
+    assert [v.entries for v in hilbert_basis(cone)] == [
+        (0, 1), (1, 0), (3000, -1)]
+
+
+def _det(rows):
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in combinations(range(len(perm)), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _coefficients(simplex, x):
+    # q with x = sum q_i simplex[i], by Cramer's rule
+    return [Fraction(_det(simplex[:i] + [x] + simplex[i + 1:]), _det(simplex))
+            for i in range(len(simplex))]
+
+
+@example([(3,)])
+@example([(1, 0), (1, 7)])
+@example([(1, 0, 0), (1, 2, 0), (1, 2, 2)])
+@example([(2, -1, 3), (0, 3, 1), (-1, 2, 4)])
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d)))
+def test_parallelepiped_points(simplex):
+    size = abs(_det(simplex))
+    assume(size != 0)
+    points = toricflow.monoid._parallelepiped_points(simplex)
+    assert len(points) == len(set(points)) == size - 1
+    for x in points:
+        assert any(x)
+        assert all(0 <= q < 1 for q in _coefficients(simplex, x))
 
 
 def _pointed_ray_pairs():
