@@ -2,13 +2,17 @@
 
 A Cone stores both its extreme rays and its facet normals, each primitive
 and lex-sorted.  Construction from rays computes the facet normals by
-Fourier-Motzkin elimination over exact integers and keeps only the
-facet-defining inequalities.  Only full-dimensional pointed cones are
+incremental double description over exact integers (Motzkin, Raiffa,
+Thompson and Thrall 1953; Fukuda and Prodon 1996), with adjacency decided
+from incidence sets alone.  Only full-dimensional pointed cones are
 representable; their duals are then full-dimensional and pointed too, so
-dualizing is just a role swap.  Ambient rank is capped at RANK_LIMIT.
+dualizing is just a role swap.  Ambient rank is capped at RANK_LIMIT, and
+one double-description step may combine at most DD_PAIR_CAP facet pairs.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .errors import (
     BoundExceeded,
@@ -21,87 +25,65 @@ from .lattice import (
     M_SIDE,
     N_SIDE,
     LatticeVector,
+    cofactors,
     dot,
     matrix_rank,
+    pivot_columns,
     primitive_tuple,
 )
 
 RANK_LIMIT = 4
-_FM_ROW_CAP = 50_000
+DD_PAIR_CAP = 50_000
 
 
 def _other_side(side):
     return M_SIDE if side == N_SIDE else N_SIDE
 
 
-def _fm_eliminate(rays, rank):
-    """Project {x : x = sum(lam_i * ray_i), lam >= 0} onto the x variables.
+def _double_description(rays, basis):
+    """Extreme rays of the cone {h : <h, r> >= 0 for every ray r}, each
+    primitive and paired with its incidence mask (bit i set when h
+    vanishes on rays[i]).  basis indexes rays that form a basis of the
+    ambient space.
 
-    Variables are ordered (lam_1..lam_n, x_1..x_d).  Rows are integer
-    coefficient vectors; equalities and inequalities (>= 0) are kept in
-    separate lists.  Eliminating lam_i prefers a pivot equality (a plain
-    substitution); only when no equality mentions lam_i does the quadratic
-    inequality pairing happen.  Returns (inequalities, equalities) over x,
-    primitive and deduplicated.
+    The basis rays alone cut out a simplicial cone, whose extreme rays are
+    the cofactor normals.  The other rays are then added one at a time:
+    extreme rays h with <h, r> >= 0 stay, and each pair of a positive and
+    a negative one is combined into a new extreme ray on r^perp when the
+    pair is adjacent: when no third extreme ray vanishes on all of their
+    common incidence set Z.  Adjacency needs |Z| >= dim - 2, which is
+    checked first.  A step over DD_PAIR_CAP pairs is refused before any
+    pair is combined.
     """
-    n, d = len(rays), rank
-    width = n + d
-    ineqs = []
-    for i in range(n):
-        row = [0] * width
-        row[i] = 1
-        ineqs.append(row)
-    eqs = []
-    for j in range(d):
-        row = [rays[i][j] for i in range(n)] + [0] * d
-        row[n + j] = -1
-        eqs.append(row)
-
-    def tidy(rows):
-        seen = set()
-        out = []
-        for row in rows:
-            if all(e == 0 for e in row):
-                continue
-            key = primitive_tuple(row)
-            if key not in seen:
-                seen.add(key)
-                out.append(list(key))
-        return out
-
-    for v in range(n):
-        pivot = next((row for row in eqs if row[v] != 0), None)
-        if pivot is not None:
-            eqs.remove(pivot)
-            p = pivot[v]
-            sign = 1 if p > 0 else -1
-
-            def substitute(row):
-                c = row[v]
-                if c == 0:
-                    return row
-                # row*|p| - pivot*(c*sign) zeroes column v; the row multiplier
-                # |p| is positive, so inequality direction is preserved
-                return [a * abs(p) - b * c * sign for a, b in zip(row, pivot)]
-
-            ineqs = tidy(substitute(r) for r in ineqs)
-            eqs = tidy(substitute(r) for r in eqs)
-        else:
-            pos = [r for r in ineqs if r[v] > 0]
-            neg = [r for r in ineqs if r[v] < 0]
-            zero = [r for r in ineqs if r[v] == 0]
-            combos = []
-            for pr in pos:
-                for nr in neg:
-                    combos.append([a * pr[v] - b * nr[v] for a, b in zip(nr, pr)])
-            ineqs = tidy(zero + combos)
-            if len(ineqs) > _FM_ROW_CAP:
-                raise BoundExceeded(
-                    "Fourier-Motzkin exceeded %d rows" % _FM_ROW_CAP
-                )
-    out_ineqs = tidy([row[n:] for row in ineqs])
-    out_eqs = tidy([row[n:] for row in eqs])
-    return out_ineqs, out_eqs
+    dim = len(basis)
+    facets = []
+    for i, h in zip(basis, cofactors([rays[i] for i in basis])):
+        h = h if dot(h, rays[i]) > 0 else [-a for a in h]
+        facets.append((primitive_tuple(h), sum(1 << k for k in basis if k != i)))
+    for j, r in enumerate(rays):
+        if j in basis:
+            continue
+        values = [dot(h, r) for h, _ in facets]
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        if len(pos) * len(neg) > DD_PAIR_CAP:
+            raise BoundExceeded(
+                "cone duality at generator %d of %d would combine %d facet "
+                "pairs, over the cap of %d; give fewer generators"
+                % (j + 1, len(rays), len(pos) * len(neg), DD_PAIR_CAP))
+        bit = 1 << j
+        kept = [(h, mask | bit if v == 0 else mask)
+                for (h, mask), v in zip(facets, values) if v >= 0]
+        for a in pos:
+            for b in neg:
+                common = facets[a][1] & facets[b][1]
+                if (common.bit_count() >= dim - 2 and sum(
+                        1 for _, mask in facets if (mask & common) == common) == 2):
+                    h = [values[a] * x - values[b] * y
+                         for x, y in zip(facets[b][0], facets[a][0])]
+                    kept.append((primitive_tuple(h), common | bit))
+        facets = kept
+    return facets
 
 
 @dataclass(frozen=True)
@@ -159,26 +141,26 @@ class Cone:
             raise ValueError("a cone needs at least one ray")
         ray_tuples = sorted(set(cleaned))
 
-        ineqs, eqs = _fm_eliminate(ray_tuples, rank)
-        if matrix_rank(ineqs + eqs) < rank:
+        # Rays that span only a k-dimensional subspace are projected onto
+        # the pivot coordinates of their echelon form, which is injective
+        # on that subspace, so the image contains a line exactly when the
+        # cone does.  The dual cone is always pointed, and the cone is
+        # pointed exactly when the dual's extreme rays span.
+        basis = pivot_columns(list(zip(*ray_tuples)))
+        coords = pivot_columns(ray_tuples) if len(basis) < rank else range(rank)
+        facets = _double_description(
+            [tuple(r[c] for c in coords) for r in ray_tuples], basis)
+        if matrix_rank(h for h, _ in facets) < len(basis):
             raise NotPointed("cone generated by %s contains a line" % (ray_tuples,))
-        if eqs:
+        if len(basis) < rank:
             raise NotFullDimensional(
                 "rays %s span a proper subspace" % (ray_tuples,))
 
-        facet_normals = []
-        for h in ineqs:
-            assert all(dot(h, r) >= 0 for r in ray_tuples)
-            on = [r for r in ray_tuples if dot(h, r) == 0]
-            if matrix_rank(on) == rank - 1:
-                facet_normals.append(tuple(h))
-        facet_normals = sorted(set(facet_normals))
-
-        extreme = []
-        for r in ray_tuples:
-            saturated = [h for h in facet_normals if dot(h, r) == 0]
-            if matrix_rank(saturated) == rank - 1:
-                extreme.append(r)
+        # A ray is extreme when no other ray lies on every facet through it.
+        everything = (1 << len(ray_tuples)) - 1
+        extreme = [r for i, r in enumerate(ray_tuples) if reduce(
+            and_, (mask for _, mask in facets if mask >> i & 1), everything) == 1 << i]
+        facet_normals = sorted(h for h, _ in facets)
 
         other = _other_side(side)
         return cls(

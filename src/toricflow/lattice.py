@@ -184,11 +184,30 @@ def _echelon(rows, pivot_cols_limit=None):
 
 def matrix_rank(rows):
     """Rank over Q of an iterable of equal-length int rows."""
-    rows = [tuple(r) for r in rows]
+    return len(_echelon(rows)[1])
+
+
+def pivot_columns(rows):
+    """Indices of the first maximal linearly independent set of columns."""
+    return [c for _, c in _echelon(rows)[1]]
+
+
+def det(rows):
+    """Determinant of a square int matrix by cofactor expansion along the
+    first row (the matrices here have size at most RANK_LIMIT)."""
     if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+        return 1
+    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def cofactors(rows):
+    """Cofactor matrix C of a square int matrix V: row i of C pairs to
+    det(V) with row i of V and to zero with every other row of V."""
+    return [tuple((-1) ** (i + j) * det([r[:j] + r[j + 1:]
+                                         for k, r in enumerate(rows) if k != i])
+                  for j in range(len(rows)))
+            for i in range(len(rows))]
 
 
 def integer_kernel(rows):

@@ -16,6 +16,8 @@ from .errors import BoundExceeded, NotEffective, RankLimitExceeded
 from .lattice import (
     LatticeVector,
     M_SIDE,
+    cofactors,
+    det,
     dot,
     generates_full_lattice,
     integer_kernel,
@@ -23,15 +25,6 @@ from .lattice import (
 
 HILBERT_RANK_LIMIT = 3
 HILBERT_CANDIDATE_CAP = 400_000
-
-
-def _det(rows):
-    """Determinant of a square integer matrix by cofactor expansion along
-    the first row (the matrices here have size at most 3)."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j in range(len(rows)))
 
 
 def _parallelepiped_points(simplex):
@@ -46,13 +39,8 @@ def _parallelepiped_points(simplex):
     coefficients c / D lie in [0, 1).
     """
     d = len(simplex)
-    size = abs(_det(simplex))
-
-    def cofactor(i, j):
-        minor = [row[:j] + row[j + 1:] for k, row in enumerate(simplex) if k != i]
-        return (-1) ** (i + j) * _det(minor)
-
-    steps = [tuple(cofactor(i, j) % size for i in range(d)) for j in range(d)]
+    size = abs(det(simplex))
+    steps = [tuple(c % size for c in column) for column in zip(*cofactors(simplex))]
     zero = (0,) * d
     seen = {zero}
     classes = [zero]
@@ -101,7 +89,7 @@ def hilbert_basis(cone):
     r0 = cone.rays[0]
     simplices = [[r.entries for r in (r0,) + face.rays]
                  for face in cone.facets() if r0 not in face.rays]
-    count = sum(abs(_det(simplex)) for simplex in simplices)
+    count = sum(abs(det(simplex)) for simplex in simplices)
     if count > HILBERT_CANDIDATE_CAP:
         raise BoundExceeded(
             "cone is too wide for a Hilbert basis: its parallelepipeds hold "

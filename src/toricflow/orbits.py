@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, HomogeneousLND, character_value
-from .demazure import roots_in_box
+from .demazure import ROOT_POINT_CAP, roots_in_box
 from .errors import BoundExceeded, NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
 from .lattice import LatticeVector, N_SIDE, dot, integer_kernel
@@ -187,10 +187,17 @@ def ga_flow_point(lnd, s, point):
 
 
 def smallest_root_at_ray(sigma, ray_index):
-    """First root at the ray in enumeration order, growing the box as
-    needed.  Every ray of a pointed full-dimensional cone has one."""
+    """First root at the ray in enumeration order, doubling the box as
+    needed.  Every ray of a pointed full-dimensional cone has one, but a
+    box whose slice holds more than ROOT_POINT_CAP points is refused."""
     box = _ROOT_SEARCH_START
     while box <= _ROOT_SEARCH_CAP:
+        points = (2 * box + 1) ** (sigma.rank - 1)
+        if points > ROOT_POINT_CAP:
+            raise BoundExceeded(
+                "the search for a root at ray %s reached max-norm %d, whose "
+                "slice holds %d points, over ROOT_POINT_CAP = %d"
+                % (sigma.rays[ray_index].entries, box, points, ROOT_POINT_CAP))
         roots = roots_in_box(sigma, box, ray_index=ray_index)
         if roots:
             return roots[0], box

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from toricflow import (AffineMonoid, AlgebraElement, Cone, HomogeneousLND,
-                       LatticeVector, M_SIDE, N_SIDE, evaluate)
+                       LatticeVector, M_SIDE, N_SIDE, NotFullDimensional,
+                       NotPointed, dot, evaluate, matrix_rank)
+from toricflow.lattice import primitive_tuple
 
 settings.register_profile(
     "ci",
@@ -41,6 +43,92 @@ def cone_fixture(name):
         if fix_name == name:
             return Cone.from_rays(rays, rank, N_SIDE)
     raise KeyError(name)
+
+
+def _fm_eliminate(rays, rank):
+    """Project {x : x = sum(lam_i * ray_i), lam >= 0} onto the x variables.
+
+    Variables are ordered (lam_1..lam_n, x_1..x_d).  Rows are integer
+    coefficient vectors; equalities and inequalities (>= 0) are kept in
+    separate lists.  Eliminating lam_i prefers a pivot equality (a plain
+    substitution); only when no equality mentions lam_i does the quadratic
+    inequality pairing happen.  Returns (inequalities, equalities) over x,
+    primitive and deduplicated.
+    """
+    n, d = len(rays), rank
+    width = n + d
+    ineqs = []
+    for i in range(n):
+        row = [0] * width
+        row[i] = 1
+        ineqs.append(row)
+    eqs = []
+    for j in range(d):
+        row = [rays[i][j] for i in range(n)] + [0] * d
+        row[n + j] = -1
+        eqs.append(row)
+
+    def tidy(rows):
+        seen = set()
+        out = []
+        for row in rows:
+            if all(e == 0 for e in row):
+                continue
+            key = primitive_tuple(row)
+            if key not in seen:
+                seen.add(key)
+                out.append(list(key))
+        return out
+
+    for v in range(n):
+        pivot = next((row for row in eqs if row[v] != 0), None)
+        if pivot is not None:
+            eqs.remove(pivot)
+            p = pivot[v]
+            sign = 1 if p > 0 else -1
+
+            def substitute(row):
+                c = row[v]
+                if c == 0:
+                    return row
+                # row*|p| - pivot*(c*sign) zeroes column v; the row multiplier
+                # |p| is positive, so inequality direction is preserved
+                return [a * abs(p) - b * c * sign for a, b in zip(row, pivot)]
+
+            ineqs = tidy(substitute(r) for r in ineqs)
+            eqs = tidy(substitute(r) for r in eqs)
+        else:
+            pos = [r for r in ineqs if r[v] > 0]
+            neg = [r for r in ineqs if r[v] < 0]
+            zero = [r for r in ineqs if r[v] == 0]
+            combos = []
+            for pr in pos:
+                for nr in neg:
+                    combos.append([a * pr[v] - b * nr[v] for a, b in zip(nr, pr)])
+            ineqs = tidy(zero + combos)
+    out_ineqs = tidy([row[n:] for row in ineqs])
+    out_eqs = tidy([row[n:] for row in eqs])
+    return out_ineqs, out_eqs
+
+
+def fm_cone(rays, rank):
+    """Duality oracle: Fourier-Motzkin elimination, then rank tests that
+    keep the facet-defining inequalities and the extreme rays.  Returns
+    (rays, facet normals) as lex-sorted primitive tuples, or raises
+    NotPointed or NotFullDimensional as Cone.from_rays does.  Meant for
+    cones on a handful of rays: the row count is not capped."""
+    ray_tuples = sorted({primitive_tuple(r) for r in rays})
+    ineqs, eqs = _fm_eliminate(ray_tuples, rank)
+    if matrix_rank(ineqs + eqs) < rank:
+        raise NotPointed("cone generated by %s contains a line" % (ray_tuples,))
+    if eqs:
+        raise NotFullDimensional("rays %s span a proper subspace" % (ray_tuples,))
+    normals = sorted({tuple(h) for h in ineqs
+                      if matrix_rank([r for r in ray_tuples if dot(h, r) == 0])
+                      == rank - 1})
+    extreme = [r for r in ray_tuples
+               if matrix_rank([h for h in normals if dot(h, r) == 0]) == rank - 1]
+    return extreme, normals
 
 
 def box_scan_roots(sigma, bound, ray_index=None):

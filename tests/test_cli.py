@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import toricflow
+import toricflow.cones
 from toricflow.cli import main
 
 from conftest import QUADRIC_SCENE
@@ -276,6 +281,60 @@ def test_exit_code_4_root_point_cap(tmp_path, capsys):
     assert "7086244" in err and "1000000" in err and "--box" in err
 
 
+def _polygon_scene(tmp_path, count):
+    """The rank-3 cone over the polygon with vertices (x, x^2), x < count."""
+    path = tmp_path / ("polygon%d.json" % count)
+    path.write_text(json.dumps(
+        {"rank": 3, "cone_rays": [[1, x, x * x] for x in range(count)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("count", [11, 13])
+def test_polygon_cones_run_to_the_end(tmp_path, capsys, count):
+    scene = _polygon_scene(tmp_path, count)
+    for command in ("facets", "dual", "report"):
+        code, out, err = run(capsys, "--scene", scene, command)
+        assert code == 0, err
+    doc = run_json(capsys, "--scene", scene, "facets")
+    assert len(doc["facets"]) == count
+
+
+def test_exit_code_4_double_description_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(toricflow.cones, "DD_PAIR_CAP", 3)
+    code, out, err = run(capsys, "--scene", _polygon_scene(tmp_path, 13), "dual")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
+    assert "would combine 4 facet pairs, over the cap of 3" in err
+    assert "fewer generators" in err
+
+
+def test_exit_code_4_root_search_names_no_box_flag(tmp_path, capsys):
+    scene = tmp_path / "thin400.json"
+    scene.write_text(json.dumps({
+        "rank": 3, "cone_rays": [[1, 0, 0], [1, 400, 0], [0, 0, 1]],
+        "subgroups": {"l": [1, 400, 0]},
+        "points": {"p": {"torus": ["2", "3", "5"]}}}))
+    code, out, err = run(capsys, "--scene", str(scene), "verify", "--l", "l",
+                         "--point", "p")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
+    assert "--box" not in err
+    for part in ("(1, 400, 0)", "max-norm 640", "1640961", "ROOT_POINT_CAP = 1000000"):
+        assert part in err
+
+
+def test_python_dash_m_runs_the_cli(quadric_scene_path):
+    src = Path(toricflow.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "toricflow", "--scene", quadric_scene_path, "dual"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["dual"]["rays"] == [[1, 0], [1, 2]]
+
+
 def test_report_is_deterministic(quadric_scene_path, capsys):
     code, first, _ = run(capsys, "--scene", quadric_scene_path, "report")
     code, second, _ = run(capsys, "--scene", quadric_scene_path, "report")
@@ -347,8 +406,28 @@ def _argvs(draw, rank):
 
 
 @st.composite
+def _polygon_runs(draw):
+    """The rank-3 cone over a lattice polygon with 3 to 16 vertices drawn
+    from [-3, 3]^2, and an argv for one subcommand of it."""
+    corners = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=3, max_size=16, unique=True))
+    scene = {
+        "rank": 3,
+        "cone_rays": [[1, x, y] for x, y in corners],
+        "points": {"p": {"torus": draw(st.lists(
+            _RATIONALS.filter(lambda q: q != "0"), min_size=3, max_size=3))}},
+        "subgroups": {"l": draw(st.lists(st.integers(-3, 3), min_size=3,
+                                         max_size=3).filter(any))},
+    }
+    return scene, draw(_argvs(3))
+
+
+@st.composite
 def _runs(draw):
-    """A small rank 1-3 scene and an argv for one subcommand of it."""
+    """A small rank 1-3 scene, or a polygon cone scene, and an argv for one
+    subcommand of it."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_polygon_runs())
     rank = draw(st.integers(1, 3))
     vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     # most generator lists pair positively with a sign vector, so that most
@@ -367,7 +446,18 @@ def _runs(draw):
     return scene, draw(_argvs(rank))
 
 
+# the cone over the 16-gon with vertices (x, x^2), as many rays as the
+# polygon scenes of the contract draw
+_POLYGON16_SCENE = {
+    "rank": 3,
+    "cone_rays": [[1, x, x * x] for x in range(16)],
+    "points": {"p": {"torus": ["2", "3", "5"]}},
+    "subgroups": {"l": [1, 0, 0]},
+}
+
+
 @settings(max_examples=60, deadline=None)
+@example((_POLYGON16_SCENE, ["report"]))
 @example((QUADRIC_SCENE, ["lnd", "--root=1,2,3"]))
 @example((QUADRIC_SCENE, ["verify", "--point=p", "--l=vertical", "--ts=1,0"]))
 @given(_runs())

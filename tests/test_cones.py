@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import toricflow.cones
 from toricflow import (
     Cone,
     LatticeVector,
@@ -11,8 +14,9 @@ from toricflow import (
     RankLimitExceeded,
     matrix_rank,
 )
+from toricflow.lattice import pivot_columns
 
-from conftest import DUALITY_CONES, cone_fixture
+from conftest import DUALITY_CONES, cone_fixture, fm_cone
 
 
 def test_quadric_double_description():
@@ -73,7 +77,7 @@ def test_bad_inputs():
 @pytest.mark.parametrize("name,rank,rays", DUALITY_CONES)
 def test_dual_recomputed_from_scratch_agrees(name, rank, rays):
     # the dual is stored as a data swap; rebuilding it from its rays runs
-    # Fourier-Motzkin a second time and must reproduce the same facets
+    # double description a second time and must reproduce the same facets
     cone = Cone.from_rays(rays, rank, N_SIDE)
     dual = cone.dual()
     rebuilt = Cone.from_rays([r.entries for r in dual.rays], rank, M_SIDE)
@@ -150,3 +154,58 @@ def test_dual_is_involution():
     for name, rank, rays in DUALITY_CONES:
         cone = Cone.from_rays(rays, rank, N_SIDE)
         assert cone.dual().dual() == cone
+
+
+def _outcome(build, rays, rank):
+    try:
+        return build(rays, rank)
+    except (NotPointed, NotFullDimensional) as error:
+        return type(error)
+
+
+def _double_description(rays, rank):
+    cone = Cone.from_rays(rays, rank, N_SIDE)
+    return ([r.entries for r in cone.rays],
+            [h.entries for h in cone.facet_normals])
+
+
+@st.composite
+def _small_cones(draw):
+    """(rank, rays): a rank 1-4 cone on at most 8 nonzero rays with entries
+    -3..3.  Most rays pair positively with a sign vector, so that many
+    cones are pointed."""
+    rank = draw(st.integers(1, 4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    pointed = vector.filter(lambda v: sum(a * b for a, b in zip(signs, v)) > 0)
+    return rank, draw(st.lists(st.one_of(pointed, pointed, pointed, vector),
+                               min_size=rank, max_size=8))
+
+
+@settings(max_examples=300)
+@example((2, [(1, 0), (-1, 0), (0, 1)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, -1, 0)]))
+@example((3, [(1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2), (1, 1, 1)]))
+@example((4, [(1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, -1, -1, 1),
+              (1, 1, 1, -1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, -1)]))
+@given(_small_cones())
+def test_from_rays_matches_fourier_motzkin(cone):
+    rank, rays = cone
+    assert (_outcome(_double_description, rays, rank)
+            == _outcome(fm_cone, rays, rank))
+
+
+def test_double_description_combines_only_adjacent_pairs():
+    # A line plus the cone over a pentagon.  Every dual generator vanishes
+    # on both directions of the line, so every pair shares rank - 2
+    # incidences.  When (3, 1) arrives, only the third-facet test keeps the
+    # square's opposite edges x = 0 and x = 2 from adding the redundant
+    # generator (3, -1, 0, 0).
+    pentagon = [(0, 0), (0, 2), (2, 0), (2, 2), (3, 1)]
+    rays = sorted([(0, 0, 0, 1), (0, 0, 0, -1)] + [(1, x, y, 0) for x, y in pentagon])
+    generators = toricflow.cones._double_description(
+        rays, pivot_columns(list(zip(*rays))))
+    assert sorted(h for h, _ in generators) == [
+        (0, 0, 1, 0), (0, 1, 0, 0), (2, -1, 1, 0), (2, 0, -1, 0), (4, -1, -1, 0)]
+    with pytest.raises(NotPointed):
+        Cone.from_rays(rays, 4, N_SIDE)
