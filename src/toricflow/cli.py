@@ -145,7 +145,7 @@ def _verification_doc(rep):
         "ga_samples": _fracs(rep.ga_samples),
         "invariants": [_invariant_doc(c) for c in rep.invariant_checks],
         "limit": None if rep.limit is None else {"coords": _fracs(rep.limit.coords)},
-        "flow_parameter": None if rep.flow_parameter is None else _frac(rep.flow_parameter),
+        "flow_parameter": _frac(rep.flow_parameter),
         "reached_exactly": rep.reached_exactly,
         "notes": list(rep.notes),
         "derived_facts": [dict(f) for f in rep.derived_facts],

@@ -2,23 +2,27 @@
 
 An M-side vector e is a root when it pairs to -1 with exactly one
 primitive ray generator (the distinguished ray) and nonnegatively with all
-others.  Every root at the ray p lies on the hyperplane <p,e> = -1, so
-enumeration walks that slice of the max-norm box, one ray at a time: the
-other coordinates range over the box and the pivot coordinate is solved
-for.  The slice holds (2b+1)^(d-1) points where the box holds (2b+1)^d;
-the plain box scan is kept in the tests as the oracle.  A scan larger
-than ROOT_POINT_CAP slice points is refused.  For rank two and higher
-each ray carries infinitely many roots, which the toolkit witnesses by
-strictly growing box counts, never by assertion.
+others.  The roots at the ray p with max-norm at most b are the lattice
+points of {<p,e> = -1, <q,e> >= 0 for the other rays q, |e_k| <= b},
+enumerated by project-and-lift as in Normaliz: over an echelon basis of
+the lattice <p,e> = 0, Fourier-Motzkin elimination gives integer bounds on
+each coordinate given the ones before, and the lift meets the roots in lex
+order, with work that grows with the roots found, not with the box.  A
+lift that visits more than ROOT_NODE_CAP nodes is refused.  The box scan
+and the slice scan are kept in the tests as oracles.  For rank two and
+higher each ray carries infinitely many roots, which the toolkit witnesses
+by strictly growing box counts, never by assertion.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from math import gcd
+from operator import add, mul
 
 from .errors import BoundExceeded
-from .lattice import M_SIDE, N_SIDE, LatticeVector
+from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon
 
-ROOT_POINT_CAP = 1_000_000
+ROOT_NODE_CAP = 250_000
+FM_PAIR_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ def _distinguished_ray(rays, entries):
     ray pairs nonnegatively, or None when the root condition fails."""
     distinguished = None
     for i, ray in enumerate(rays):
-        value = sum(a * b for a, b in zip(ray, entries))
+        value = sum(map(mul, ray, entries))
         if value < 0:
             if value != -1 or distinguished is not None:
                 return None
@@ -59,15 +63,116 @@ def is_root(sigma, e):
     return DemazureRoot(LatticeVector(entries, M_SIDE), distinguished)
 
 
+def _tighten(rows):
+    """The rows (a, c), each read as a.y + c >= 0, divided by the gcd of a
+    with c rounded down, which keeps every integer point.  Of parallel
+    rows only the tightest stays.  None when a constant row fails."""
+    tight = {}
+    for a, c in rows:
+        g = gcd(*a)
+        if g == 0:
+            if c < 0:
+                return None
+            continue
+        if g > 1:
+            a = tuple(x // g for x in a)
+            c //= g
+        if tight.get(a, c) >= c:
+            tight[a] = c
+    return tight
+
+
+def _project(rows, m):
+    """Bounds on each coordinate of y in Z^m given the ones before, by
+    Fourier-Motzkin elimination from the last coordinate to the first.
+
+    levels[j] holds the lower rows (a, k, c), y_j >= -(a.y + c)/k, and the
+    upper rows, y_j <= (a.y + c)/k, with k > 0 and a over y_0..y_(j-1).
+    Pairs grow as the fourth power of the ray count in rank four, so a
+    step with more than FM_PAIR_LIMIT of them keeps only the rows free of
+    its coordinate: the box rows still bound each coordinate, and every
+    row is still checked at its last one.  None when no integer point is
+    left.
+    """
+    system = _tighten(rows)
+    levels = []
+    for j in reversed(range(m)):
+        if system is None:
+            return None
+        lower = [(a[:j], a[j], c) for a, c in system.items() if a[j] > 0]
+        upper = [(a[:j], -a[j], c) for a, c in system.items() if a[j] < 0]
+        levels.append((lower, upper))
+        if j:
+            kept = [(a[:j], c) for a, c in system.items() if a[j] == 0]
+            if len(lower) * len(upper) <= FM_PAIR_LIMIT:
+                kept += [(tuple(k2 * x + k1 * y for x, y in zip(a1, a2)), k2 * c1 + k1 * c2)
+                         for a1, k1, c1 in lower for a2, k2, c2 in upper]
+            system = _tighten(kept)
+    return None if system is None else levels[::-1]
+
+
+def _lift(levels, basis, point, prefix, spent, refuse):
+    """The points point + sum of y_i*basis[i] over the integer points y of
+    the projected rows that extend prefix, in lex order of y, depth first.
+
+    spent[0] counts the nodes visited, one per value taken by one
+    coordinate of y; the node past ROOT_NODE_CAP raises BoundExceeded
+    naming refuse, the (subject, remedy) pair.
+    """
+    j = len(prefix)
+    lower, upper = levels[j]
+    lo = max(-((sum(map(mul, a, prefix)) + c) // k) for a, k, c in lower)
+    hi = min((sum(map(mul, a, prefix)) + c) // k for a, k, c in upper)
+    step = basis[j]
+    # exact-size tuples, so that freed points are reused, not pooled
+    point = tuple([x + lo * b for x, b in zip(point, step)])
+    for y in range(lo, hi + 1):
+        spent[0] += 1
+        if spent[0] > ROOT_NODE_CAP:
+            raise BoundExceeded("%s reached %d lift nodes, over ROOT_NODE_CAP = %d%s"
+                                % (refuse[0], spent[0], ROOT_NODE_CAP, refuse[1]))
+        if j + 1 == len(levels):
+            yield point
+        else:
+            yield from _lift(levels, basis, point, prefix + (y,), spent, refuse)
+        point = tuple([*map(add, point, step)])
+
+
+def lift_roots(rays, index, bound, spent, refuse):
+    """Roots at rays[index] with max-norm at most bound, as entry tuples in
+    lex order.
+
+    e = e0 + sum of y_i*b_i, where <p,e0> = -1 and the b_i are an echelon
+    basis of the lattice <p,e> = 0, with positive pivots in strictly
+    increasing columns, so that e rises in lex order with y.  The other
+    rays and the box bound y.  spent and refuse are passed to the lift.
+    """
+    p = rays[index]
+    d = len(p)
+    rows, _ = _echelon([[p[k]] + [int(j == k) for j in range(d)] for k in range(d)],
+                       pivot_cols_limit=1)
+    e0 = [-x for x in rows[0][1:]]
+    basis, _ = _echelon([row[1:] for row in rows[1:]])
+    rows = [(tuple([sum(map(mul, q, b)) for b in basis]), sum(map(mul, q, e0)))
+            for k, q in enumerate(rays) if k != index]
+    for k in range(d):
+        column = tuple(b[k] for b in basis)
+        rows.append((column, bound + e0[k]))
+        rows.append((tuple(-x for x in column), bound - e0[k]))
+    levels = _project(rows, d - 1)
+    if levels is None:
+        return
+    points = _lift(levels, basis, tuple(e0), (), spent, refuse) if levels else [tuple(e0)]
+    for e in points:
+        if _distinguished_ray(rays, e) == index:
+            yield e
+
+
 def roots_in_box(sigma, bound, ray_index=None):
     """All roots with max-norm at most bound, ordered by (ray, lex).
 
-    For each ray p the scan takes the coordinate j of largest |p_j| as
-    pivot, runs the others over the box and keeps e_j = (-1 - sum of
-    p_i*e_i over i != j) / p_j when the division is exact and |e_j| <=
-    bound; a kept point is a root at p when the root condition names p.
-    ray_index restricts the scan to one distinguished ray.  Raises
-    BoundExceeded when the slices hold more than ROOT_POINT_CAP points.
+    ray_index restricts the enumeration to one distinguished ray.  Raises
+    BoundExceeded when the lifts visit more than ROOT_NODE_CAP nodes.
     """
     if sigma.side != N_SIDE:
         raise ValueError("roots are taken against an N-side cone")
@@ -77,29 +182,10 @@ def roots_in_box(sigma, bound, ray_index=None):
     if ray_index is not None and not 0 <= ray_index < len(rays):
         raise ValueError("ray index out of range")
     indices = range(len(rays)) if ray_index is None else [ray_index]
-    points = len(indices) * (2 * bound + 1) ** (sigma.rank - 1)
-    if points > ROOT_POINT_CAP:
-        raise BoundExceeded(
-            "root enumeration at max-norm %d would scan %d slice points, "
-            "over the cap of %d; lower --box" % (bound, points, ROOT_POINT_CAP))
-    found = []
-    span = range(-bound, bound + 1)
-    for i in indices:
-        p = rays[i]
-        j = max(range(len(p)), key=lambda k: abs(p[k]))
-        rest = p[:j] + p[j + 1:]
-        at_ray = []
-        for others in product(span, repeat=sigma.rank - 1):
-            level = -1 - sum(a * b for a, b in zip(rest, others))
-            pivot, remainder = divmod(level, p[j])
-            if remainder or abs(pivot) > bound:
-                continue
-            point = others[:j] + (pivot,) + others[j:]
-            if _distinguished_ray(rays, point) == i:
-                at_ray.append(point)
-        found.extend(DemazureRoot(LatticeVector(point, M_SIDE), i)
-                     for point in sorted(at_ray))
-    return found
+    spent = [0]
+    refuse = ("root enumeration at max-norm %d" % bound, "; lower --box")
+    return [DemazureRoot(LatticeVector(e, M_SIDE), i)
+            for i in indices for e in lift_roots(rays, i, bound, spent, refuse)]
 
 
 def root_growth_witness(sigma, ray_index, small, large):

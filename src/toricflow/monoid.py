@@ -93,8 +93,8 @@ def hilbert_basis(cone):
     if count > HILBERT_CANDIDATE_CAP:
         raise BoundExceeded(
             "cone is too wide for a Hilbert basis: its parallelepipeds hold "
-            "%d candidate points, over the cap of %d"
-            % (count, HILBERT_CANDIDATE_CAP))
+            "%d candidate points, over HILBERT_CANDIDATE_CAP = %d; give a "
+            "narrower cone or fewer generators" % (count, HILBERT_CANDIDATE_CAP))
     candidates = {r.entries for r in cone.rays}
     for simplex in simplices:
         candidates.update(_parallelepiped_points(simplex))

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, HomogeneousLND, character_value
-from .demazure import ROOT_POINT_CAP, roots_in_box
-from .errors import BoundExceeded, NormalityRequired, NotParabolic
+from .demazure import DemazureRoot, lift_roots
+from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
-from .lattice import LatticeVector, N_SIDE, dot, integer_kernel
+from .lattice import LatticeVector, M_SIDE, N_SIDE, dot, integer_kernel
 
 _ROOT_SEARCH_START = 5
-_ROOT_SEARCH_CAP = 1280
 
 TORUS = "torus"
 FLOW = "flow"
@@ -187,23 +186,22 @@ def ga_flow_point(lnd, s, point):
 
 
 def smallest_root_at_ray(sigma, ray_index):
-    """First root at the ray in enumeration order, doubling the box as
-    needed.  Every ray of a pointed full-dimensional cone has one, but a
-    box whose slice holds more than ROOT_POINT_CAP points is refused."""
+    """The lex-first root at the ray in the first box 5*2^k that holds a
+    root, and that box.
+
+    Every ray of a pointed full-dimensional cone has a root.  Each box is
+    one depth-first lift that stops at its first root; the lifts together
+    may visit at most ROOT_NODE_CAP nodes.
+    """
+    rays = [r.entries for r in sigma.rays]
+    spent = [0]
+    refuse = ("the search for a root at ray %s" % (rays[ray_index],), "")
     box = _ROOT_SEARCH_START
-    while box <= _ROOT_SEARCH_CAP:
-        points = (2 * box + 1) ** (sigma.rank - 1)
-        if points > ROOT_POINT_CAP:
-            raise BoundExceeded(
-                "the search for a root at ray %s reached max-norm %d, whose "
-                "slice holds %d points, over ROOT_POINT_CAP = %d"
-                % (sigma.rays[ray_index].entries, box, points, ROOT_POINT_CAP))
-        roots = roots_in_box(sigma, box, ray_index=ray_index)
-        if roots:
-            return roots[0], box
+    while True:
+        root = next(lift_roots(rays, ray_index, box, spent, refuse), None)
+        if root is not None:
+            return DemazureRoot(LatticeVector(root, M_SIDE), ray_index), box
         box *= 2
-    raise BoundExceeded(
-        "no root at ray %d within max-norm %d" % (ray_index, _ROOT_SEARCH_CAP))
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,8 @@ class CompatibilityReport:
     root_box: int
     invariant_checks: tuple
     limit: ToricPoint
-    flow_parameter: Fraction | None
-    reached_exactly: bool | None
+    flow_parameter: Fraction
+    reached_exactly: bool
     gm_samples: tuple
     ga_samples: tuple
     notes: tuple
@@ -254,8 +252,8 @@ def verify_compatible(mon, subgroup, point,
     The certificate checks, all in exact arithmetic: the degree-zero
     generator coordinates are constant along both sampled actions and are
     annihilated by the derivation; the limit point at t -> 0 exists; and
-    the flow reaches that limit exactly at the solved flow time whenever
-    some coordinate is linear along the flow (degree one).
+    the flow reaches that limit exactly at the flow time s* = -chi^(-e)(t),
+    where every factor 1 + s*t^e of the closed form vanishes.
     """
     saturation = mon.saturation()
     if not saturation.saturated:
@@ -281,7 +279,6 @@ def verify_compatible(mon, subgroup, point,
     scaled = [gm_scale(mon, subgroup, t, point) for t in gm_samples]
     flowed = [ga_flow_point(lnd, s, point) for s in ga_samples]
 
-    notes = []
     checks = []
     degrees = [lnd.degree(g) for g in mon.generators]
     for j, g in enumerate(mon.generators):
@@ -298,23 +295,10 @@ def verify_compatible(mon, subgroup, point,
     limit = limit_point(mon, subgroup, point)
     assert limit is not None, "parabolic gradings always have limits"
 
-    flow_parameter = None
-    reached = None
-    linear = next((j for j, k in enumerate(degrees) if k == 1), None)
-    if linear is None:
-        notes.append("no coordinate is linear along the flow; "
-                     "limit reachability was only sampled")
-        reached = any(q.coords == limit.coords for q in flowed)
-    else:
-        g = mon.generators[linear]
-        slope = character_value(point.provenance[1], (g + root.vector).entries)
-        assert slope != 0, "torus points have nonvanishing characters"
-        flow_parameter = (limit.coords[linear] - point.coords[linear]) / slope
-        at_solved = ga_flow_point(lnd, flow_parameter, point)
-        reached = at_solved.coords == limit.coords
+    flow_parameter = -1 / character_value(point.provenance[1], root.vector.entries)
+    reached = ga_flow_point(lnd, flow_parameter, point).coords == limit.coords
 
-    passed = (all(c.constant and c.annihilated for c in checks)
-              and reached is True)
+    passed = all(c.constant and c.annihilated for c in checks) and reached
 
     derived_facts = ()
     if passed:
@@ -347,6 +331,6 @@ def verify_compatible(mon, subgroup, point,
         reached_exactly=reached,
         gm_samples=gm_samples,
         ga_samples=ga_samples,
-        notes=tuple(notes),
+        notes=(),
         derived_facts=derived_facts,
     )

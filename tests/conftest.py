@@ -137,11 +137,38 @@ def box_scan_roots(sigma, bound, ray_index=None):
     rays = [r.entries for r in sigma.rays]
     found = []
     for e in product(range(-bound, bound + 1), repeat=sigma.rank):
+        if ray_index is not None and dot(rays[ray_index], e) != -1:
+            continue
         values = [sum(a * b for a, b in zip(r, e)) for r in rays]
         if [v for v in values if v < 0] == [-1]:
             index = values.index(-1)
             if ray_index in (None, index):
                 found.append((index, e))
+    return sorted(found)
+
+
+def slice_scan_roots(sigma, bound, ray_index=None):
+    """Root oracle: for each ray p, walk the slice <p,e> = -1 of the box.
+    The coordinate j of largest |p_j| is the pivot: the others run over
+    the box and e_j = (-1 - sum of p_i*e_i over i != j) / p_j is kept when
+    the division is exact and |e_j| <= bound.  Returns (ray index,
+    entries) pairs in (ray, lex) order."""
+    rays = [r.entries for r in sigma.rays]
+    indices = range(len(rays)) if ray_index is None else [ray_index]
+    found = []
+    for i in indices:
+        p = rays[i]
+        j = max(range(len(p)), key=lambda k: abs(p[k]))
+        rest = p[:j] + p[j + 1:]
+        for others in product(range(-bound, bound + 1), repeat=sigma.rank - 1):
+            level = -1 - sum(a * b for a, b in zip(rest, others))
+            pivot, remainder = divmod(level, p[j])
+            if remainder or abs(pivot) > bound:
+                continue
+            point = others[:j] + (pivot,) + others[j:]
+            values = [sum(a * b for a, b in zip(r, point)) for r in rays]
+            if [v for v in values if v < 0] == [-1] and values[i] == -1:
+                found.append((i, point))
     return sorted(found)
 
 

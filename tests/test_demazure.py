@@ -17,7 +17,7 @@ from toricflow import (
 )
 from toricflow import demazure
 
-from conftest import box_scan_roots, cone_fixture
+from conftest import DUALITY_CONES, box_scan_roots, cone_fixture, slice_scan_roots
 
 ROOT_CONES = ["quadrant", "quadric", "wide", "octant", "square"]
 
@@ -139,7 +139,8 @@ def pointed_cones(draw):
 
 
 # Primitive rays with no entry of absolute value one, and negative entries,
-# so that the pivot division is often inexact and divmod meets both signs.
+# so that the lattice <p,e> = 0 has no basis of unit vectors and the
+# rounded bounds meet both signs.
 @example(cone=(2, [(2, 3), (3, -2)]), bound=4)
 @example(cone=(2, [(-2, -5), (3, -4)]), bound=4)
 @example(cone=(3, [(2, 0, 3), (0, 3, 2), (-2, 3, 5), (3, -2, 4)]), bound=3)
@@ -156,6 +157,31 @@ def test_slice_enumeration_matches_box_scan(cone, bound):
                 == box_scan_roots(sigma, bound, index))
 
 
+@pytest.mark.parametrize("name", [name for name, _, _ in DUALITY_CONES])
+def test_roots_in_box_matches_scan_oracles(name):
+    sigma = cone_fixture(name)
+    for bound in range(5):
+        got = _keys(roots_in_box(sigma, bound))
+        assert got == slice_scan_roots(sigma, bound) == box_scan_roots(sigma, bound)
+
+
+@pytest.mark.parametrize("limit", [0, 8])
+def test_roots_match_oracles_when_projection_pairs_are_dropped(monkeypatch, limit):
+    # the 25-ray cone over the paraboloid (x, y, x^2 + y^2) makes hundreds
+    # of row pairs per elimination step; a limit of 0 drops them all
+    paraboloid = Cone.from_rays([(1, x, y, x * x + y * y) for x in range(-2, 3)
+                                 for y in range(-2, 3)], 4, N_SIDE)
+    monkeypatch.setattr(demazure, "FM_PAIR_LIMIT", limit)
+    for sigma in [cone_fixture(name) for name, _, _ in DUALITY_CONES] + [paraboloid]:
+        for bound in (2, 3):
+            assert _keys(roots_in_box(sigma, bound)) == slice_scan_roots(sigma, bound)
+        for index in range(len(sigma.rays)):
+            root, box = smallest_root_at_ray(sigma, index)
+            assert [(index, root.vector.entries)] == slice_scan_roots(sigma, box, index)[:1]
+            if box > 5:
+                assert slice_scan_roots(sigma, box // 2, index) == []
+
+
 def _doubling_oracle(sigma, ray_index):
     box = 5
     while True:
@@ -168,11 +194,29 @@ def _doubling_oracle(sigma, ray_index):
 @pytest.mark.parametrize("rank, rays", [
     *((2, [(1, 0), (1, k)]) for k in range(8, 57, 8)),
     (3, [(1, 0, 0), (0, 1, 0), (1, 2, 24)]),
-], ids=[*("thin%d" % k for k in range(8, 57, 8)), "rank3"])
+    (3, [(1, 0, 0), (1, 40, 0), (0, 0, 1)]),
+], ids=[*("thin%d" % k for k in range(8, 57, 8)), "rank3", "rank3-thin40"])
 def test_smallest_root_matches_doubling_box_scan(rank, rays):
     sigma = Cone.from_rays(rays, rank, N_SIDE)
     for index in range(len(sigma.rays)):
         root, box = smallest_root_at_ray(sigma, index)
+        assert root.ray_index == index
+        assert (root.vector.entries, box) == _doubling_oracle(sigma, index)
+
+
+@example(cone=(3, [(2, 0, 3), (0, 3, 2), (-2, 3, 5), (3, -2, 4)]))
+@example(cone=(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 2, 3)]))
+@given(cone=pointed_cones())
+def test_smallest_root_matches_doubling_box_scan_on_random_cones(cone):
+    rank, rays = cone
+    try:
+        sigma = Cone.from_rays(rays, rank, N_SIDE)
+    except NotFullDimensional:
+        assume(False)
+    found = [smallest_root_at_ray(sigma, index) for index in range(len(sigma.rays))]
+    # keep the box scan fast: its rank-4 box at max-norm 20 holds 2.8M points
+    assume(max(box for _, box in found) <= (10 if rank == 4 else 20))
+    for index, (root, box) in enumerate(found):
         assert root.ray_index == index
         assert (root.vector.entries, box) == _doubling_oracle(sigma, index)
 
@@ -187,12 +231,41 @@ def test_smallest_root_on_thin_cone_600():
 
 def test_root_point_cap(monkeypatch):
     sigma = cone_fixture("orthant4")
-    # box 31 needs 4 * 63^3 = 1,000,188 slice points
-    with pytest.raises(BoundExceeded, match="1000188 slice points, over the cap of 1000000"):
-        roots_in_box(sigma, 31)
-    # a count equal to the cap is allowed; 4 * 5^3 = 500 points at box 2
-    monkeypatch.setattr(demazure, "ROOT_POINT_CAP", 500)
-    assert len(roots_in_box(sigma, 2)) == len(box_scan_roots(sigma, 2))
+    # the lift at a ray of the orthant visits (b+1) + (b+1)^2 + (b+1)^3
+    # nodes, 65,640 at box 39: the fourth ray passes the cap of 250,000
+    with pytest.raises(BoundExceeded, match="max-norm 39 reached 250001 lift nodes, "
+                       "over ROOT_NODE_CAP = 250000; lower --box"):
+        roots_in_box(sigma, 39)
+    # a count equal to the cap is allowed; 4 * (3 + 9 + 27) = 156 nodes at box 2
+    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 156)
+    assert _keys(roots_in_box(sigma, 2)) == box_scan_roots(sigma, 2)
     assert len(roots_in_box(sigma, 3, ray_index=0)) == 4 ** 3
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="reached 157 lift nodes"):
         roots_in_box(sigma, 3)
+    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 155)
+    with pytest.raises(BoundExceeded, match="reached 156 lift nodes"):
+        roots_in_box(sigma, 2)
+
+
+def test_first_root_search_cap(monkeypatch):
+    # the search at (1,400,0) visits one node for y_0 and one for y_1, at
+    # box 640; the lifts of the empty boxes before it visit none
+    sigma = Cone.from_rays([(1, 0, 0), (1, 400, 0), (0, 0, 1)], 3, N_SIDE)
+    index = [r.entries for r in sigma.rays].index((1, 400, 0))
+    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 2)
+    assert smallest_root_at_ray(sigma, index)[1] == 640
+    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 1)
+    with pytest.raises(BoundExceeded) as info:
+        smallest_root_at_ray(sigma, index)
+    assert str(info.value) == ("the search for a root at ray (1, 400, 0) reached 2 "
+                               "lift nodes, over ROOT_NODE_CAP = 1")
+    # at (4,4,3) the lift visits a dead-end node at box 5, then three nodes
+    # at box 10 down to the root (3,-7,5): the cap counts all four
+    sigma = Cone.from_rays([(-1, 2, 4), (3, 2, 1), (4, 4, 3)], 3, N_SIDE)
+    index = [r.entries for r in sigma.rays].index((4, 4, 3))
+    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 4)
+    root, box = smallest_root_at_ray(sigma, index)
+    assert (root.vector.entries, box) == ((3, -7, 5), 10)
+    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 3)
+    with pytest.raises(BoundExceeded, match="reached 4 lift nodes"):
+        smallest_root_at_ray(sigma, index)

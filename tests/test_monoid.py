@@ -75,8 +75,10 @@ def test_hilbert_basis_box_cap():
     assert [v.entries for v in hilbert_basis(cone)] == [
         (j + 1, j) for j in range(1000)]
     cone = Cone.from_rays([(1, 0), (1, 400001)], 2, M_SIDE)
-    with pytest.raises(BoundExceeded, match="400001 candidate points.*400000"):
+    with pytest.raises(BoundExceeded, match="400001 candidate points.*400000") as info:
         hilbert_basis(cone)
+    assert "HILBERT_CANDIDATE_CAP" in str(info.value)
+    assert "give a narrower cone or fewer generators" in str(info.value)
 
 
 @st.composite

@@ -22,6 +22,8 @@ from toricflow import (
     verify_compatible,
 )
 
+from toricflow.algebra import character_value
+
 from conftest import FLOW_CASES, flow_case, pullback_flow_coords
 
 
@@ -169,6 +171,13 @@ def test_ga_flow_point_at_solved_parameter_matches_pullback(name, subgroup, t):
     at_solved = ga_flow_point(lnd, report.flow_parameter, point)
     assert at_solved.coords == report.limit.coords
     assert at_solved.coords == pullback_flow_coords(lnd, report.flow_parameter, point)
+    # the closed form s* = -chi^(-e)(t) is the time solved from a coordinate
+    # that is linear along the flow
+    assert report.flow_parameter == -1 / character_value(t, report.root.vector.entries)
+    assert report.notes == ()
+    j = next(j for j, g in enumerate(mon.generators) if lnd.degree(g) == 1)
+    slope = character_value(t, (mon.generators[j] + report.root.vector).entries)
+    assert report.flow_parameter == (report.limit.coords[j] - point.coords[j]) / slope
 
 
 def test_smallest_roots(a2, quadric):
