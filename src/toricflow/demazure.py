@@ -5,24 +5,25 @@ primitive ray generator (the distinguished ray) and nonnegatively with all
 others.  The roots at the ray p with max-norm at most b are the lattice
 points of {<p,e> = -1, <q,e> >= 0 for the other rays q, |e_k| <= b},
 enumerated by project-and-lift as in Normaliz: over an echelon basis of
-the lattice <p,e> = 0, Fourier-Motzkin elimination gives integer bounds on
-each coordinate given the ones before, and the lift meets the roots in lex
-order, with work that grows with the roots found, not with the box.  A
-lift that visits more than ROOT_NODE_CAP nodes is refused.  The box scan
-and the slice scan are kept in the tests as oracles.  For rank two and
-higher each ray carries infinitely many roots, which the toolkit witnesses
-by strictly growing box counts, never by assertion.
+the lattice <p,e> = 0, Fourier-Motzkin elimination gives valid integer
+bounds on each coordinate given the ones before, and the lift meets the
+roots in lex order.  The rounded bounds are not always exact, so a lift
+may meet dead ends.  An enumeration that takes more than ROOT_STEP_CAP
+steps (see StepBudget) is refused.  The box scan and the slice scan are
+kept in the tests as oracles.  For rank two and higher each ray carries
+infinitely many roots, which the toolkit witnesses by strictly growing
+box counts, never by assertion.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from operator import add, mul
 
 from .errors import BoundExceeded
 from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon
 
-ROOT_NODE_CAP = 250_000
-FM_PAIR_LIMIT = 1024
+ROOT_STEP_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,39 @@ def is_root(sigma, e):
     return DemazureRoot(LatticeVector(entries, M_SIDE), distinguished)
 
 
+def _ray_entries(sigma, ray_index=None):
+    """The entries of sigma's rays, once sigma is checked to be N-side and
+    ray_index, when given, to name one of its rays."""
+    if sigma.side != N_SIDE:
+        raise ValueError("roots are taken against an N-side cone")
+    rays = [r.entries for r in sigma.rays]
+    if ray_index is not None and not 0 <= ray_index < len(rays):
+        raise ValueError("ray index out of range")
+    return rays
+
+
+class StepBudget:
+    """Steps spent by one root enumeration or first-root search.
+
+    A step is one row formed by elimination, one row read for the bounds
+    of an interval, one value taken by one coordinate, or one ray paired
+    with a full point, so the count bounds the work whatever the number
+    of rays.  The step past ROOT_STEP_CAP raises BoundExceeded naming the
+    subject and the remedy.
+    """
+
+    def __init__(self, subject, remedy=""):
+        self.spent = 0
+        self.subject = subject
+        self.remedy = remedy
+
+    def spend(self, count):
+        self.spent += count
+        if self.spent > ROOT_STEP_CAP:
+            raise BoundExceeded("%s reached %d steps, over ROOT_STEP_CAP = %d%s"
+                                % (self.subject, self.spent, ROOT_STEP_CAP, self.remedy))
+
+
 def _tighten(rows):
     """The rows (a, c), each read as a.y + c >= 0, divided by the gcd of a
     with c rounded down, which keeps every integer point.  Of parallel
@@ -82,17 +116,14 @@ def _tighten(rows):
     return tight
 
 
-def _project(rows, m):
+def _project(rows, m, budget):
     """Bounds on each coordinate of y in Z^m given the ones before, by
     Fourier-Motzkin elimination from the last coordinate to the first.
 
     levels[j] holds the lower rows (a, k, c), y_j >= -(a.y + c)/k, and the
     upper rows, y_j <= (a.y + c)/k, with k > 0 and a over y_0..y_(j-1).
-    Pairs grow as the fourth power of the ray count in rank four, so a
-    step with more than FM_PAIR_LIMIT of them keeps only the rows free of
-    its coordinate: the box rows still bound each coordinate, and every
-    row is still checked at its last one.  None when no integer point is
-    left.
+    Each step's pairs are charged to the budget before any is formed.
+    None when no integer point is left.
     """
     system = _tighten(rows)
     levels = []
@@ -103,49 +134,50 @@ def _project(rows, m):
         upper = [(a[:j], -a[j], c) for a, c in system.items() if a[j] < 0]
         levels.append((lower, upper))
         if j:
-            kept = [(a[:j], c) for a, c in system.items() if a[j] == 0]
-            if len(lower) * len(upper) <= FM_PAIR_LIMIT:
-                kept += [(tuple(k2 * x + k1 * y for x, y in zip(a1, a2)), k2 * c1 + k1 * c2)
-                         for a1, k1, c1 in lower for a2, k2, c2 in upper]
-            system = _tighten(kept)
+            budget.spend(len(lower) * len(upper))
+            # the pairs stream into _tighten, which keeps one row per direction
+            system = _tighten(chain(
+                [(a[:j], c) for a, c in system.items() if a[j] == 0],
+                ((tuple([k2 * x + k1 * y for x, y in zip(a1, a2)]), k2 * c1 + k1 * c2)
+                 for a1, k1, c1 in lower for a2, k2, c2 in upper)))
     return None if system is None else levels[::-1]
 
 
-def _lift(levels, basis, point, prefix, spent, refuse):
+def _lift(levels, basis, point, prefix, point_cost, budget):
     """The points point + sum of y_i*basis[i] over the integer points y of
     the projected rows that extend prefix, in lex order of y, depth first.
 
-    spent[0] counts the nodes visited, one per value taken by one
-    coordinate of y; the node past ROOT_NODE_CAP raises BoundExceeded
-    naming refuse, the (subject, remedy) pair.
+    Each interval is charged its rows, each value of an inner coordinate
+    one step and each full point point_cost steps.
     """
     j = len(prefix)
     lower, upper = levels[j]
+    budget.spend(len(lower) + len(upper))
     lo = max(-((sum(map(mul, a, prefix)) + c) // k) for a, k, c in lower)
     hi = min((sum(map(mul, a, prefix)) + c) // k for a, k, c in upper)
     step = basis[j]
+    last = j + 1 == len(levels)
+    cost = point_cost if last else 1
     # exact-size tuples, so that freed points are reused, not pooled
     point = tuple([x + lo * b for x, b in zip(point, step)])
     for y in range(lo, hi + 1):
-        spent[0] += 1
-        if spent[0] > ROOT_NODE_CAP:
-            raise BoundExceeded("%s reached %d lift nodes, over ROOT_NODE_CAP = %d%s"
-                                % (refuse[0], spent[0], ROOT_NODE_CAP, refuse[1]))
-        if j + 1 == len(levels):
+        budget.spend(cost)
+        if last:
             yield point
         else:
-            yield from _lift(levels, basis, point, prefix + (y,), spent, refuse)
+            yield from _lift(levels, basis, point, prefix + (y,), point_cost, budget)
         point = tuple([*map(add, point, step)])
 
 
-def lift_roots(rays, index, bound, spent, refuse):
+def lift_roots(rays, index, bound, budget):
     """Roots at rays[index] with max-norm at most bound, as entry tuples in
-    lex order.
+    lex order, with the work charged to budget.
 
     e = e0 + sum of y_i*b_i, where <p,e0> = -1 and the b_i are an echelon
     basis of the lattice <p,e> = 0, with positive pivots in strictly
     increasing columns, so that e rises in lex order with y.  The other
-    rays and the box bound y.  spent and refuse are passed to the lift.
+    rays and the box bound y.  A full point costs one step plus one per
+    ray of its final check.
     """
     p = rays[index]
     d = len(p)
@@ -159,10 +191,15 @@ def lift_roots(rays, index, bound, spent, refuse):
         column = tuple(b[k] for b in basis)
         rows.append((column, bound + e0[k]))
         rows.append((tuple(-x for x in column), bound - e0[k]))
-    levels = _project(rows, d - 1)
+    levels = _project(rows, d - 1, budget)
     if levels is None:
         return
-    points = _lift(levels, basis, tuple(e0), (), spent, refuse) if levels else [tuple(e0)]
+    point_cost = 1 + len(rays)
+    if levels:
+        points = _lift(levels, basis, tuple(e0), (), point_cost, budget)
+    else:
+        budget.spend(point_cost)
+        points = [tuple(e0)]
     for e in points:
         if _distinguished_ray(rays, e) == index:
             yield e
@@ -172,20 +209,15 @@ def roots_in_box(sigma, bound, ray_index=None):
     """All roots with max-norm at most bound, ordered by (ray, lex).
 
     ray_index restricts the enumeration to one distinguished ray.  Raises
-    BoundExceeded when the lifts visit more than ROOT_NODE_CAP nodes.
+    BoundExceeded when the lifts take more than ROOT_STEP_CAP steps.
     """
-    if sigma.side != N_SIDE:
-        raise ValueError("roots are taken against an N-side cone")
+    rays = _ray_entries(sigma, ray_index)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    rays = [r.entries for r in sigma.rays]
-    if ray_index is not None and not 0 <= ray_index < len(rays):
-        raise ValueError("ray index out of range")
     indices = range(len(rays)) if ray_index is None else [ray_index]
-    spent = [0]
-    refuse = ("root enumeration at max-norm %d" % bound, "; lower --box")
+    budget = StepBudget("root enumeration at max-norm %d" % bound, "; lower --box")
     return [DemazureRoot(LatticeVector(e, M_SIDE), i)
-            for i in indices for e in lift_roots(rays, i, bound, spent, refuse)]
+            for i in indices for e in lift_roots(rays, i, bound, budget)]
 
 
 def root_growth_witness(sigma, ray_index, small, large):

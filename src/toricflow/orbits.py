@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, HomogeneousLND, character_value
-from .demazure import DemazureRoot, lift_roots
+from .demazure import DemazureRoot, StepBudget, _ray_entries, lift_roots
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
 from .lattice import LatticeVector, M_SIDE, N_SIDE, dot, integer_kernel
@@ -191,14 +191,13 @@ def smallest_root_at_ray(sigma, ray_index):
 
     Every ray of a pointed full-dimensional cone has a root.  Each box is
     one depth-first lift that stops at its first root; the lifts together
-    may visit at most ROOT_NODE_CAP nodes.
+    may take at most ROOT_STEP_CAP steps.
     """
-    rays = [r.entries for r in sigma.rays]
-    spent = [0]
-    refuse = ("the search for a root at ray %s" % (rays[ray_index],), "")
+    rays = _ray_entries(sigma, ray_index)
+    budget = StepBudget("the search for a root at ray %s" % (rays[ray_index],))
     box = _ROOT_SEARCH_START
     while True:
-        root = next(lift_roots(rays, ray_index, box, spent, refuse), None)
+        root = next(lift_roots(rays, ray_index, box, budget), None)
         if root is not None:
             return DemazureRoot(LatticeVector(root, M_SIDE), ray_index), box
         box *= 2

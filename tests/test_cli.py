@@ -274,13 +274,13 @@ def test_exit_code_4_root_point_cap(tmp_path, capsys):
     orthant = tmp_path / "orthant4.json"
     rays = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     orthant.write_text(json.dumps({"rank": 4, "cone_rays": rays}))
-    # the lift visits 61 + 61^2 + 61^3 = 230,763 nodes at each ray, so the
-    # second ray passes the cap of 250,000
+    # the lift at the first ray takes 1,146,255 steps, over the cap of
+    # 1,000,000 (see test_root_point_cap)
     code, out, err = run(capsys, "--scene", str(orthant), "roots", "--box", "60")
     assert code == 4
     assert out == ""
     assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
-    assert "250001 lift nodes" in err and "250000" in err and "--box" in err
+    assert "1000002 steps" in err and "1000000" in err and "--box" in err
 
 
 def _polygon_scene(tmp_path, count):
@@ -311,22 +311,24 @@ def test_exit_code_4_double_description_cap(tmp_path, capsys, monkeypatch):
     assert "fewer generators" in err
 
 
-def _thin_rank3_scene(tmp_path, k):
-    """cone((1,0,0),(1,k,0),(0,0,1)).  A root at (1,k,0) has e_0 + k*e_1 =
-    -1 with e_0, e_2 >= 0, so the lex-first one is (k-1,-1,0), first met
-    in the box 5*2^j >= k-1.  The torus point has t_0 = 1, so that t^e =
-    1/2 and the flow's factor (1 + s*t^e)^k stays a small rational."""
+def _thin_rank3_scene(tmp_path, k, point):
+    """cone((1,0,0),(1,k,0),(0,0,1)) with the torus point point.  A root at
+    (1,k,0) has e_0 + k*e_1 = -1 with e_0, e_2 >= 0, so the lex-first one
+    is (k-1,-1,0), first met in the box 5*2^j >= k-1."""
     path = tmp_path / ("thin%d.json" % k)
     path.write_text(json.dumps({
         "rank": 3, "cone_rays": [[1, 0, 0], [1, k, 0], [0, 0, 1]],
         "subgroups": {"l": [1, k, 0]},
-        "points": {"p": {"torus": ["1", "2", "3"]}}}))
+        "points": {"p": {"torus": point}}}))
     return str(path)
 
 
-@pytest.mark.parametrize("k, box", [(400, 640), (3000, 5120)])
-def test_verify_finds_far_first_roots(tmp_path, capsys, k, box):
-    doc = run_json(capsys, "--scene", _thin_rank3_scene(tmp_path, k), "verify",
+# At k = 3000 the point has t_0 = 1, so that t^e = 1/2 and the flow's
+# factor (1 + s*t^e)^k stays a small rational.
+@pytest.mark.parametrize("k, point, box", [(400, ["2", "3", "5"], 640),
+                                           (3000, ["1", "2", "3"], 5120)])
+def test_verify_finds_far_first_roots(tmp_path, capsys, k, point, box):
+    doc = run_json(capsys, "--scene", _thin_rank3_scene(tmp_path, k, point), "verify",
                    "--l", "l", "--point", "p")
     assert doc["verdict"] == "pass"
     assert doc["root"]["vector"] == [k - 1, -1, 0]
@@ -334,15 +336,15 @@ def test_verify_finds_far_first_roots(tmp_path, capsys, k, box):
 
 
 def test_exit_code_4_root_search_names_no_box_flag(tmp_path, capsys, monkeypatch):
-    # the search at (1,400,0) visits two lift nodes, both at box 640
-    monkeypatch.setattr(toricflow.demazure, "ROOT_NODE_CAP", 1)
-    code, out, err = run(capsys, "--scene", _thin_rank3_scene(tmp_path, 400), "verify",
-                         "--l", "l", "--point", "p")
+    # the search at (1,400,0) takes 31 steps over the boxes 5 to 640
+    monkeypatch.setattr(toricflow.demazure, "ROOT_STEP_CAP", 30)
+    code, out, err = run(capsys, "--scene", _thin_rank3_scene(tmp_path, 400, ["2", "3", "5"]),
+                         "verify", "--l", "l", "--point", "p")
     assert code == 4
     assert out == ""
     assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
     assert "--box" not in err
-    for part in ("(1, 400, 0)", "reached 2 lift nodes", "ROOT_NODE_CAP = 1"):
+    for part in ("(1, 400, 0)", "reached 31 steps", "ROOT_STEP_CAP = 30"):
         assert part in err
 
 

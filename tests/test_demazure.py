@@ -165,21 +165,24 @@ def test_roots_in_box_matches_scan_oracles(name):
         assert got == slice_scan_roots(sigma, bound) == box_scan_roots(sigma, bound)
 
 
-@pytest.mark.parametrize("limit", [0, 8])
-def test_roots_match_oracles_when_projection_pairs_are_dropped(monkeypatch, limit):
-    # the 25-ray cone over the paraboloid (x, y, x^2 + y^2) makes hundreds
-    # of row pairs per elimination step; a limit of 0 drops them all
-    paraboloid = Cone.from_rays([(1, x, y, x * x + y * y) for x in range(-2, 3)
-                                 for y in range(-2, 3)], 4, N_SIDE)
-    monkeypatch.setattr(demazure, "FM_PAIR_LIMIT", limit)
-    for sigma in [cone_fixture(name) for name, _, _ in DUALITY_CONES] + [paraboloid]:
-        for bound in (2, 3):
-            assert _keys(roots_in_box(sigma, bound)) == slice_scan_roots(sigma, bound)
-        for index in range(len(sigma.rays)):
-            root, box = smallest_root_at_ray(sigma, index)
-            assert [(index, root.vector.entries)] == slice_scan_roots(sigma, box, index)[:1]
-            if box > 5:
-                assert slice_scan_roots(sigma, box // 2, index) == []
+def _paraboloid_cone(r):
+    """The rank-4 cone over (1, x, y, x^2 + y^2), |x|, |y| <= r: every one of
+    its (2r+1)^2 rays is extreme, and each elimination step pairs hundreds
+    of rows."""
+    return Cone.from_rays([(1, x, y, x * x + y * y) for x in range(-r, r + 1)
+                           for y in range(-r, r + 1)], 4, N_SIDE)
+
+
+def test_roots_match_slice_scan_on_a_many_ray_cone():
+    sigma = _paraboloid_cone(2)
+    assert len(sigma.rays) == 25
+    for bound in (2, 3):
+        assert _keys(roots_in_box(sigma, bound)) == slice_scan_roots(sigma, bound)
+    for index in range(len(sigma.rays)):
+        root, box = smallest_root_at_ray(sigma, index)
+        assert [(index, root.vector.entries)] == slice_scan_roots(sigma, box, index)[:1]
+        if box > 5:
+            assert slice_scan_roots(sigma, box // 2, index) == []
 
 
 def _doubling_oracle(sigma, ray_index):
@@ -231,41 +234,74 @@ def test_smallest_root_on_thin_cone_600():
 
 def test_root_point_cap(monkeypatch):
     sigma = cone_fixture("orthant4")
-    # the lift at a ray of the orthant visits (b+1) + (b+1)^2 + (b+1)^3
-    # nodes, 65,640 at box 39: the fourth ray passes the cap of 250,000
-    with pytest.raises(BoundExceeded, match="max-norm 39 reached 250001 lift nodes, "
-                       "over ROOT_NODE_CAP = 250000; lower --box"):
+    # at a ray of the orthant at box b the lift takes two steps of
+    # elimination, two rows for each of 1 + (b+1) + (b+1)^2 intervals, one
+    # step for each of (b+1) + (b+1)^2 inner values and five (itself and
+    # four rays) for each of (b+1)^3 points: 324,924 steps at box 39, so
+    # the fourth ray passes the cap of 1,000,000
+    with pytest.raises(BoundExceeded, match="max-norm 39 reached 1000003 steps, "
+                       "over ROOT_STEP_CAP = 1000000; lower --box"):
         roots_in_box(sigma, 39)
-    # a count equal to the cap is allowed; 4 * (3 + 9 + 27) = 156 nodes at box 2
-    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 156)
+    # a count equal to the cap is allowed: 4 * 175 = 700 steps at box 2
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 700)
     assert _keys(roots_in_box(sigma, 2)) == box_scan_roots(sigma, 2)
     assert len(roots_in_box(sigma, 3, ray_index=0)) == 4 ** 3
-    with pytest.raises(BoundExceeded, match="reached 157 lift nodes"):
+    with pytest.raises(BoundExceeded, match="max-norm 3 reached 702 steps"):
         roots_in_box(sigma, 3)
-    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 155)
-    with pytest.raises(BoundExceeded, match="reached 156 lift nodes"):
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 699)
+    with pytest.raises(BoundExceeded, match="max-norm 2 reached 700 steps"):
         roots_in_box(sigma, 2)
 
 
+def test_step_cap_on_a_many_ray_cone(monkeypatch):
+    # a point costs a step for each of the 49 rays and an interval one for
+    # each of its rows, so the cap trips where a count of nodes would not
+    sigma = _paraboloid_cone(3)
+    with pytest.raises(BoundExceeded, match="max-norm 200 reached 1000036 steps"):
+        roots_in_box(sigma, 200)
+    # the first ray's elimination forms 542 rows, then 10,128, each step
+    # charged before any of its rows is formed
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 10_000)
+    with pytest.raises(BoundExceeded, match="max-norm 5 reached 10670 steps"):
+        roots_in_box(sigma, 5)
+    with pytest.raises(BoundExceeded, match="reached 10670 steps"):
+        smallest_root_at_ray(sigma, 0)
+
+
+def test_smallest_root_checks_its_arguments():
+    sigma = cone_fixture("quadric")
+    for index in (-1, len(sigma.rays)):
+        with pytest.raises(ValueError, match="ray index out of range"):
+            smallest_root_at_ray(sigma, index)
+        with pytest.raises(ValueError, match="ray index out of range"):
+            roots_in_box(sigma, 2, ray_index=index)
+    dual = sigma.dual()
+    with pytest.raises(ValueError, match="N-side cone"):
+        smallest_root_at_ray(dual, 0)
+    with pytest.raises(ValueError, match="N-side cone"):
+        roots_in_box(dual, 2)
+
+
 def test_first_root_search_cap(monkeypatch):
-    # the search at (1,400,0) visits one node for y_0 and one for y_1, at
-    # box 640; the lifts of the empty boxes before it visit none
+    # the search at (1,400,0) spends three steps of elimination on each
+    # empty box from 5 to 320, then ten at box 640
     sigma = Cone.from_rays([(1, 0, 0), (1, 400, 0), (0, 0, 1)], 3, N_SIDE)
     index = [r.entries for r in sigma.rays].index((1, 400, 0))
-    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 2)
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 31)
     assert smallest_root_at_ray(sigma, index)[1] == 640
-    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 1)
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 30)
     with pytest.raises(BoundExceeded) as info:
         smallest_root_at_ray(sigma, index)
-    assert str(info.value) == ("the search for a root at ray (1, 400, 0) reached 2 "
-                               "lift nodes, over ROOT_NODE_CAP = 1")
-    # at (4,4,3) the lift visits a dead-end node at box 5, then three nodes
-    # at box 10 down to the root (3,-7,5): the cap counts all four
+    assert str(info.value) == ("the search for a root at ray (1, 400, 0) reached 31 "
+                               "steps, over ROOT_STEP_CAP = 30")
+    # at (4,4,3) the search spends 18 steps on the empty box 5, then 29 at
+    # box 10 down to the root (3,-7,5): the cap counts all 47, where a
+    # count per box would stop at 29
     sigma = Cone.from_rays([(-1, 2, 4), (3, 2, 1), (4, 4, 3)], 3, N_SIDE)
     index = [r.entries for r in sigma.rays].index((4, 4, 3))
-    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 4)
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 47)
     root, box = smallest_root_at_ray(sigma, index)
     assert (root.vector.entries, box) == ((3, -7, 5), 10)
-    monkeypatch.setattr(demazure, "ROOT_NODE_CAP", 3)
-    with pytest.raises(BoundExceeded, match="reached 4 lift nodes"):
+    monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 46)
+    with pytest.raises(BoundExceeded, match="reached 47 steps"):
         smallest_root_at_ray(sigma, index)
