@@ -5,21 +5,22 @@ stdout, and exits 0.  Failures map to exit codes by error family:
 
     2  malformed scene or arguments
     3  hypothesis violated (not pointed, not saturated, not parabolic, ...)
-    4  resource bound hit (rank limit, enumeration cap)
+    4  resource bound hit (rank limit, enumeration cap, output digit limit)
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import (HypothesisError, NormalityRequired, NotADemazureRoot,
-                     NotParabolic, ResourceError, SceneError)
+from .errors import (BoundExceeded, HypothesisError, NormalityRequired,
+                     NotParabolic, ResourceError, SceneError, ToricError)
 from .lattice import LatticeVector
 from .monoid import hilbert_basis
 from .grading import GradingKind, classify, straightening_subtori
-from .demazure import is_root, roots_in_box
+from .demazure import roots_in_box
 from .algebra import AlgebraElement, HomogeneousLND
 from .orbits import (ga_flow_point, limit_point, smallest_root_at_ray,
                      verify_compatible)
@@ -50,9 +51,7 @@ def _dumps(value, indent=0):
 
 
 def _vec(v):
-    if isinstance(v, LatticeVector):
-        return list(v.entries)
-    return list(v)
+    return list(v.entries if isinstance(v, LatticeVector) else v)
 
 
 def _frac(x):
@@ -64,10 +63,8 @@ def _fracs(values):
 
 
 def _element_doc(element):
-    doc = {}
-    for exponent, coeff in element.terms:
-        doc[",".join(str(a) for a in exponent.entries)] = _frac(coeff)
-    return doc
+    return {",".join(str(a) for a in exponent.entries): _frac(coeff)
+            for exponent, coeff in element.terms}
 
 
 def _cone_doc(cone):
@@ -104,19 +101,14 @@ def _root_doc(root):
 
 def _lnd_doc(lnd):
     mon = lnd.monoid
-    action = []
-    for gen in mon.generators:
-        image = lnd.apply(AlgebraElement.monomial(mon, gen))
-        action.append({
-            "generator": _vec(gen),
-            "degree": lnd.degree(gen),
-            "image": _element_doc(image),
-        })
     return {
         "root": _root_doc(lnd.root),
         "ray": _vec(lnd.ray),
         "kernel_rank": lnd.kernel_rank(),
-        "action": action,
+        "action": [{"generator": _vec(gen), "degree": lnd.degree(gen),
+                    "image": _element_doc(lnd.apply(
+                        AlgebraElement.monomial(mon, gen)))}
+                   for gen in mon.generators],
     }
 
 
@@ -183,30 +175,23 @@ def cmd_dual(scene, args):
 
 def cmd_facets(scene, args):
     cone = scene.primary_cone()
-    facets = []
-    for index, face in enumerate(cone.facets()):
-        facets.append({
-            "normal_index": index,
-            "normal": _vec(cone.facet_normals[index]),
-            "rays": [_vec(r) for r in face.rays],
-            "dim": face.dim,
-        })
     return {
         "command": "facets",
         "scene_digest": scene.digest,
         "cone": _cone_doc(cone),
-        "facets": facets,
+        "facets": [{"normal_index": index, "normal": _vec(cone.facet_normals[index]),
+                    "rays": [_vec(r) for r in face.rays], "dim": face.dim}
+                   for index, face in enumerate(cone.facets())],
     }
 
 
 def cmd_hilbert(scene, args):
     cone = scene.weight_cone()
-    basis = hilbert_basis(cone)
     return {
         "command": "hilbert",
         "scene_digest": scene.digest,
         "weight_cone": _cone_doc(cone),
-        "hilbert_basis": [_vec(u) for u in basis],
+        "hilbert_basis": [_vec(u) for u in hilbert_basis(cone)],
     }
 
 
@@ -245,22 +230,12 @@ def cmd_straightening(scene, args):
 
 def _straightening_doc(mon, result):
     facets = mon.weight_cone.facets()
-    entries = []
-    for subtorus, divisor in zip(result.subtori, result.divisors):
-        entries.append({
-            "ray_index": divisor.ray_index,
-            "subgroup": _vec(subtorus),
-            "facet_rays": [_vec(r) for r in facets[divisor.ray_index].rays],
-            "vanishing_coordinates": list(divisor.vanishing),
-            "surviving_coordinates": list(divisor.surviving),
-        })
-    return entries
-
-
-def _by_ray_doc(sigma, roots, indices):
-    return [{"ray_index": index, "ray": _vec(sigma.rays[index]),
-             "count": sum(1 for r in roots if r.ray_index == index)}
-            for index in indices]
+    return [{"ray_index": divisor.ray_index,
+             "subgroup": _vec(subtorus),
+             "facet_rays": [_vec(r) for r in facets[divisor.ray_index].rays],
+             "vanishing_coordinates": list(divisor.vanishing),
+             "surviving_coordinates": list(divisor.surviving)}
+            for subtorus, divisor in zip(result.subtori, result.divisors)]
 
 
 def _check_box(box):
@@ -268,23 +243,32 @@ def _check_box(box):
         raise SceneError("--box must be nonnegative, got %d" % box)
 
 
-def cmd_roots(scene, args):
-    _check_box(args.box)
+def _roots_doc(scene, box, ray_index=None):
+    """count, by_ray and roots of the root scan, for `roots` and `report`.
+    Callers check --box first, before any cone is built."""
     sigma = scene.sigma()
-    ray_index = args.ray
     if ray_index is not None and not 0 <= ray_index < len(sigma.rays):
         raise SceneError("ray index %d out of range, cone has %d rays"
                          % (ray_index, len(sigma.rays)))
-    roots = roots_in_box(sigma, args.box, ray_index=ray_index)
+    roots = roots_in_box(sigma, box, ray_index=ray_index)
     indices = range(len(sigma.rays)) if ray_index is None else [ray_index]
+    return {
+        "count": len(roots),
+        "by_ray": [{"ray_index": index, "ray": _vec(sigma.rays[index]),
+                    "count": sum(1 for r in roots if r.ray_index == index)}
+                   for index in indices],
+        "roots": [_root_doc(r) for r in roots],
+    }
+
+
+def cmd_roots(scene, args):
+    _check_box(args.box)
     return {
         "command": "roots",
         "scene_digest": scene.digest,
         "box": args.box,
-        "ray_filter": ray_index,
-        "count": len(roots),
-        "by_ray": _by_ray_doc(sigma, roots, indices),
-        "roots": [_root_doc(r) for r in roots],
+        "ray_filter": args.ray,
+        **_roots_doc(scene, args.box, args.ray),
     }
 
 
@@ -294,11 +278,7 @@ def _lnd_from_arg(scene, text):
     if len(entries) != scene.rank:
         raise SceneError("--root must have %d entries, got %r"
                          % (scene.rank, text))
-    root = is_root(mon.dual_cone, LatticeVector.m(entries))
-    if root is None:
-        raise NotADemazureRoot("%r pairs wrongly against the dual cone rays"
-                               % (entries,))
-    return HomogeneousLND(mon, root)
+    return HomogeneousLND(mon, entries)
 
 
 def cmd_lnd(scene, args):
@@ -399,14 +379,9 @@ def _verification_section(scene):
             try:
                 rep = verify_compatible(scene.monoid(), scene.subgroups[sname],
                                         scene.point(pname))
-            except NormalityRequired as error:
-                entry["verdict"] = "refused"
-                entry["reason"] = "NormalityRequired"
-                entry["detail"] = str(error)
-            except NotParabolic as error:
-                entry["verdict"] = "refused"
-                entry["reason"] = error.verdict
-                entry["detail"] = str(error)
+            except (NormalityRequired, NotParabolic) as error:
+                entry.update(verdict="refused", reason=error.verdict,
+                             detail=str(error))
             else:
                 entry.update(_verification_doc(rep))
                 for fact in entry.pop("derived_facts"):
@@ -433,14 +408,7 @@ def cmd_report(scene, args):
     else:
         straightening = None
         witness_lnd = {}
-    sigma = scene.sigma()
-    roots = roots_in_box(sigma, args.box)
-    roots_section = {
-        "box": args.box,
-        "count": len(roots),
-        "by_ray": _by_ray_doc(sigma, roots, range(len(sigma.rays))),
-        "roots": [_root_doc(r) for r in roots],
-    }
+    roots_section = {"box": args.box, **_roots_doc(scene, args.box)}
     verification, facts = _verification_section(scene)
     report = Report(
         scene_digest=scene.digest,
@@ -455,7 +423,47 @@ def cmd_report(scene, args):
     return report.to_dict()
 
 
+_L = ("--l", {"required": True,
+              "help": "subgroup name from the scene, or comma separated ints"})
+_POINT = ("--point", {"required": True, "help": "point name from the scene"})
+_ROOT = ("--root", {"required": True, "help": "root vector, comma separated"})
+_BOX = ("--box", {"type": int, "default": DEFAULT_ROOT_BOX,
+                  "help": "root scan box, |e_i| <= box (default %d)"
+                  % DEFAULT_ROOT_BOX})
+
+# subcommand: (handler, help, options), in the order --help lists them
+COMMANDS = {
+    "dual": (cmd_dual, "cone and its dual in double description", ()),
+    "facets": (cmd_facets, "facets of the primary cone", ()),
+    "hilbert": (cmd_hilbert, "Hilbert basis of the weight cone", ()),
+    "saturation": (cmd_saturation, "saturation check with witness", ()),
+    "classify": (cmd_classify, "grading class of a subgroup vector", (_L,)),
+    "straightening": (cmd_straightening,
+                      "parabolic subtori and their fixed divisors", ()),
+    "roots": (cmd_roots, "Demazure roots inside a coordinate box", (
+        _BOX, ("--ray", {"type": int, "default": None,
+                         "help": "only roots distinguished at this ray index"}))),
+    "lnd": (cmd_lnd, "derivation attached to a Demazure root", (_ROOT,)),
+    "flow": (cmd_flow, "flow a named point for time s", (
+        _POINT, _ROOT,
+        ("--s", {"required": True, "help": "flow time, rational like -2 or 7/3"}))),
+    "limit": (cmd_limit, "limit of a point under a subgroup, if any",
+              (_POINT, _L)),
+    "verify": (cmd_verify, "full compatibility certificate for one pair", (
+        _POINT, _L,
+        ("--ts", {"default": None,
+                  "help": "torus samples, comma separated rationals"}),
+        ("--ss", {"default": None,
+                  "help": "flow samples, comma separated rationals"}))),
+    "report": (cmd_report, "one document with every section", (_BOX,)),
+}
+
+EXIT_CODES = ((SceneError, 2), (HypothesisError, 3), (ResourceError, 4))
+
+
+@functools.cache
 def build_parser():
+    """The argument parser, built from COMMANDS once per process."""
     parser = argparse.ArgumentParser(
         prog="toricflow",
         description="additive group actions on affine toric varieties, exactly")
@@ -464,101 +472,52 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dual", help="cone and its dual in double description")
-    p.set_defaults(handler=cmd_dual)
-
-    p = sub.add_parser("facets", help="facets of the primary cone")
-    p.set_defaults(handler=cmd_facets)
-
-    p = sub.add_parser("hilbert", help="Hilbert basis of the weight cone")
-    p.set_defaults(handler=cmd_hilbert)
-
-    p = sub.add_parser("saturation", help="saturation check with witness")
-    p.set_defaults(handler=cmd_saturation)
-
-    p = sub.add_parser("classify", help="grading class of a subgroup vector")
-    p.add_argument("--l", required=True,
-                   help="subgroup name from the scene, or comma separated ints")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("straightening",
-                       help="parabolic subtori and their fixed divisors")
-    p.set_defaults(handler=cmd_straightening)
-
-    p = sub.add_parser("roots", help="Demazure roots inside a coordinate box")
-    p.add_argument("--box", type=int, default=DEFAULT_ROOT_BOX,
-                   help="scan |e_i| <= box (default %d)" % DEFAULT_ROOT_BOX)
-    p.add_argument("--ray", type=int, default=None,
-                   help="only roots distinguished at this ray index")
-    p.set_defaults(handler=cmd_roots)
-
-    p = sub.add_parser("lnd", help="derivation attached to a Demazure root")
-    p.add_argument("--root", required=True, help="root vector, comma separated")
-    p.set_defaults(handler=cmd_lnd)
-
-    p = sub.add_parser("flow", help="flow a named point for time s")
-    p.add_argument("--point", required=True, help="point name from the scene")
-    p.add_argument("--root", required=True, help="root vector, comma separated")
-    p.add_argument("--s", required=True, help="flow time, rational like -2 or 7/3")
-    p.set_defaults(handler=cmd_flow)
-
-    p = sub.add_parser("limit", help="limit of a point under a subgroup, if any")
-    p.add_argument("--point", required=True, help="point name from the scene")
-    p.add_argument("--l", required=True,
-                   help="subgroup name from the scene, or comma separated ints")
-    p.set_defaults(handler=cmd_limit)
-
-    p = sub.add_parser("verify",
-                       help="full compatibility certificate for one pair")
-    p.add_argument("--point", required=True, help="point name from the scene")
-    p.add_argument("--l", required=True,
-                   help="subgroup name from the scene, or comma separated ints")
-    p.add_argument("--ts", default=None,
-                   help="torus samples, comma separated rationals")
-    p.add_argument("--ss", default=None,
-                   help="flow samples, comma separated rationals")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("report", help="one document with every section")
-    p.add_argument("--box", type=int, default=DEFAULT_ROOT_BOX,
-                   help="box for the root scan section (default %d)"
-                   % DEFAULT_ROOT_BOX)
-    p.set_defaults(handler=cmd_report)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
     return parser
 
 
 def _read_scene(args):
-    if args.scene == "-":
-        text = sys.stdin.read()
-    else:
-        path = Path(args.scene)
-        try:
-            text = path.read_text()
-        except OSError as error:
-            raise SceneError("cannot read scene file %s: %s" % (path, error))
+    try:
+        if args.scene == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # stdin decodes bad bytes to lone surrogates
+        else:
+            text = Path(args.scene).read_text(encoding="utf-8")
+    except OSError as error:
+        raise SceneError("cannot read scene file %s: %s" % (Path(args.scene), error))
+    except UnicodeError as error:
+        raise SceneError("scene is not UTF-8: %s" % error)
     return load_scene(text)
+
+
+def _output(args):
+    """One request's output, rendered in full before any of it is printed."""
+    try:
+        payload = COMMANDS[args.command][0](_read_scene(args), args)
+        if args.format == "json":
+            return _dumps(payload) + "\n"
+        return render_text(payload)
+    except ValueError as error:
+        if "integer string conversion" not in str(error):
+            raise
+        raise BoundExceeded(
+            "an exact output value has over %d digits, the int->str digit "
+            "limit; set PYTHONINTMAXSTRDIGITS=0 to lift it"
+            % sys.get_int_max_str_digits())
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        scene = _read_scene(args)
-        payload = args.handler(scene, args)
-    except SceneError as error:
+        text = _output(args)
+    except ToricError as error:
         print("error: %s: %s" % (type(error).__name__, error), file=sys.stderr)
-        return 2
-    except ResourceError as error:
-        print("error: %s: %s" % (type(error).__name__, error), file=sys.stderr)
-        return 4
-    except HypothesisError as error:
-        print("error: %s: %s" % (type(error).__name__, error), file=sys.stderr)
-        return 3
-    if args.format == "json":
-        sys.stdout.write(_dumps(payload) + "\n")
-    else:
-        sys.stdout.write(render_text(payload))
+        return next(code for family, code in EXIT_CODES
+                    if isinstance(error, family))
+    sys.stdout.write(text)
     return 0
 
 

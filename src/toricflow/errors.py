@@ -36,6 +36,8 @@ class NotEffective(HypothesisError):
 class NormalityRequired(HypothesisError):
     """Operation needs a saturated monoid.  Carries a missing lattice point."""
 
+    verdict = "NormalityRequired"
+
     def __init__(self, witness):
         self.witness = witness
         super().__init__("monoid is not saturated, witness %s" % (witness,))

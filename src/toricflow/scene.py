@@ -181,4 +181,7 @@ def load_scene(text):
         raw = json.loads(text)
     except json.JSONDecodeError as error:
         raise SceneError("scene is not valid JSON: %s" % error)
+    except (ValueError, RecursionError) as error:
+        # an integer past the int->str digit limit, or nesting too deep
+        raise SceneError("scene cannot be read: %s" % error)
     return Scene(raw)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import toricflow
 import toricflow.cones
-from toricflow.cli import main
+from toricflow.cli import build_parser, main
 
 from conftest import QUADRIC_SCENE
 
@@ -207,7 +208,7 @@ def test_text_format(quadric_scene_path, capsys):
     assert not out.startswith("{")
 
 
-def test_exit_code_2_scene_errors(tmp_path, capsys):
+def test_exit_code_2_scene_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     code, out, err = run(capsys, "--scene", str(bad), "dual")
@@ -215,6 +216,26 @@ def test_exit_code_2_scene_errors(tmp_path, capsys):
     assert err.startswith("error: SceneError:")
     code, out, err = run(capsys, "--scene", str(tmp_path / "nope.json"), "dual")
     assert code == 2
+    malformed = {
+        "not_utf8": b'{"rank": 1, "cone_rays": [[1]], "points": {"\xff": {"torus": [1]}}}',
+        "too_deep": b"[" * 100000 + b"]" * 100000,
+        "too_long": b'{"rank": 1' + b"0" * 5000 + b"}",
+    }
+    for name, data in malformed.items():
+        path = tmp_path / (name + ".json")
+        path.write_bytes(data)
+        # stdin decodes strictly, or to lone surrogates as under a C locale
+        stdins = [io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                   errors=errors)
+                  for errors in ("strict", "surrogateescape")]
+        for stdin in [None] + stdins:
+            argv = ["dual"] if stdin else ["--scene", str(path), "dual"]
+            if stdin:
+                monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (name, argv)
+            assert out == ""
+            assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
 
 
 def test_exit_code_3_hypothesis_errors(tmp_path, cusp_scene_path,
@@ -261,13 +282,40 @@ def test_exit_code_2_for_negative_box_and_zero_ray(tmp_path,
                                                   quadric_scene_path, capsys):
     zero = tmp_path / "zero.json"
     zero.write_text('{"rank": 2, "cone_rays": [[1,0],[0,0]]}')
+    # --box is checked before the cone is built, so a scene that is not
+    # pointed still exits 2 here and not 3
+    lines = tmp_path / "notpointed.json"
+    lines.write_text('{"rank": 2, "cone_rays": [[1,0],[-1,0],[0,1]]}')
     for argv in (["--scene", quadric_scene_path, "roots", "--box", "-1"],
                  ["--scene", quadric_scene_path, "report", "--box", "-1"],
+                 ["--scene", str(lines), "roots", "--box", "-1"],
+                 ["--scene", str(lines), "report", "--box", "-1"],
                  ["--scene", str(zero), "dual"]):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int->str digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_exit_code_4_output_over_the_digit_limit(tmp_path, capsys, fmt):
+    scene = tmp_path / "big.json"
+    scene.write_text(json.dumps({
+        "rank": 2, "cone_rays": [[1, 0], [1, 40]],
+        "points": {"p": {"torus": ["12345678901234567/3", "98765432109876543/7"]}}}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "--scene", str(scene), "--format", fmt,
+                             "flow", "--point", "p", "--root=39,-1", "--s", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
+    assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS=0" in err
 
 
 def test_exit_code_4_root_point_cap(tmp_path, capsys):
@@ -356,6 +404,32 @@ def test_python_dash_m_runs_the_cli(quadric_scene_path):
         timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["dual"]["rays"] == [[1, 0], [1, 2]]
+
+
+# every subcommand and its flags, as --help lists them
+_SUBCOMMAND_FLAGS = {
+    "dual": [], "facets": [], "hilbert": [], "saturation": [],
+    "classify": ["--l"], "straightening": [], "roots": ["--box", "--ray"],
+    "lnd": ["--root"], "flow": ["--point", "--root", "--s"],
+    "limit": ["--point", "--l"], "verify": ["--point", "--l", "--ts", "--ss"],
+    "report": ["--box"],
+}
+
+
+def test_help_lists_every_subcommand_and_flag(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert "{%s}" % ",".join(_SUBCOMMAND_FLAGS) in out
+    for name, flags in _SUBCOMMAND_FLAGS.items():
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: toricflow %s" % name)
+        assert re.findall(r"^  (--[a-z]+)", out, re.M) == flags, name
 
 
 def test_report_is_deterministic(quadric_scene_path, capsys):
