@@ -21,33 +21,29 @@ from .lattice import LatticeVector
 from .monoid import hilbert_basis
 from .grading import GradingKind, classify, straightening_subtori
 from .demazure import roots_in_box
-from .algebra import AlgebraElement, HomogeneousLND
+from .algebra import HomogeneousLND
 from .orbits import (ga_flow_point, limit_point, smallest_root_at_ray,
                      verify_compatible)
 from .report import Report, render_text
-from .scene import load_scene
+from .scene import load_scene, parse_integers, parse_rational
 
 DEFAULT_ROOT_BOX = 5
 
 
 def _dumps(value, indent=0):
-    """json.dumps with scalar-only lists kept on one line."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = ["%s%s: %s" % (inner, json.dumps(key), _dumps(item, indent + 1))
+    """json.dumps with scalar-only lists and empty containers on one line."""
+    if isinstance(value, dict) and value:
+        parts = ["%s: %s" % (json.dumps(key), _dumps(item, indent + 1))
                  for key, item in value.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if all(not isinstance(item, (dict, list)) for item in value):
-            return "[" + ", ".join(json.dumps(item) for item in value) + "]"
-        parts = [inner + _dumps(item, indent + 1) for item in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return json.dumps(value)
+        brackets = "{}"
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        parts = [_dumps(item, indent + 1) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    inner = "\n" + "  " * (indent + 1)
+    return (brackets[0] + inner + ("," + inner).join(parts)
+            + "\n" + "  " * indent + brackets[1])
 
 
 def _vec(v):
@@ -60,11 +56,6 @@ def _frac(x):
 
 def _fracs(values):
     return [_frac(x) for x in values]
-
-
-def _element_doc(element):
-    return {",".join(str(a) for a in exponent.entries): _frac(coeff)
-            for exponent, coeff in element.terms}
 
 
 def _cone_doc(cone):
@@ -100,15 +91,17 @@ def _root_doc(root):
 
 
 def _lnd_doc(lnd):
-    mon = lnd.monoid
+    """The derivation on each generator g: d(chi^g) = <p, g> chi^(g + e)."""
+    action = []
+    for gen in lnd.monoid.generators:
+        k = lnd.degree(gen)
+        image = {",".join(map(str, (gen + lnd.root.vector).entries)): str(k)} if k else {}
+        action.append({"generator": _vec(gen), "degree": k, "image": image})
     return {
         "root": _root_doc(lnd.root),
         "ray": _vec(lnd.ray),
         "kernel_rank": lnd.kernel_rank(),
-        "action": [{"generator": _vec(gen), "degree": lnd.degree(gen),
-                    "image": _element_doc(lnd.apply(
-                        AlgebraElement.monomial(mon, gen)))}
-                   for gen in mon.generators],
+        "action": action,
     }
 
 
@@ -142,25 +135,6 @@ def _verification_doc(rep):
         "notes": list(rep.notes),
         "derived_facts": [dict(f) for f in rep.derived_facts],
     }
-
-
-def _parse_int_csv(text, what):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise SceneError("%s must be a comma separated integer list, got %r"
-                         % (what, text))
-
-
-def _parse_fraction(text, what):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SceneError("%s must be a rational like 7/3, got %r" % (what, text))
-
-
-def _parse_fraction_csv(text, what):
-    return tuple(_parse_fraction(part, what) for part in text.split(","))
 
 
 def cmd_dual(scene, args):
@@ -273,12 +247,7 @@ def cmd_roots(scene, args):
 
 
 def _lnd_from_arg(scene, text):
-    mon = scene.monoid()
-    entries = _parse_int_csv(text, "--root")
-    if len(entries) != scene.rank:
-        raise SceneError("--root must have %d entries, got %r"
-                         % (scene.rank, text))
-    return HomogeneousLND(mon, entries)
+    return HomogeneousLND(scene.monoid(), parse_integers(text, scene.rank, "--root"))
 
 
 def cmd_lnd(scene, args):
@@ -293,7 +262,7 @@ def cmd_lnd(scene, args):
 def cmd_flow(scene, args):
     lnd = _lnd_from_arg(scene, args.root)
     point = scene.point(args.point)
-    s = _parse_fraction(args.s, "--s")
+    s = parse_rational(args.s, "--s")
     image = ga_flow_point(lnd, s, point)
     return {
         "command": "flow",
@@ -326,11 +295,11 @@ def cmd_verify(scene, args):
     subgroup = scene.subgroup_vector(args.l)
     kwargs = {}
     if args.ts is not None:
-        kwargs["gm_samples"] = _parse_fraction_csv(args.ts, "--ts")
+        kwargs["gm_samples"] = tuple(parse_rational(x, "--ts") for x in args.ts.split(","))
         if 0 in kwargs["gm_samples"]:
-            raise SceneError("--ts samples must be nonzero, got %r" % args.ts)
+            raise SceneError("--ts samples must be nonzero")
     if args.ss is not None:
-        kwargs["ga_samples"] = _parse_fraction_csv(args.ss, "--ss")
+        kwargs["ga_samples"] = tuple(parse_rational(x, "--ss") for x in args.ss.split(","))
     rep = verify_compatible(mon, subgroup, point, **kwargs)
     doc = _verification_doc(rep)
     doc["point_name"] = args.point
@@ -373,12 +342,13 @@ def _verification_section(scene):
     entries = []
     facts = []
     seen_facts = set()
+    points = ({name: scene.point(name) for name in sorted(scene.point_coords)}
+              if scene.subgroups else {})
     for sname in sorted(scene.subgroups):
-        for pname in sorted(scene.point_coords):
+        for pname, point in points.items():
             entry = {"subgroup_name": sname, "point_name": pname}
             try:
-                rep = verify_compatible(scene.monoid(), scene.subgroups[sname],
-                                        scene.point(pname))
+                rep = verify_compatible(scene.monoid(), scene.subgroups[sname], point)
             except (NormalityRequired, NotParabolic) as error:
                 entry.update(verdict="refused", reason=error.verdict,
                              detail=str(error))

@@ -90,18 +90,9 @@ def _double_description(rays, basis):
 class Face:
     """A face of a cone, recorded by the facet normals that cut it out."""
 
-    parent: "Cone"
     saturated_normals: tuple
     rays: tuple
     dim: int
-
-    def __post_init__(self):
-        cut = [r for r in self.parent.rays
-               if all(dot(self.parent.facet_normals[k].entries, r.entries) == 0
-                      for k in self.saturated_normals)]
-        if tuple(cut) != self.rays:
-            raise ValueError("face rays must be exactly the rays vanishing "
-                             "on the saturated normals")
 
 
 @dataclass(frozen=True)
@@ -194,15 +185,11 @@ class Cone:
         return all(dot(h.entries, entries) >= 0 for h in self.facet_normals)
 
     def facets(self):
-        """All codimension-one faces, one per facet normal."""
-        out = []
-        for k in range(len(self.facet_normals)):
-            h = self.facet_normals[k]
-            rays = tuple(r for r in self.rays if dot(h.entries, r.entries) == 0)
-            dim = matrix_rank([r.entries for r in rays])
-            assert dim == self.rank - 1, "facet normal is not facet-defining"
-            out.append(Face(self, (k,), rays, dim))
-        return out
+        """All codimension-one faces, one per facet normal: double
+        description yields facet-defining normals only."""
+        return [Face((k,), tuple(r for r in self.rays if dot(h.entries, r.entries) == 0),
+                     self.rank - 1)
+                for k, h in enumerate(self.facet_normals)]
 
     def zero_face(self, functional):
         """The face on which a nonnegative functional vanishes.
@@ -224,8 +211,7 @@ class Cone:
         saturated = tuple(
             k for k, h in enumerate(self.facet_normals)
             if all(dot(h.entries, r.entries) == 0 for r in face_rays))
-        dim = matrix_rank([r.entries for r in face_rays])
-        return Face(self, saturated, face_rays, dim)
+        return Face(saturated, face_rays, matrix_rank([r.entries for r in face_rays]))
 
     def __repr__(self):
         return "Cone(%s, rank=%d, rays=%s)" % (

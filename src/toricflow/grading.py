@@ -19,7 +19,7 @@ positive multiple of its primitive generator.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NormalityRequired, NotParabolic
+from .errors import NormalityRequired, NotNonnegative, NotParabolic
 from .lattice import N_SIDE, LatticeVector, dot, gcd_all, primitive
 
 
@@ -61,13 +61,11 @@ def classify(mon, subgroup):
         raise ValueError("the zero vector does not grade")
     degree_gcd = gcd_all(dot(subgroup.entries, g.entries) for g in mon.generators)
     effective = degree_gcd == 1
-    omega = mon.weight_cone
-    values = [dot(subgroup.entries, r.entries) for r in omega.rays]
-    if any(v < 0 for v in values):
+    try:
+        face = mon.weight_cone.zero_face(subgroup)
+    except NotNonnegative:
         return GradingClass(GradingKind.HYPERBOLIC, None, None, degree_gcd, effective)
-    face = omega.zero_face(subgroup)
     if face.dim == mon.rank - 1:
-        assert len(face.saturated_normals) == 1
         ray_index = face.saturated_normals[0]
         assert primitive(subgroup).entries == mon.dual_cone.rays[ray_index].entries
         return GradingClass(GradingKind.PARABOLIC, face, ray_index, degree_gcd, effective)
@@ -90,18 +88,22 @@ class FixedDivisor:
     surviving: tuple
 
 
+def _divisor(mon, ray_index):
+    """The divisor fixed by the subtorus along dual ray ray_index."""
+    ray = mon.dual_cone.rays[ray_index]
+    degrees = [dot(ray.entries, g.entries) for g in mon.generators]
+    vanishing = tuple(j for j, v in enumerate(degrees) if v > 0)
+    surviving = tuple(j for j, v in enumerate(degrees) if v == 0)
+    return FixedDivisor(ray_index, ray, vanishing, surviving)
+
+
 def fixed_locus(mon, subgroup):
     """The invariant divisor fixed pointwise by a parabolic action."""
     grading = classify(mon, subgroup)
     if grading.kind is not GradingKind.PARABOLIC:
         raise NotParabolic(grading.kind,
                            "fixed divisors exist only for parabolic gradings")
-    ray_index = grading.ray_index
-    ray = mon.dual_cone.rays[ray_index]
-    degrees = [dot(ray.entries, g.entries) for g in mon.generators]
-    vanishing = tuple(j for j, v in enumerate(degrees) if v > 0)
-    surviving = tuple(j for j, v in enumerate(degrees) if v == 0)
-    return FixedDivisor(ray_index, ray, vanishing, surviving)
+    return _divisor(mon, grading.ray_index)
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,5 @@ def straightening_subtori(mon):
     result = mon.saturation()
     if not result.saturated:
         raise NormalityRequired(result.witness.entries)
-    divisors = []
-    for ray in mon.dual_cone.rays:
-        locus = fixed_locus(mon, ray)
-        assert mon.dual_cone.rays[locus.ray_index] == ray
-        divisors.append(locus)
-    return StraighteningSet(tuple(mon.dual_cone.rays), tuple(divisors))
+    rays = mon.dual_cone.rays
+    return StraighteningSet(rays, tuple(_divisor(mon, k) for k in range(len(rays))))

@@ -25,18 +25,35 @@ from .orbits import torus_point
 _TOP_KEYS = {"rank", "cone_rays", "monoid_generators", "points", "subgroups"}
 
 
+def _shown(value):
+    """repr of a rejected value, cut to about 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def parse_rational(value, where):
-    if isinstance(value, bool):
-        raise SceneError("%s: booleans are not rationals" % where)
-    if isinstance(value, int):
+    """An exact rational from an integer or a string such as '7/3'."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise SceneError("%s: cannot parse rational %r" % (where, value))
-    raise SceneError("%s: rationals are integers or 'p/q' strings, got %r"
-                     % (where, value))
+            raise SceneError("%s: cannot parse rational %s" % (where, _shown(value)))
+    raise SceneError("%s: rationals are integers or 'p/q' strings, got %s"
+                     % (where, _shown(value)))
+
+
+def parse_integers(text, length, where):
+    """A comma list of exactly length integers, as --root and --l take."""
+    try:
+        entries = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        entries = None
+    if entries is None or len(entries) != length:
+        raise SceneError("%s must be %d comma separated integers, got %s"
+                         % (where, length, _shown(text)))
+    return entries
 
 
 def _int_vector(value, rank, where):
@@ -156,21 +173,15 @@ class Scene:
 
     def point(self, name):
         if name not in self.point_coords:
-            raise SceneError("unknown point %r; scene defines %s"
-                             % (name, sorted(self.point_coords)))
+            raise SceneError("unknown point %s; scene defines %s"
+                             % (_shown(name), sorted(self.point_coords)))
         return torus_point(self.monoid(), self.point_coords[name])
 
     def subgroup_vector(self, text):
         """Resolve --l arguments: a named subgroup or a comma list."""
         if text in self.subgroups:
             return self.subgroups[text]
-        try:
-            entries = tuple(int(part.strip()) for part in text.split(","))
-        except ValueError:
-            raise SceneError(
-                "subgroup %r is neither a scene name nor a comma list" % text)
-        if len(entries) != self.rank:
-            raise SceneError("subgroup %r must have %d entries" % (text, self.rank))
+        entries = parse_integers(text, self.rank, "--l, if not a subgroup name,")
         if all(e == 0 for e in entries):
             raise SceneError("the zero vector does not grade")
         return LatticeVector(entries, N_SIDE)

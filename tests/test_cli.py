@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 import toricflow
 import toricflow.cones
+from toricflow import AlgebraElement, HomogeneousLND
 from toricflow.cli import build_parser, main
+from toricflow.scene import load_scene
 
-from conftest import QUADRIC_SCENE
+from conftest import DUALITY_CONES, QUADRIC_SCENE
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -456,11 +458,59 @@ def test_exit_code_2_for_malformed_root_and_samples(quadric_scene_path, capsys):
     for argv in (["lnd", "--root", "1,2,3"],
                  ["flow", "--point", "p", "--root=1,2,3", "--s", "1"],
                  ["verify", "--point", "p", "--l", "vertical", "--ts", "0"],
-                 ["verify", "--point", "p", "--l", "vertical", "--ts", "1,0"]):
+                 ["verify", "--point", "p", "--l", "vertical", "--ts", "1,0"],
+                 ["flow", "--point", "p", "--root=0,-1", "--s", "x"],
+                 ["flow", "--point", "p", "--root=0,-1", "--s", "1/0"],
+                 ["verify", "--point", "p", "--l", "vertical", "--ss", "1,a"],
+                 ["lnd", "--root", "1,z"],
+                 ["classify", "--l", "1,y"]):
         code, out, err = run(capsys, "--scene", quadric_scene_path, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
+
+
+def test_rejected_values_are_echoed_cut_short(tmp_path, capsys):
+    nested = 2
+    for _ in range(500):
+        nested = [nested]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(dict(QUADRIC_SCENE, points={"p": {"torus": [nested, 1]}})))
+    quadric = tmp_path / "quadric.json"
+    quadric.write_text(json.dumps(QUADRIC_SCENE))
+    for argv in (["--scene", str(deep), "dual"],
+                 ["--scene", str(quadric), "flow", "--point", "p", "--root=0,-1",
+                  "--s", "x" * 5000],
+                 ["--scene", str(quadric), "classify", "--l", ",".join(["1"] * 2500)],
+                 ["--scene", str(quadric), "lnd", "--root", "7" * 5000]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
+        assert len(err) < 200, err
+
+
+_A3_SCENE = {"rank": 3, "monoid_generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+_PENTAGON_SCENE = {"rank": 3, "cone_rays": [
+    list(r) for name, _, rays in DUALITY_CONES if name == "pentagon" for r in rays]}
+
+
+@pytest.mark.parametrize("scene", [QUADRIC_SCENE, _A3_SCENE, _PENTAGON_SCENE])
+def test_lnd_images_match_applying_the_derivation(tmp_path, capsys, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    mon = load_scene(json.dumps(scene)).monoid()
+    roots = run_json(capsys, "--scene", str(path), "roots", "--box", "1")["roots"]
+    assert len(roots) >= 2
+    for root in roots:
+        text = ",".join(str(a) for a in root["vector"])
+        action = run_json(capsys, "--scene", str(path), "lnd",
+                          "--root=" + text)["lnd"]["action"]
+        lnd = HomogeneousLND(mon, root["vector"])
+        assert len(action) == len(mon.generators)
+        for gen, entry in zip(mon.generators, action):
+            image = lnd.apply(AlgebraElement.monomial(mon, gen))
+            assert entry["image"] == {",".join(str(a) for a in u.entries): str(c)
+                                      for u, c in image.terms}
 
 
 _RATIONALS = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-7/3"])

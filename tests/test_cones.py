@@ -12,6 +12,7 @@ from toricflow import (
     NotNonnegative,
     NotPointed,
     RankLimitExceeded,
+    dot,
     matrix_rank,
 )
 from toricflow.lattice import pivot_columns
@@ -193,6 +194,24 @@ def test_from_rays_matches_fourier_motzkin(cone):
     rank, rays = cone
     assert (_outcome(_double_description, rays, rank)
             == _outcome(fm_cone, rays, rank))
+
+
+@settings(max_examples=200)
+@given(_small_cones())
+def test_facets_are_cut_from_facet_defining_normals(cone):
+    rank, rays = cone
+    try:
+        built = Cone.from_rays(rays, rank, N_SIDE)
+    except (NotPointed, NotFullDimensional):
+        return
+    facets = built.facets()
+    assert len(facets) == len(built.facet_normals)
+    for k, (normal, face) in enumerate(zip(built.facet_normals, facets)):
+        assert face.saturated_normals == (k,)
+        assert face.dim == rank - 1
+        assert matrix_rank([r.entries for r in face.rays]) == rank - 1
+        assert face.rays == tuple(r for r in built.rays
+                                  if dot(normal.entries, r.entries) == 0)
 
 
 def test_double_description_combines_only_adjacent_pairs():

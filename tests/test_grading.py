@@ -13,10 +13,13 @@ from toricflow import (
     classify,
     fixed_locus,
     gcd_all,
+    hilbert_basis,
     matrix_rank,
     primitive,
     straightening_subtori,
 )
+
+from conftest import cone_fixture
 
 
 def n(*entries):
@@ -167,6 +170,17 @@ def test_straightening_subtori_are_parabolic(a2, a3, quadric, line):
             assert classify(mon, p).kind is GradingKind.PARABOLIC
             flipped = classify(mon, -p)
             assert flipped.kind is GradingKind.HYPERBOLIC
+
+
+@pytest.mark.parametrize("name", ["square", "pentagon"])
+def test_straightening_divisors_are_fixed_loci_on_non_simplicial_cones(name):
+    sigma = cone_fixture(name)
+    mon = AffineMonoid(hilbert_basis(sigma.dual()), sigma.rank)
+    assert mon.dual_cone == sigma and len(sigma.rays) > sigma.rank
+    result = straightening_subtori(mon)
+    assert len(result.divisors) == len(sigma.rays)
+    for k, ray in enumerate(sigma.rays):
+        assert result.divisors[k] == fixed_locus(mon, ray)
 
 
 def test_straightening_requires_saturation(cusp):
