@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from toricflow import AlgebraElement, HomogeneousLND
 from toricflow.cli import build_parser, main
 from toricflow.scene import load_scene
 
-from conftest import DUALITY_CONES, QUADRIC_SCENE
+from conftest import CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -438,6 +439,72 @@ def test_report_is_deterministic(quadric_scene_path, capsys):
     code, first, _ = run(capsys, "--scene", quadric_scene_path, "report")
     code, second, _ = run(capsys, "--scene", quadric_scene_path, "report")
     assert first == second
+
+
+# A rank-3 cone scene with two points and one subgroup of each kind, so the
+# report runs every warning and refusal arm: par is parabolic, double is
+# parabolic but not effective, ell is elliptic, flat is degenerate and down
+# is hyperbolic with a parabolic negation.
+_RANK3_SCENE = {
+    "rank": 3,
+    "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2]],
+    "points": {"p": {"torus": [2, "1/3", -1]}, "q": {"torus": [-1, 5, "-7/2"]}},
+    "subgroups": {"par": [1, 0, 0], "ell": [1, 1, 1], "double": [2, 0, 0],
+                  "down": [-1, 0, 0], "flat": [1, 1, 0]},
+}
+_GOLDEN_SCENES = {"quadric": QUADRIC_SCENE, "cusp": CUSP_SCENE,
+                  "rank3": _RANK3_SCENE}
+
+# (scene, argv, exit code, SHA-256 of stdout)
+GOLDEN_RUNS = [
+    ("quadric", ("--format=json", "report"), 0,
+     "008f69329329c886434f22319b0543efb96ce089697734bd11bd72f9e2b5d6ae"),
+    ("quadric", ("--format=text", "report"), 0,
+     "de8170ce0841c13fceb0bf3bd3ac7fbce93652f8b2d4e1ac76a78d9a88fbe56f"),
+    ("quadric", ("verify", "--point=p", "--l=vertical"), 0,
+     "f84d059f7bf312c473a16d843bd0673ee334383a365035c27bc9cd222ec8ba1c"),
+    ("quadric", ("classify", "--l=vertical"), 0,
+     "82aaf8f7febf66e8a7eda7cdf96a1edf77494e4bbefdcdda8dba3dd79b3efa7d"),
+    ("quadric", ("lnd", "--root=0,-1"), 0,
+     "29a7207894711e135c6c5776297c0562702dbcfb94095b72ccba5828802d5417"),
+    ("quadric", ("roots", "--box=3"), 0,
+     "549c51ffb51d0987ce51080f718cc6ada287c8e10f954527fabd04c1461a0cb8"),
+    ("cusp", ("--format=json", "report"), 0,
+     "0df2b42724293f1bd9daa530f84d44c7f49015aa9803463c5e4b6d420c61af7e"),
+    ("cusp", ("--format=text", "report"), 0,
+     "91b2135fe0ea96d80e4f20061dd0d6ac960778af9c8c14f8f7f80eeb88af5ecc"),
+    ("cusp", ("verify", "--point=p", "--l=l"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cusp", ("classify", "--l=l"), 0,
+     "cba0a15497ec1c8cdc981008c917a8156e022aeeb827e5a08756d3f7b8625888"),
+    ("cusp", ("lnd", "--root=-1"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cusp", ("roots", "--box=3"), 0,
+     "2a268aa5ad3ea3a485ff8459c5e8538fc719fa0d10fc652b90aa4d1558f54cb7"),
+    ("rank3", ("--format=json", "report"), 0,
+     "c8953ebb21aca9f634af643741d67a0ba6947fde46ed44cce771c76b199bfbef"),
+    ("rank3", ("--format=text", "report"), 0,
+     "41a0e5a82564f7e4b1c232b6a758352523227c1e9c8a88077afc770a2f0b529c"),
+    ("rank3", ("verify", "--point=q", "--l=par"), 0,
+     "7c137b607d83c8f784a7a79837924f00e9c9bfe1669ba6ba6cbb47295bcab2aa"),
+    ("rank3", ("classify", "--l=down"), 0,
+     "24b27cc50d200f0c4a39a5b8722fcefce6b3112474d29806906caf97cdf04878"),
+    ("rank3", ("lnd", "--root=0,-1,1"), 0,
+     "79edb66ef743f96d9207a7bfc72abd30125d5a2db844574f39b09051cc55cebd"),
+    ("rank3", ("roots", "--box=3"), 0,
+     "a50a54f2ee88590938fb5a4b45b4e352211f65e51fa99fbba998837141544dfa"),
+]
+
+
+@pytest.mark.parametrize("scene, argv, code, digest", GOLDEN_RUNS)
+def test_output_bytes_match_recorded_digests(tmp_path, capsys, scene, argv,
+                                             code, digest):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_GOLDEN_SCENES[scene]))
+    got_code, out, err = run(capsys, "--scene", str(path), *argv)
+    got = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (got_code, got) == (code, digest), (
+        "new output of %s %s: exit %d, digest %s" % (scene, argv, got_code, got))
 
 
 def test_json_is_parseable_for_all_commands(quadric_scene_path, capsys):
