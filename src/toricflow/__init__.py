@@ -62,7 +62,7 @@ from .orbits import (
     verify_compatible,
 )
 from .scene import Scene, load_scene
-from .report import Report, render_text
+from .report import render_text
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "NotPointed",
     "RANK_LIMIT",
     "RankLimitExceeded",
-    "Report",
     "ResourceError",
     "SaturationResult",
     "Scene",

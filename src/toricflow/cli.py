@@ -24,7 +24,7 @@ from .demazure import roots_in_box
 from .algebra import HomogeneousLND
 from .orbits import (ga_flow_point, limit_point, smallest_root_at_ray,
                      verify_compatible)
-from .report import Report, render_text
+from .report import render_text
 from .scene import load_scene, parse_integers, parse_rational
 
 DEFAULT_ROOT_BOX = 5
@@ -129,7 +129,7 @@ def _verification_doc(rep):
         "gm_samples": _fracs(rep.gm_samples),
         "ga_samples": _fracs(rep.ga_samples),
         "invariants": [_invariant_doc(c) for c in rep.invariant_checks],
-        "limit": None if rep.limit is None else {"coords": _fracs(rep.limit.coords)},
+        "limit": {"coords": _fracs(rep.limit.coords)},
         "flow_parameter": _frac(rep.flow_parameter),
         "reached_exactly": rep.reached_exactly,
         "notes": list(rep.notes),
@@ -301,96 +301,56 @@ def cmd_verify(scene, args):
     if args.ss is not None:
         kwargs["ga_samples"] = tuple(parse_rational(x, "--ss") for x in args.ss.split(","))
     rep = verify_compatible(mon, subgroup, point, **kwargs)
-    doc = _verification_doc(rep)
-    doc["point_name"] = args.point
-    return {"command": "verify", "scene_digest": scene.digest, **doc}
-
-
-def _classification_section(scene, warnings):
-    section = {}
-    mon = scene.monoid()
-    for name in sorted(scene.subgroups):
-        subgroup = scene.subgroups[name]
-        grading = classify(mon, subgroup)
-        section[name] = _grading_doc(mon, grading)
-        section[name]["subgroup"] = _vec(subgroup)
-        if not grading.effective:
-            warnings.append("subgroup %s acts with degree gcd %d, not effectively"
-                            % (name, grading.degree_gcd))
-        if grading.kind is GradingKind.HYPERBOLIC:
-            flipped = classify(mon, -subgroup)
-            if flipped.kind is GradingKind.PARABOLIC:
-                warnings.append("subgroup %s is hyperbolic for the t->0 "
-                                "convention, but its negation is parabolic"
-                                % name)
-    return section
-
-
-def _witness_section(scene, classification):
-    section = {}
-    mon = scene.monoid()
-    for name in sorted(scene.subgroups):
-        if classification[name]["kind"] != GradingKind.PARABOLIC.value:
-            continue
-        ray_index = classification[name]["ray_index"]
-        root, _ = smallest_root_at_ray(mon.dual_cone, ray_index)
-        section[name] = _lnd_doc(HomogeneousLND(mon, root))
-    return section
-
-
-def _verification_section(scene):
-    entries = []
-    facts = []
-    seen_facts = set()
-    points = ({name: scene.point(name) for name in sorted(scene.point_coords)}
-              if scene.subgroups else {})
-    for sname in sorted(scene.subgroups):
-        for pname, point in points.items():
-            entry = {"subgroup_name": sname, "point_name": pname}
-            try:
-                rep = verify_compatible(scene.monoid(), scene.subgroups[sname], point)
-            except (NormalityRequired, NotParabolic) as error:
-                entry.update(verdict="refused", reason=error.verdict,
-                             detail=str(error))
-            else:
-                entry.update(_verification_doc(rep))
-                for fact in entry.pop("derived_facts"):
-                    if fact["fact"] not in seen_facts:
-                        seen_facts.add(fact["fact"])
-                        facts.append(fact)
-            entries.append(entry)
-    return entries, facts
+    return {"command": "verify", "scene_digest": scene.digest,
+            **_verification_doc(rep), "point_name": args.point}
 
 
 def cmd_report(scene, args):
     _check_box(args.box)
-    warnings = []
+    classification, witness_lnd, verification, warnings, facts = {}, {}, [], [], {}
     mon = scene.monoid()
     saturation = mon.saturation()
     if not saturation.saturated:
-        warnings.append("monoid is not saturated, witness %s; straightening "
-                        "and flow verification are refused"
-                        % (_vec(saturation.witness),))
-    classification = _classification_section(scene, warnings)
-    if saturation.saturated:
-        straightening = _straightening_doc(mon, straightening_subtori(mon))
-        witness_lnd = _witness_section(scene, classification)
-    else:
-        straightening = None
-        witness_lnd = {}
-    roots_section = {"box": args.box, **_roots_doc(scene, args.box)}
-    verification, facts = _verification_section(scene)
-    report = Report(
-        scene_digest=scene.digest,
-        classification=classification,
-        straightening=straightening,
-        roots=roots_section,
-        witness_lnd=witness_lnd,
-        verification=verification,
-        warnings=warnings,
-        derived_facts=facts,
-    )
-    return report.to_dict()
+        warnings.append("monoid is not saturated, witness %s; straightening and flow "
+                        "verification are refused" % (_vec(saturation.witness),))
+    points = ({name: scene.point(name) for name in sorted(scene.point_coords)}
+              if scene.subgroups else {})
+    for name in sorted(scene.subgroups):
+        subgroup = scene.subgroups[name]
+        grading = classify(mon, subgroup)
+        classification[name] = dict(_grading_doc(mon, grading), subgroup=_vec(subgroup))
+        if not grading.effective:
+            warnings.append("subgroup %s acts with degree gcd %d, not effectively"
+                            % (name, grading.degree_gcd))
+        if (grading.kind is GradingKind.HYPERBOLIC
+                and classify(mon, -subgroup).kind is GradingKind.PARABOLIC):
+            warnings.append("subgroup %s is hyperbolic for the t->0 "
+                            "convention, but its negation is parabolic" % name)
+        if saturation.saturated and grading.kind is GradingKind.PARABOLIC:
+            root, _ = smallest_root_at_ray(mon.dual_cone, grading.ray_index)
+            witness_lnd[name] = _lnd_doc(HomogeneousLND(mon, root))
+        for pname, point in points.items():
+            entry = {"subgroup_name": name, "point_name": pname}
+            try:
+                entry.update(_verification_doc(verify_compatible(mon, subgroup, point)))
+            except (NormalityRequired, NotParabolic) as error:
+                entry.update(verdict="refused", reason=error.verdict, detail=str(error))
+            for fact in entry.pop("derived_facts", ()):
+                facts.setdefault(fact["fact"], fact)
+            verification.append(entry)
+    # The roots scan runs after the loop, so that a witness search that
+    # trips the root step cap is the error reported, not the wider scan.
+    return {
+        "scene_digest": scene.digest,
+        "classification": classification,
+        "straightening": (_straightening_doc(mon, straightening_subtori(mon))
+                          if saturation.saturated else None),
+        "roots": {"box": args.box, **_roots_doc(scene, args.box)},
+        "witness_lnd": witness_lnd,
+        "verification": verification,
+        "warnings": warnings,
+        "derived_facts": list(facts.values()),
+    }
 
 
 _L = ("--l", {"required": True,

@@ -1,30 +1,4 @@
-"""Report document: fixed key set, JSON-plain values, lossless round trip."""
-
-from dataclasses import dataclass
-
-REPORT_KEYS = ("scene_digest", "classification", "straightening", "roots",
-               "witness_lnd", "verification", "warnings", "derived_facts")
-
-
-@dataclass
-class Report:
-    scene_digest: str
-    classification: dict
-    straightening: object
-    roots: dict
-    witness_lnd: dict
-    verification: list
-    warnings: list
-    derived_facts: list
-
-    def to_dict(self):
-        return {key: getattr(self, key) for key in REPORT_KEYS}
-
-    @classmethod
-    def from_dict(cls, data):
-        if set(data) != set(REPORT_KEYS):
-            raise ValueError("report needs exactly the keys %s" % (REPORT_KEYS,))
-        return cls(**{key: data[key] for key in REPORT_KEYS})
+"""Plain-text rendering of the JSON-plain documents the commands print."""
 
 
 def _scalar(value):

@@ -14,6 +14,7 @@ because point coordinates are indexed against it.
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .cones import Cone
@@ -23,6 +24,7 @@ from .monoid import AffineMonoid, hilbert_basis
 from .orbits import torus_point
 
 _TOP_KEYS = {"rank", "cone_rays", "monoid_generators", "points", "subgroups"}
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _shown(value):
@@ -32,11 +34,13 @@ def _shown(value):
 
 
 def parse_rational(value, where):
-    """An exact rational from an integer or a string such as '7/3'."""
+    """An exact rational from an integer or a string such as '-7/3', not '1e9'."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if not _RATIONAL.fullmatch(value):
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise SceneError("%s: cannot parse rational %s" % (where, _shown(value)))
@@ -107,7 +111,7 @@ class Scene:
         if not isinstance(points, dict):
             raise SceneError("points must be an object")
         for name, body in points.items():
-            where = "points[%r]" % name
+            where = "points[%s]" % _shown(name)
             if not isinstance(body, dict) or set(body) != {"torus"}:
                 raise SceneError("%s: a point is {\"torus\": [...]}" % where)
             values = body["torus"]
@@ -123,10 +127,10 @@ class Scene:
         if not isinstance(subgroups, dict):
             raise SceneError("subgroups must be an object")
         for name, vec in subgroups.items():
-            entries = _int_vector(vec, rank, "subgroups[%r]" % name)
+            entries = _int_vector(vec, rank, "subgroups[%s]" % _shown(name))
             if all(e == 0 for e in entries):
-                raise SceneError("subgroups[%r]: the zero vector does not grade"
-                                 % name)
+                raise SceneError("subgroups[%s]: the zero vector does not grade"
+                                 % _shown(name))
             self.subgroups[name] = LatticeVector(entries, N_SIDE)
 
         self.raw = raw
@@ -174,7 +178,7 @@ class Scene:
     def point(self, name):
         if name not in self.point_coords:
             raise SceneError("unknown point %s; scene defines %s"
-                             % (_shown(name), sorted(self.point_coords)))
+                             % (_shown(name), _shown(sorted(self.point_coords))))
         return torus_point(self.monoid(), self.point_coords[name])
 
     def subgroup_vector(self, text):

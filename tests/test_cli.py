@@ -545,7 +545,17 @@ def test_rejected_values_are_echoed_cut_short(tmp_path, capsys):
     deep.write_text(json.dumps(dict(QUADRIC_SCENE, points={"p": {"torus": [nested, 1]}})))
     quadric = tmp_path / "quadric.json"
     quadric.write_text(json.dumps(QUADRIC_SCENE))
+    long_name = "n" * 5000
+    named = {"zero_point": {"points": {long_name: {"torus": [0, 1]}}},
+             "zero_subgroup": {"subgroups": {long_name: [0, 0]}},
+             "other_point": {"points": {long_name: {"torus": [1, 1]}}}}
+    for key, change in named.items():
+        (tmp_path / (key + ".json")).write_text(json.dumps(dict(QUADRIC_SCENE, **change)))
     for argv in (["--scene", str(deep), "dual"],
+                 ["--scene", str(tmp_path / "zero_point.json"), "dual"],
+                 ["--scene", str(tmp_path / "zero_subgroup.json"), "dual"],
+                 ["--scene", str(tmp_path / "other_point.json"), "flow", "--point", "p",
+                  "--root=0,-1", "--s", "1"],
                  ["--scene", str(quadric), "flow", "--point", "p", "--root=0,-1",
                   "--s", "x" * 5000],
                  ["--scene", str(quadric), "classify", "--l", ",".join(["1"] * 2500)],
@@ -554,6 +564,44 @@ def test_rejected_values_are_echoed_cut_short(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
         assert len(err) < 200, err
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1.5", "1_000"])
+def test_only_integer_and_fraction_strings_are_rationals(tmp_path, capsys, value):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(dict(QUADRIC_SCENE, points={"p": {"torus": [value, 1]}})))
+    quadric = tmp_path / "quadric.json"
+    quadric.write_text(json.dumps(QUADRIC_SCENE))
+    verify = ["--scene", str(quadric), "verify", "--point", "p", "--l", "vertical"]
+    for argv in (["--scene", str(scene), "dual"],
+                 ["--scene", str(quadric), "flow", "--point", "p", "--root=0,-1",
+                  "--s", value],
+                 verify + ["--ts", "2," + value],
+                 verify + ["--ss", value]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: SceneError:") and err.count("\n") == 1, err
+        assert "cannot parse rational %r" % value in err
+
+
+@pytest.mark.parametrize("ray", ["99", "-1"])
+def test_roots_ray_out_of_range(quadric_scene_path, capsys, ray):
+    code, out, err = run(capsys, "--scene", quadric_scene_path, "roots", "--ray", ray)
+    assert code == 2 and out == ""
+    assert err == "error: SceneError: ray index %s out of range, cone has 2 rays\n" % ray
+
+
+def test_readme_classify_example_matches_the_cli(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    command = readme[readme.index("## Command line"):]
+    scene, _, rest = command.partition("With that file as `quadric.json`:")
+    example = rest.partition("```json\n")[2].partition("```")[0]
+    path = tmp_path / "quadric.json"
+    path.write_text(scene.partition("```json\n")[2].partition("```")[0])
+    assert "classify --l vertical" in rest.partition("```json")[0]
+    code, out, err = run(capsys, "--scene", str(path), "classify", "--l", "vertical")
+    assert code == 0, err
+    assert out == example
 
 
 _A3_SCENE = {"rank": 3, "monoid_generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}

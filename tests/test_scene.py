@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricflow import Report, SceneError, load_scene, render_text
+from toricflow import SceneError, load_scene, render_text
+from toricflow.scene import parse_rational
 
 from conftest import A2_SCENE, CUSP_SCENE, QUADRIC_SCENE
 
@@ -32,6 +33,20 @@ def test_scene_accepts_rational_strings():
         "rank": 1, "monoid_generators": [[1]],
         "points": {"p": {"torus": ["-3/2"]}}}))
     assert scene.point("p").coords == (Fraction(-3, 2),)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-7/3", Fraction(-7, 3)), ("+3", Fraction(3)), ("0", Fraction(0)),
+    ("12/8", Fraction(3, 2))])
+def test_parse_rational_reads_integers_and_fractions(text, value):
+    assert parse_rational(text, "x") == value
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1.5", "1_000", " 1", "1/",
+                                  "/2", "1/-2", "\u0661", "1/0"])
+def test_parse_rational_refuses_other_forms(text):
+    with pytest.raises(SceneError, match="x: cannot parse rational"):
+        parse_rational(text, "x")
 
 
 @pytest.mark.parametrize("raw,fragment", [
@@ -103,34 +118,6 @@ def test_primary_cone_follows_scene_kind():
 def test_cusp_scene_builds_but_is_unsaturated():
     scene = load_scene(json.dumps(CUSP_SCENE))
     assert not scene.monoid().saturation().saturated
-
-
-REPORT_DOC = {
-    "scene_digest": "x" * 64,
-    "classification": {"l": {"kind": "Parabolic"}},
-    "straightening": None,
-    "roots": {"box": 5, "count": 0, "by_ray": [], "roots": []},
-    "witness_lnd": {},
-    "verification": [],
-    "warnings": ["w"],
-    "derived_facts": [],
-}
-
-
-def test_report_round_trip():
-    report = Report.from_dict(REPORT_DOC)
-    assert report.to_dict() == REPORT_DOC
-    assert list(report.to_dict()) == [
-        "scene_digest", "classification", "straightening", "roots",
-        "witness_lnd", "verification", "warnings", "derived_facts"]
-
-
-def test_report_requires_exact_keys():
-    with pytest.raises(ValueError):
-        Report.from_dict({"scene_digest": "x"})
-    extra = dict(REPORT_DOC, stray=1)
-    with pytest.raises(ValueError):
-        Report.from_dict(extra)
 
 
 def test_render_text_shapes():
