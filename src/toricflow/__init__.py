@@ -47,7 +47,7 @@ from .grading import (
     fixed_locus,
     straightening_subtori,
 )
-from .demazure import DemazureRoot, is_root, root_growth_witness, roots_in_box
+from .demazure import DemazureRoot, is_root, roots_in_box
 from .algebra import AlgebraElement, HomogeneousLND
 from .orbits import (
     CompatibilityReport,
@@ -118,7 +118,6 @@ __all__ = [
     "pairing",
     "primitive",
     "render_text",
-    "root_growth_witness",
     "roots_in_box",
     "smallest_root_at_ray",
     "straightening_subtori",

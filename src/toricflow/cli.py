@@ -308,6 +308,7 @@ def cmd_verify(scene, args):
 def cmd_report(scene, args):
     _check_box(args.box)
     classification, witness_lnd, verification, warnings, facts = {}, {}, [], [], {}
+    roots_at = {}  # ray index -> (root, box), one first-root search per ray
     mon = scene.monoid()
     saturation = mon.saturation()
     if not saturation.saturated:
@@ -327,12 +328,15 @@ def cmd_report(scene, args):
             warnings.append("subgroup %s is hyperbolic for the t->0 "
                             "convention, but its negation is parabolic" % name)
         if saturation.saturated and grading.kind is GradingKind.PARABOLIC:
-            root, _ = smallest_root_at_ray(mon.dual_cone, grading.ray_index)
-            witness_lnd[name] = _lnd_doc(HomogeneousLND(mon, root))
+            if grading.ray_index not in roots_at:
+                roots_at[grading.ray_index] = smallest_root_at_ray(
+                    mon.dual_cone, grading.ray_index)
+            witness_lnd[name] = _lnd_doc(HomogeneousLND(mon, roots_at[grading.ray_index][0]))
         for pname, point in points.items():
             entry = {"subgroup_name": name, "point_name": pname}
             try:
-                entry.update(_verification_doc(verify_compatible(mon, subgroup, point)))
+                entry.update(_verification_doc(verify_compatible(
+                    mon, subgroup, point, root=roots_at.get(grading.ray_index))))
             except (NormalityRequired, NotParabolic) as error:
                 entry.update(verdict="refused", reason=error.verdict, detail=str(error))
             for fact in entry.pop("derived_facts", ()):

@@ -218,18 +218,3 @@ def roots_in_box(sigma, bound, ray_index=None):
     budget = StepBudget("root enumeration at max-norm %d" % bound, "; lower --box")
     return [DemazureRoot(LatticeVector(e, M_SIDE), i)
             for i in indices for e in lift_roots(rays, i, bound, budget)]
-
-
-def root_growth_witness(sigma, ray_index, small, large):
-    """Root counts at the distinguished ray for two box sizes.
-
-    Strict growth of the pair witnesses an infinite root set.  Undefined
-    in rank one, where each ray has exactly one root.
-    """
-    if sigma.rank < 2:
-        raise ValueError("root sets at a fixed ray are finite in rank one")
-    if not small < large:
-        raise ValueError("box sizes must increase")
-    at_small = len(roots_in_box(sigma, small, ray_index))
-    at_large = len(roots_in_box(sigma, large, ray_index))
-    return at_small, at_large

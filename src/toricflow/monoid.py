@@ -182,9 +182,7 @@ class AffineMonoid:
         as a coefficient tuple, or None.  Deterministic: depth-first in
         generator order, first success wins.
         """
-        target = tuple(int(e) for e in (u.entries if isinstance(u, LatticeVector) else u))
-        if len(target) != self.rank:
-            raise ValueError("rank mismatch")
+        target = self._entries(u)
         memo = self._decompositions
         if not self.weight_cone.contains_tuple(target):
             return None
@@ -219,7 +217,18 @@ class AffineMonoid:
             stack.pop()
         return memo[target]
 
+    def _entries(self, u):
+        entries = tuple(int(e) for e in (u.entries if isinstance(u, LatticeVector) else u))
+        if len(entries) != self.rank:
+            raise ValueError("rank mismatch")
+        return entries
+
     def contains(self, u):
+        """Whether u is a monoid member: once saturation() has found the
+        monoid saturated, it is weight_cone ∩ M and this is the cone's facet
+        test; otherwise u is decomposed."""
+        if self._saturation is not None and self._saturation.saturated:
+            return self.weight_cone.contains_tuple(self._entries(u))
         return self.decompose(u) is not None
 
     def hilbert_basis(self):

@@ -205,7 +205,9 @@ def smallest_root_at_ray(sigma, ray_index):
 
 @dataclass(frozen=True)
 class InvariantCheck:
-    """One degree-zero generator checked for constancy along both actions."""
+    """One degree-zero generator u.  gm_values and ga_values follow the closed
+    forms t^u*t0^<l,u> and t^u*(1 + s*t^e)^<p,u>, so constant holds by form;
+    annihilated, d(chi^u) = 0, and the report's reached_exactly certify."""
 
     exponent: LatticeVector
     base_value: Fraction
@@ -243,16 +245,17 @@ DEFAULT_GA_SAMPLES = (Fraction(1), Fraction(-1), Fraction(7, 3))
 
 def verify_compatible(mon, subgroup, point,
                       gm_samples=DEFAULT_GM_SAMPLES,
-                      ga_samples=DEFAULT_GA_SAMPLES):
+                      ga_samples=DEFAULT_GA_SAMPLES, root=None):
     """Certify that the additive flow of a smallest root at the
     distinguished ray is compatible with the multiplicative action.
 
-    Requires a saturated monoid, a parabolic grading and a torus point.
-    The certificate checks, all in exact arithmetic: the degree-zero
-    generator coordinates are constant along both sampled actions and are
-    annihilated by the derivation; the limit point at t -> 0 exists; and
-    the flow reaches that limit exactly at the flow time s* = -chi^(-e)(t),
-    where every factor 1 + s*t^e of the closed form vanishes.
+    Requires a saturated monoid, a parabolic grading and a torus point;
+    root, smallest_root_at_ray's (root, box) at that ray, is searched for
+    when None.  What certifies: the derivation annihilates each degree-zero
+    generator, and the flow reaches the limit point at t -> 0 exactly at
+    s* = -chi^(-e)(t), where every factor 1 + s*t^e vanishes.  A parabolic
+    l is a positive multiple of p, so the degree-zero values sampled from
+    the closed forms of gm_scale and ga_flow_point are constant by form.
     """
     saturation = mon.saturation()
     if not saturation.saturated:
@@ -271,21 +274,20 @@ def verify_compatible(mon, subgroup, point,
         raise ValueError("multiplicative samples must be nonzero")
 
     ray_index = grading.ray_index
-    ray = mon.dual_cone.rays[ray_index]
-    root, root_box = smallest_root_at_ray(mon.dual_cone, ray_index)
+    root, root_box = root or smallest_root_at_ray(mon.dual_cone, ray_index)
+    if root.ray_index != ray_index:
+        raise ValueError("the root is not at the distinguished ray")
     lnd = HomogeneousLND(mon, root)
-
-    scaled = [gm_scale(mon, subgroup, t, point) for t in gm_samples]
-    flowed = [ga_flow_point(lnd, s, point) for s in ga_samples]
+    root_value = character_value(point.provenance[1], root.vector.entries)
 
     checks = []
-    degrees = [lnd.degree(g) for g in mon.generators]
-    for j, g in enumerate(mon.generators):
-        if degrees[j] != 0:
+    for g, base in zip(mon.generators, point.coords):
+        k = lnd.degree(g)
+        if k:
             continue
-        base = point.coords[j]
-        gm_values = tuple(q.coords[j] for q in scaled)
-        ga_values = tuple(q.coords[j] for q in flowed)
+        weight = dot(subgroup.entries, g.entries)
+        gm_values = tuple(base * t0 ** weight for t0 in gm_samples)
+        ga_values = tuple(base * (1 + s * root_value) ** k for s in ga_samples)
         constant = all(v == base for v in gm_values + ga_values)
         annihilated = lnd.apply(AlgebraElement.monomial(mon, g)).is_zero
         checks.append(InvariantCheck(g, base, gm_values, ga_values,
@@ -294,7 +296,7 @@ def verify_compatible(mon, subgroup, point,
     limit = limit_point(mon, subgroup, point)
     assert limit is not None, "parabolic gradings always have limits"
 
-    flow_parameter = -1 / character_value(point.provenance[1], root.vector.entries)
+    flow_parameter = -1 / root_value
     reached = ga_flow_point(lnd, flow_parameter, point).coords == limit.coords
 
     passed = all(c.constant and c.annihilated for c in checks) and reached
@@ -321,7 +323,7 @@ def verify_compatible(mon, subgroup, point,
         point=point,
         grading=grading,
         ray_index=ray_index,
-        ray=ray,
+        ray=mon.dual_cone.rays[ray_index],
         root=root,
         root_box=root_box,
         invariant_checks=tuple(checks),

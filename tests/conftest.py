@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from toricflow import (AffineMonoid, AlgebraElement, Cone, HomogeneousLND,
                        LatticeVector, M_SIDE, N_SIDE, NotFullDimensional,
-                       NotPointed, dot, evaluate, matrix_rank)
+                       NotPointed, dot, evaluate, matrix_rank, roots_in_box)
 from toricflow.lattice import primitive_tuple
 
 settings.register_profile(
@@ -170,6 +170,21 @@ def slice_scan_roots(sigma, bound, ray_index=None):
             if [v for v in values if v < 0] == [-1] and values[i] == -1:
                 found.append((i, point))
     return sorted(found)
+
+
+def root_growth_witness(sigma, ray_index, small, large):
+    """Root counts at the distinguished ray for two box sizes.
+
+    Strict growth of the pair witnesses an infinite root set.  Undefined
+    in rank one, where each ray has exactly one root.
+    """
+    if sigma.rank < 2:
+        raise ValueError("root sets at a fixed ray are finite in rank one")
+    if not small < large:
+        raise ValueError("box sizes must increase")
+    at_small = len(roots_in_box(sigma, small, ray_index))
+    at_large = len(roots_in_box(sigma, large, ray_index))
+    return at_small, at_large
 
 
 _BOX_SCAN_CAP = 400_000

@@ -32,14 +32,14 @@ from toricflow import (
     matrix_rank,
     primitive,
     roots_in_box,
-    root_growth_witness,
     straightening_subtori,
     torus_point,
     verify_compatible,
 )
 from toricflow.cli import main as cli_main
 
-from conftest import CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, cone_fixture
+from conftest import (CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, cone_fixture,
+                      root_growth_witness)
 
 
 @contextmanager

@@ -374,10 +374,13 @@ def _thin_rank3_scene(tmp_path, k, point):
     return str(path)
 
 
-# At k = 3000 the point has t_0 = 1, so that t^e = 1/2 and the flow's
-# factor (1 + s*t^e)^k stays a small rational.
+# At k = 3000 the point (1,2,3) has t^e = 1/2, so the flow's factor
+# (1 + s*t^e)^k stays a small rational.  The point (2,3,5) has
+# t^e = 2^2999/3: verification raises no sampled factor to the k-th power,
+# so this case stays fast too.
 @pytest.mark.parametrize("k, point, box", [(400, ["2", "3", "5"], 640),
-                                           (3000, ["1", "2", "3"], 5120)])
+                                           (3000, ["1", "2", "3"], 5120),
+                                           (3000, ["2", "3", "5"], 5120)])
 def test_verify_finds_far_first_roots(tmp_path, capsys, k, point, box):
     doc = run_json(capsys, "--scene", _thin_rank3_scene(tmp_path, k, point), "verify",
                    "--l", "l", "--point", "p")
@@ -397,6 +400,17 @@ def test_exit_code_4_root_search_names_no_box_flag(tmp_path, capsys, monkeypatch
     assert "--box" not in err
     for part in ("(1, 400, 0)", "reached 31 steps", "ROOT_STEP_CAP = 30"):
         assert part in err
+
+
+def test_exit_code_4_report_root_search_names_no_box_flag(tmp_path, capsys, monkeypatch):
+    # report runs the witness search before any verification and before the
+    # roots scan, so its error is the one reported
+    monkeypatch.setattr(toricflow.demazure, "ROOT_STEP_CAP", 30)
+    code, out, err = run(capsys, "--scene", _thin_rank3_scene(tmp_path, 400, ["2", "3", "5"]),
+                         "report")
+    assert (code, out) == (4, "")
+    assert err == ("error: BoundExceeded: the search for a root at ray (1, 400, 0) "
+                   "reached 31 steps, over ROOT_STEP_CAP = 30\n")
 
 
 def test_python_dash_m_runs_the_cli(quadric_scene_path):
@@ -494,6 +508,27 @@ GOLDEN_RUNS = [
     ("rank3", ("roots", "--box=3"), 0,
      "a50a54f2ee88590938fb5a4b45b4e352211f65e51fa99fbba998837141544dfa"),
 ]
+
+
+def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
+    calls = []
+    search = toricflow.orbits.smallest_root_at_ray
+
+    def counted(sigma, ray_index):
+        calls.append(ray_index)
+        return search(sigma, ray_index)
+
+    monkeypatch.setattr(toricflow.orbits, "smallest_root_at_ray", counted)
+    monkeypatch.setattr(toricflow.cli, "smallest_root_at_ray", counted)
+    path = tmp_path / "rank3.json"
+    path.write_text(json.dumps(_RANK3_SCENE))
+    doc = run_json(capsys, "--scene", str(path), "report")
+    # par and double are parabolic at ray 1, each verified at two points
+    rays = {c["ray_index"] for c in doc["classification"].values()
+            if c["kind"] == "Parabolic"}
+    assert rays == {1}
+    assert sum(v["verdict"] == "pass" for v in doc["verification"]) == 4
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("scene, argv, code, digest", GOLDEN_RUNS)

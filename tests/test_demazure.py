@@ -11,13 +11,13 @@ from toricflow import (
     N_SIDE,
     NotFullDimensional,
     is_root,
-    root_growth_witness,
     roots_in_box,
     smallest_root_at_ray,
 )
 from toricflow import demazure
 
-from conftest import DUALITY_CONES, box_scan_roots, cone_fixture, slice_scan_roots
+from conftest import (DUALITY_CONES, box_scan_roots, cone_fixture,
+                      root_growth_witness, slice_scan_roots)
 
 ROOT_CONES = ["quadrant", "quadric", "wide", "octant", "square"]
 

@@ -11,16 +11,20 @@ from toricflow import (
     AffineMonoid,
     BoundExceeded,
     Cone,
+    HomogeneousLND,
+    IllDefinedRoot,
     M_SIDE,
     N_SIDE,
     NotEffective,
     NotFullDimensional,
     NotPointed,
     RankLimitExceeded,
+    dot,
     hilbert_basis,
+    roots_in_box,
 )
 
-from conftest import box_scan_hilbert_basis, cone_fixture
+from conftest import FLOW_CASES, box_scan_hilbert_basis, cone_fixture
 
 
 def test_doctests():
@@ -250,6 +254,70 @@ def test_saturation_witnesses(a2, quadric, cusp):
     result = gapped.saturation()
     assert not result.saturated
     assert result.witness.entries == (1, 1)
+
+
+def _hexagon_weight_monoid():
+    hexagon = [(1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 2, 2), (1, 1, 2), (1, 0, 1)]
+    return AffineMonoid(hilbert_basis(Cone.from_rays(hexagon, 3, M_SIDE)), 3)
+
+
+def _holed_square_monoid():
+    # the lattice points of the square [0,2]^2 at height one, minus its centre
+    return AffineMonoid([(1, x, y) for x in range(3) for y in range(3)
+                         if (x, y) != (1, 1)], 3)
+
+
+# name: (builder, saturated)
+MEMBERSHIP_MONOIDS = {
+    "quadric": (lambda: AffineMonoid([(1, 0), (1, 1), (1, 2)], 2), True),
+    "a2": (lambda: AffineMonoid([(1, 0), (0, 1)], 2), True),
+    "thin50": (lambda: AffineMonoid(FLOW_CASES["thin50"][0], 2), True),
+    "hexagon": (_hexagon_weight_monoid, True),
+    "cusp": (lambda: AffineMonoid([(2,), (3,)], 1), False),
+    "gapped": (lambda: AffineMonoid([(1, 0), (1, 2), (1, 3)], 2), False),
+    "holed-square": (_holed_square_monoid, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_MONOIDS))
+def test_contains_matches_decompose_after_saturation(name, monkeypatch):
+    build, saturated = MEMBERSHIP_MONOIDS[name]
+    mon = build()
+    assert mon.saturation().saturated is saturated
+    if saturated:
+        # a saturated monoid is weight_cone ∩ M: contains never decomposes
+        def refuse(u):
+            raise AssertionError("decompose called on a saturated monoid")
+        monkeypatch.setattr(mon, "decompose", refuse)
+    box = range(-6, 7)
+    members = 0
+    for u in product(box, repeat=mon.rank):
+        expected = AffineMonoid.decompose(mon, u) is not None
+        assert mon.contains(u) is expected, u
+        members += expected
+    assert members > 1
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_MONOIDS))
+def test_ill_defined_roots_unchanged_by_saturation(name):
+    build, saturated = MEMBERSHIP_MONOIDS[name]
+    mon, fresh = build(), build()
+    mon.saturation()
+    outcomes = []
+    for root in roots_in_box(mon.dual_cone, 3):
+        ray = mon.dual_cone.rays[root.ray_index].entries
+        ill = any(dot(ray, g.entries) > 0 and fresh.decompose(g + root.vector) is None
+                  for g in fresh.generators)
+        raised = []
+        for monoid in (mon, fresh):
+            try:
+                HomogeneousLND(monoid, root)
+                raised.append(False)
+            except IllDefinedRoot:
+                raised.append(True)
+        assert raised == [ill, ill], root
+        outcomes.append(ill)
+    assert outcomes and any(outcomes) is not saturated
 
 
 def test_relation_lattice(a2, quadric):

@@ -13,6 +13,7 @@ from toricflow import (
     NormalityRequired,
     NotParabolic,
     ToricPoint,
+    classify,
     evaluate,
     ga_flow_point,
     gm_scale,
@@ -178,6 +179,51 @@ def test_ga_flow_point_at_solved_parameter_matches_pullback(name, subgroup, t):
     j = next(j for j, g in enumerate(mon.generators) if lnd.degree(g) == 1)
     slope = character_value(t, (mon.generators[j] + report.root.vector).entries)
     assert report.flow_parameter == (report.limit.coords[j] - point.coords[j]) / slope
+
+
+_PARABOLIC_FLOW_CASES = [("quadric", (0, 1)), ("a2", (1, 0)), ("thin50", (1, 0)),
+                         ("thin50", (1, 50))]
+
+
+# The full scaled and flowed points that verify_compatible no longer
+# builds are the oracle for its closed-form invariant values.
+@pytest.mark.parametrize("name, subgroup", _PARABOLIC_FLOW_CASES,
+                         ids=["quadric", "a2", "thin50-near", "thin50-wide"])
+@pytest.mark.parametrize("samples", ["default", "custom", "vanishing"])
+def test_invariant_values_match_full_points(name, subgroup, samples):
+    mon, _ = flow_case(name)
+    subgroup = n(*subgroup)
+    point = torus_point(mon, (3, Fraction(-2, 5)))
+    kwargs = {}
+    if samples == "custom":
+        kwargs = {"gm_samples": (5, Fraction(-1, 3)), "ga_samples": (Fraction(1, 7), -4)}
+    elif samples == "vanishing":
+        # the flow time s* at which every factor 1 + s*t^e is zero
+        root, _ = smallest_root_at_ray(mon.dual_cone, classify(mon, subgroup).ray_index)
+        root_value = character_value(point.provenance[1], root.vector.entries)
+        kwargs = {"ga_samples": (-1 / root_value, 2)}
+        assert 1 + kwargs["ga_samples"][0] * root_value == 0
+    report = verify_compatible(mon, subgroup, point, **kwargs)
+    assert report.passed
+    lnd = HomogeneousLND(mon, report.root)
+    scaled = [gm_scale(mon, subgroup, t, point) for t in report.gm_samples]
+    flowed = [ga_flow_point(lnd, s, point) for s in report.ga_samples]
+    assert [c.exponent for c in report.invariant_checks] == list(lnd.kernel_generators())
+    for check in report.invariant_checks:
+        j = mon.generators.index(check.exponent)
+        assert check.base_value == point.coords[j]
+        assert check.gm_values == tuple(q.coords[j] for q in scaled)
+        assert check.ga_values == tuple(q.coords[j] for q in flowed)
+
+
+def test_verify_takes_the_root_it_is_given(quadric):
+    point = torus_point(quadric, (3, 2))
+    found = smallest_root_at_ray(quadric.dual_cone, 0)
+    assert verify_compatible(quadric, n(0, 1), point, root=found) == \
+        verify_compatible(quadric, n(0, 1), point)
+    with pytest.raises(ValueError):
+        verify_compatible(quadric, n(0, 1), point,
+                          root=smallest_root_at_ray(quadric.dual_cone, 1))
 
 
 def test_smallest_roots(a2, quadric):
