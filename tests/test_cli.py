@@ -59,6 +59,18 @@ def test_hilbert(quadric_scene_path, capsys):
     assert doc["weight_cone"]["side"] == "M"
 
 
+def test_hilbert_and_dual_on_a_monoid_scene(tmp_path, capsys):
+    # the weight cone of a monoid scene is the cone over its generators; its
+    # Hilbert basis holds (1,1), which is not a generator
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"rank": 2, "monoid_generators": [[1, 0], [1, 2], [1, 3]]}))
+    doc = run_json(capsys, "--scene", str(path), "hilbert")
+    assert doc["hilbert_basis"] == [[1, 0], [1, 1], [1, 2], [1, 3]]
+    doc = run_json(capsys, "--scene", str(path), "dual")
+    assert doc["cone"]["rays"] == [[1, 0], [1, 3]]
+    assert doc["dual"]["rays"] == [[0, 1], [3, -1]]
+
+
 def test_saturation(quadric_scene_path, cusp_scene_path, capsys):
     doc = run_json(capsys, "--scene", quadric_scene_path, "saturation")
     assert doc["saturated"] is True and doc["witness"] is None
@@ -507,6 +519,64 @@ GOLDEN_RUNS = [
      "79edb66ef743f96d9207a7bfc72abd30125d5a2db844574f39b09051cc55cebd"),
     ("rank3", ("roots", "--box=3"), 0,
      "a50a54f2ee88590938fb5a4b45b4e352211f65e51fa99fbba998837141544dfa"),
+    ("quadric", ("dual",), 0,
+     "f2179810a57006d92c40c611ae6e1bcc0ad4d1b2bbdb2a62e0f3dec1daef8be4"),
+    ("cusp", ("dual",), 0,
+     "51ee9d7205972b12c02f264c176b9d9c4c2b0d99ddec27369bc56b5114f4d78d"),
+    ("rank3", ("dual",), 0,
+     "fddfc8b4a40f24df26612a383abd86d0bd3764970416189ec3ad3ef86b96cbf9"),
+    ("quadric", ("facets",), 0,
+     "2403430c132e4aea95fdb72c286efc26e63ffdc3a9487d40e0cbbd582d02edad"),
+    ("cusp", ("facets",), 0,
+     "f85c61f9eb0adaac871bf9e842c8ce7c5cf30c9f5bf010e709fed908fafb6001"),
+    ("rank3", ("facets",), 0,
+     "09c3d66423caba9fafe54a43f79868f02659f38be36458b4d38336177b9a0503"),
+    ("quadric", ("hilbert",), 0,
+     "d5af8cce7441f534168c7c1d8bdff079e6f1f6a073b5c609a1fabcde734e2b99"),
+    ("cusp", ("hilbert",), 0,
+     "a7a242097d6f5c608d6ffd9860d4eafa8a639fe32027d1d28cb8156a1507ad62"),
+    ("rank3", ("hilbert",), 0,
+     "aab58c2edb56ad968d5c7ff9fb2dcecd49ca2302325b698eb8058f5ac789cde8"),
+    ("quadric", ("saturation",), 0,
+     "ab93047a3409df3da04217202ecbbc91910ce8f8d0aeb24c039461d8a1470044"),
+    ("cusp", ("saturation",), 0,
+     "cc8296e02e294eaf8077a591ab48cbfa86b0a9c66a25ca30319129d25ab7b1c2"),
+    ("rank3", ("saturation",), 0,
+     "ab2c1c685273b228dd2a8935dbf48d9848516ee52559a01931531045600623c0"),
+    ("quadric", ("straightening",), 0,
+     "f013efc0180829217bc5579831769f305318acd0273ca739791701c3e97d151d"),
+    ("cusp", ("straightening",), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("rank3", ("straightening",), 0,
+     "9fa28350f1d018c7d43db755b410574033b109cfe0096ddd257184047991d406"),
+    ("quadric", ("flow", "--point=p", "--root=0,-1", "--s=2/3"), 0,
+     "cb078aea285118e8c770d46bd1d1b35e109258feffef07cae90b4092b1e62390"),
+    ("cusp", ("flow", "--point=p", "--root=-1", "--s=2"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("rank3", ("flow", "--point=q", "--root=0,-1,1", "--s=-5/2"), 0,
+     "ff26b097a94712e2376de7eb86d9160788b9c1852b603ef426db18b4c46dde2a"),
+    ("quadric", ("limit", "--point=p", "--l=vertical"), 0,
+     "3052e0ebc95dacac44a0f0c1ad9992c1a0d3eddd8988efc2c3d6c51d9e57be37"),
+    ("cusp", ("limit", "--point=p", "--l=l"), 0,
+     "d3618627b01010ebbce180132f060b2704eb28b8f20df24419eb027305e512c8"),
+    ("rank3", ("limit", "--point=q", "--l=par"), 0,
+     "2d44ddce4db3b3c324dad1c80d3a795fafb973e1f83a2460b2cabbc97f032cac"),
+    ("rank3", ("limit", "--point=p", "--l=ell"), 0,
+     "4ab780f7247cc2497bcbe30a8d86edf4ae983c7bf514eb439b9b6d2ec3f8b147"),
+    ("quadric", ("--format=text", "lnd", "--root=0,-1"), 0,
+     "ac7947204041244d9a0eed80145c9c59670669497f4d56084da07957775883e9"),
+    ("rank3", ("--format=text", "lnd", "--root=0,-1,1"), 0,
+     "da7557daed77d60f9aea59b194ccb2147dea2b802be765c5b671c5b68a6e81dc"),
+    ("quadric", ("--format=text", "verify", "--point=p", "--l=vertical"), 0,
+     "0829c13b3730ac0fc953816e5906cf3ea47e3427efd7ed70ff96ff901691f9de"),
+    ("rank3", ("--format=text", "verify", "--point=q", "--l=par"), 0,
+     "2060969af7f83ac7d31d7065b94715009e912f0558229856adac3cbb6460d799"),
+    ("quadric", ("--format=text", "roots", "--box=3"), 0,
+     "a07517439df584d27600c4bca2711c64a0f8b049c9e9b18250862ae177ca3311"),
+    ("cusp", ("--format=text", "roots", "--box=3"), 0,
+     "1611269d5d56358e1119179f682e91109a73cb42e379bdf844fba3e6dcdc7a7d"),
+    ("rank3", ("--format=text", "roots", "--box=3"), 0,
+     "3b5a8391ec9260931a10dd5c460cd9d898c16cba4e9c3c3f08899ddd665ac535"),
 ]
 
 
