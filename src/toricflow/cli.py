@@ -132,7 +132,7 @@ def _verification_doc(rep):
         "limit": {"coords": _fracs(rep.limit.coords)},
         "flow_parameter": _frac(rep.flow_parameter),
         "reached_exactly": rep.reached_exactly,
-        "notes": list(rep.notes),
+        "notes": [],
         "derived_facts": [dict(f) for f in rep.derived_facts],
     }
 
@@ -140,8 +140,6 @@ def _verification_doc(rep):
 def cmd_dual(scene, args):
     cone = scene.primary_cone()
     return {
-        "command": "dual",
-        "scene_digest": scene.digest,
         "cone": _cone_doc(cone),
         "dual": _cone_doc(cone.dual()),
     }
@@ -150,8 +148,6 @@ def cmd_dual(scene, args):
 def cmd_facets(scene, args):
     cone = scene.primary_cone()
     return {
-        "command": "facets",
-        "scene_digest": scene.digest,
         "cone": _cone_doc(cone),
         "facets": [{"normal_index": index, "normal": _vec(cone.facet_normals[index]),
                     "rays": [_vec(r) for r in face.rays], "dim": face.dim}
@@ -162,8 +158,6 @@ def cmd_facets(scene, args):
 def cmd_hilbert(scene, args):
     cone = scene.weight_cone()
     return {
-        "command": "hilbert",
-        "scene_digest": scene.digest,
         "weight_cone": _cone_doc(cone),
         "hilbert_basis": [_vec(u) for u in hilbert_basis(cone)],
     }
@@ -172,8 +166,6 @@ def cmd_hilbert(scene, args):
 def cmd_saturation(scene, args):
     result = scene.monoid().saturation()
     return {
-        "command": "saturation",
-        "scene_digest": scene.digest,
         "saturated": result.saturated,
         "witness": None if result.witness is None else _vec(result.witness),
     }
@@ -184,8 +176,6 @@ def cmd_classify(scene, args):
     mon = scene.monoid()
     grading = classify(mon, subgroup)
     return {
-        "command": "classify",
-        "scene_digest": scene.digest,
         "subgroup": _vec(subgroup),
         "classification": _grading_doc(mon, grading),
     }
@@ -195,8 +185,6 @@ def cmd_straightening(scene, args):
     mon = scene.monoid()
     result = straightening_subtori(mon)
     return {
-        "command": "straightening",
-        "scene_digest": scene.digest,
         "generators": [_vec(u) for u in mon.generators],
         "subtori": _straightening_doc(mon, result),
     }
@@ -238,8 +226,6 @@ def _roots_doc(scene, box, ray_index=None):
 def cmd_roots(scene, args):
     _check_box(args.box)
     return {
-        "command": "roots",
-        "scene_digest": scene.digest,
         "box": args.box,
         "ray_filter": args.ray,
         **_roots_doc(scene, args.box, args.ray),
@@ -253,8 +239,6 @@ def _lnd_from_arg(scene, text):
 def cmd_lnd(scene, args):
     lnd = _lnd_from_arg(scene, args.root)
     return {
-        "command": "lnd",
-        "scene_digest": scene.digest,
         "lnd": _lnd_doc(lnd),
     }
 
@@ -265,8 +249,6 @@ def cmd_flow(scene, args):
     s = parse_rational(args.s, "--s")
     image = ga_flow_point(lnd, s, point)
     return {
-        "command": "flow",
-        "scene_digest": scene.digest,
         "point": _point_doc(point),
         "root": _root_doc(lnd.root),
         "s": _frac(s),
@@ -280,8 +262,6 @@ def cmd_limit(scene, args):
     subgroup = scene.subgroup_vector(args.l)
     limit = limit_point(mon, subgroup, point)
     return {
-        "command": "limit",
-        "scene_digest": scene.digest,
         "point": _point_doc(point),
         "subgroup": _vec(subgroup),
         "exists": limit is not None,
@@ -301,8 +281,7 @@ def cmd_verify(scene, args):
     if args.ss is not None:
         kwargs["ga_samples"] = tuple(parse_rational(x, "--ss") for x in args.ss.split(","))
     rep = verify_compatible(mon, subgroup, point, **kwargs)
-    return {"command": "verify", "scene_digest": scene.digest,
-            **_verification_doc(rep), "point_name": args.point}
+    return {**_verification_doc(rep), "point_name": args.point}
 
 
 def cmd_report(scene, args):
@@ -345,7 +324,6 @@ def cmd_report(scene, args):
     # The roots scan runs after the loop, so that a witness search that
     # trips the root step cap is the error reported, not the wider scan.
     return {
-        "scene_digest": scene.digest,
         "classification": classification,
         "straightening": (_straightening_doc(mon, straightening_subtori(mon))
                           if saturation.saturated else None),
@@ -427,10 +405,21 @@ def _read_scene(args):
     return load_scene(text)
 
 
+def _document(args):
+    """The header, then the body the command's handler returns; the fixed
+    bytes of `report` have no "command" key.  The scene is dropped on
+    return, before the document is rendered."""
+    scene = _read_scene(args)
+    body = COMMANDS[args.command][0](scene, args)
+    if args.command == "report":
+        return {"scene_digest": scene.digest, **body}
+    return {"command": args.command, "scene_digest": scene.digest, **body}
+
+
 def _output(args):
     """One request's output, rendered in full before any of it is printed."""
     try:
-        payload = COMMANDS[args.command][0](_read_scene(args), args)
+        payload = _document(args)
         if args.format == "json":
             return _dumps(payload) + "\n"
         return render_text(payload)

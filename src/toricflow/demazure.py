@@ -53,12 +53,11 @@ def is_root(sigma, e):
     Returns the DemazureRoot (the distinguished ray is unique when the
     condition holds) or None.
     """
-    if sigma.side != N_SIDE:
-        raise ValueError("roots are taken against an N-side cone")
+    rays = _ray_entries(sigma)
     entries = tuple(int(x) for x in (e.entries if isinstance(e, LatticeVector) else e))
     if len(entries) != sigma.rank:
         raise ValueError("rank mismatch")
-    distinguished = _distinguished_ray([r.entries for r in sigma.rays], entries)
+    distinguished = _distinguished_ray(rays, entries)
     if distinguished is None:
         return None
     return DemazureRoot(LatticeVector(entries, M_SIDE), distinguished)

@@ -49,15 +49,11 @@ class NotParabolic(HypothesisError):
     def __init__(self, kind, detail=""):
         self.kind = kind
         label = getattr(kind, "value", str(kind))
+        self.verdict = "NotParabolic(%s)" % label
         message = "grading is %s, need Parabolic" % label
         if detail:
             message += ": " + detail
         super().__init__(message)
-
-    @property
-    def verdict(self):
-        label = getattr(self.kind, "value", str(self.kind))
-        return "NotParabolic(%s)" % label
 
 
 class IllDefinedRoot(HypothesisError):

@@ -122,12 +122,7 @@ def gcd_all(values):
 
 def primitive(v):
     """Divide out the gcd of the entries.  Direction is never flipped."""
-    g = gcd_all(v.entries)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    if g == 1:
-        return v
-    return LatticeVector(tuple(e // g for e in v.entries), v.side)
+    return LatticeVector(primitive_tuple(v.entries), v.side)
 
 
 def primitive_tuple(entries):
@@ -237,9 +232,7 @@ def integer_kernel(rows):
     for row in reduced[start:]:
         assert all(e == 0 for e in row[:nrows])
         vec = row[nrows:]
-        lead = next((e for e in vec if e != 0), 0)
-        if lead == 0:
-            continue
+        lead = next(e for e in vec if e != 0)
         if lead < 0:
             vec = [-e for e in vec]
         basis.append(tuple(vec))

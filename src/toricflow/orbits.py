@@ -235,7 +235,6 @@ class CompatibilityReport:
     reached_exactly: bool
     gm_samples: tuple
     ga_samples: tuple
-    notes: tuple
     derived_facts: tuple
 
 
@@ -332,6 +331,5 @@ def verify_compatible(mon, subgroup, point,
         reached_exactly=reached,
         gm_samples=gm_samples,
         ga_samples=ga_samples,
-        notes=(),
         derived_facts=derived_facts,
     )

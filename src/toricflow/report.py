@@ -41,24 +41,15 @@ def _walk(value, indent, lines):
             else:
                 lines.append("%s%s:" % (pad, key))
                 _walk(item, indent + 1, lines)
-    elif isinstance(value, list):
-        if not value:
-            lines.append(pad + "(none)")
-            return
+    else:  # a list of dicts: the dict branch writes scalar lists inline
         for item in value:
-            if _is_scalar(item):
-                lines.append(pad + "- " + _scalar(item))
-            elif isinstance(item, list) and _all_scalar(item):
-                lines.append(pad + "- " + _inline(item))
-            else:
-                lines.append(pad + "-")
-                _walk(item, indent + 1, lines)
-    else:
-        lines.append(pad + _scalar(value))
+            lines.append(pad + "-")
+            _walk(item, indent + 1, lines)
 
 
 def render_text(document):
-    """Deterministic plain-text rendering of a JSON-plain document."""
+    """Deterministic plain-text rendering of the dict documents the commands
+    print."""
     lines = []
     _walk(document, 0, lines)
     return "\n".join(lines) + "\n"
