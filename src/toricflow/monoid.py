@@ -10,15 +10,17 @@ lattice points of their cone are detected with an explicit witness.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from .cones import Cone
 from .errors import BoundExceeded, NotEffective, RankLimitExceeded
 from .lattice import (
     LatticeVector,
     M_SIDE,
+    _echelon,
     cofactors,
     det,
-    dot,
     generates_full_lattice,
     integer_kernel,
 )
@@ -27,32 +29,33 @@ HILBERT_RANK_LIMIT = 3
 HILBERT_CANDIDATE_CAP = 400_000
 
 
+def _combine(coefficients, columns):
+    """The list sum(c_i * columns[i]), entrywise over equal-length columns."""
+    total = [0] * len(columns[0])
+    for c, column in zip(coefficients, columns):
+        if c:
+            total = [t + c * x for t, x in zip(total, column)]
+    return total
+
+
 def _parallelepiped_points(simplex):
     """Nonzero lattice points of {sum q_i v_i : 0 <= q_i < 1} for the
     linearly independent rows v_i of simplex; there are |det| - 1 of them.
 
-    A lattice point x has coefficients q = x adj(V) / det(V).  Over the
-    denominator D = |det|, the numerator vectors of all lattice points,
-    taken mod D, form the group Z^d / VZ^d: the closure of the rows of
-    adj(V), the numerators of the unit vectors up to the sign of det, which
-    a group absorbs.  A class c maps back to the point c V / D, whose
-    coefficients c / D lie in [0, 1).
+    The echelon form of the rows spans VZ^d and is upper triangular with
+    positive pivots p_k, so the residue box 0 <= x_k < p_k, worked on as d
+    coordinate columns, holds one point of each class of Z^d / VZ^d, 0 first.
+    A box point x has coefficients q = x adj(V) / det(V); its class meets
+    the parallelepiped in x - sum floor(q_i) v_i, and floor division by the
+    signed det gives floor(q_i) exactly.
     """
-    d = len(simplex)
-    size = abs(det(simplex))
-    steps = [tuple(c % size for c in column) for column in zip(*cofactors(simplex))]
-    zero = (0,) * d
-    seen = {zero}
-    classes = [zero]
-    for c in classes:
-        for step in steps:
-            nxt = tuple((a + b) % size for a, b in zip(c, step))
-            if nxt not in seen:
-                seen.add(nxt)
-                classes.append(nxt)
-    return [tuple(sum(c[i] * simplex[i][k] for i in range(d)) // size
-                  for k in range(d))
-            for c in classes[1:]]
+    rows, _ = _echelon(simplex)
+    size = det(simplex)
+    box = list(zip(*product(*(range(rows[k][k]) for k in range(len(rows))))))
+    floors = [[n // size for n in _combine(row, box)] for row in cofactors(simplex)]
+    points = [[a - b for a, b in zip(x, _combine(column, floors))]
+              for x, column in zip(box, zip(*simplex))]
+    return list(zip(*points))[1:]
 
 
 def hilbert_basis(cone):
@@ -67,14 +70,18 @@ def hilbert_basis(cone):
     simplex, counting the vertex 0.  A cone whose simplices hold more than
     HILBERT_CANDIDATE_CAP of them is refused before enumerating.
 
-    Candidates are reduced in support form, v(u) = (<n, u> for each facet
-    normal n): u - h lies in the cone exactly when v(h) <= v(u)
-    componentwise.  They are taken in increasing level sum(v), and one is
-    kept unless an element kept before it lies below it.  If low is the
-    least level of a candidate, which is the least level of any nonzero
-    cone point, only kept elements of level at most level(u) - low can lie
-    below u; a candidate below level 2*low is kept without a scan.  Rank is
-    capped at HILBERT_RANK_LIMIT.
+    Candidates are reduced in support form, v(u) = (<n_j, u> for each facet
+    normal n_j): u - h lies in the cone exactly when v(h) <= v(u)
+    componentwise.  The form is packed as P(u) = <N, u> = sum_j v_j 2^(Wj),
+    W one bit wider than the largest level sum(v) of a candidate, so every
+    field is below 2^(W-1).  If G holds the top bit of each field,
+    (P(u) | G) - P(h) borrows across no field and keeps field j's top bit
+    exactly when v_j(h) <= v_j(u), so v(h) <= v(u) iff it keeps all of G.
+    Candidates are taken in increasing level, and one is kept unless an
+    element kept before it lies below it.  If low is the least level of a
+    candidate, the least level of any nonzero cone point, only kept elements
+    of level at most level(u) - low can lie below u; a candidate below level
+    2*low is kept without a scan.  Rank is capped at HILBERT_RANK_LIMIT.
 
     >>> c = Cone.from_rays([(1, 0), (1, 2)], 2, M_SIDE)
     >>> [v.entries for v in hilbert_basis(c)]
@@ -99,20 +106,20 @@ def hilbert_basis(cone):
     for simplex in simplices:
         candidates.update(_parallelepiped_points(simplex))
     normals = [h.entries for h in cone.facet_normals]
-    graded = []
-    for u in candidates:
-        v = tuple(dot(h, u) for h in normals)
-        graded.append((sum(v), u, v))
-    graded.sort()
+    total = [sum(column) for column in zip(*normals)]
+    graded = sorted((sum(map(mul, total, u)), u) for u in candidates)
     low = graded[0][0]
+    width = graded[-1][0].bit_length() + 1
+    packed = [sum(c << (width * j) for j, c in enumerate(column)) for column in zip(*normals)]
+    guard = sum(1 << (width * j + width - 1) for j in range(len(normals)))
     levels, forms, basis = [], [], []
-    for level, u, v in graded:
+    for level, u in graded:
+        top = sum(map(mul, packed, u)) | guard
         below = bisect_right(levels, level - low)
-        if any(all(a <= b for a, b in zip(forms[k], v)) for k in range(below)):
-            continue
-        levels.append(level)
-        forms.append(v)
-        basis.append(u)
+        if not any((top - h) & guard == guard for h in forms[:below]):
+            levels.append(level)
+            forms.append(top ^ guard)
+            basis.append(u)
     basis.sort()
     return [LatticeVector(u, M_SIDE) for u in basis]
 
@@ -153,14 +160,11 @@ class AffineMonoid:
         self.rank = rank
         self.generators = tuple(LatticeVector(g, M_SIDE) for g in gens)
         self._gen_tuples = tuple(gens)
-        if _weight_cone is None:
-            self.weight_cone = Cone.from_rays(gens, rank, M_SIDE)
-        else:
-            self.weight_cone = _weight_cone
+        self.weight_cone = (Cone.from_rays(gens, rank, M_SIDE)
+                            if _weight_cone is None else _weight_cone)
         self.dual_cone = self.weight_cone.dual()
         if not generates_full_lattice(gens, rank):
-            raise NotEffective(
-                "generators %s do not generate the full lattice" % (gens,))
+            raise NotEffective("generators %s do not generate the full lattice" % (gens,))
         self._decompositions = {(0,) * rank: (0,) * len(gens)}
         self._hilbert = None if _weight_cone is None else self.generators
         self._saturation = None
@@ -187,7 +191,6 @@ class AffineMonoid:
         if not self.weight_cone.contains_tuple(target):
             return None
         gens = self._gen_tuples
-        width = len(gens)
         stack = [target]
         while stack:
             t = stack[-1]
@@ -196,8 +199,7 @@ class AffineMonoid:
                 continue
             descended = False
             result = None
-            for idx in range(width):
-                g = gens[idx]
+            for idx, g in enumerate(gens):
                 w = tuple(a - b for a, b in zip(t, g))
                 if not self.weight_cone.contains_tuple(w):
                     continue

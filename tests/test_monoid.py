@@ -101,16 +101,29 @@ def pointed_weight_cones(draw):
         assume(False)
 
 
+# a facet value of this cone needs the guard bit's headroom in its packed field
+@example(Cone.from_rays([(-5, 2), (2, 3)], 2, M_SIDE))
 @given(pointed_weight_cones())
 def test_hilbert_basis_matches_box_scan(cone):
     assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
 
 
 def test_hilbert_basis_square13_and_thin_cone():
-    square = [(1, 0, 0), (1, 13, 0), (1, 0, 13), (1, 13, 13)]
-    cone = Cone.from_rays(square, 3, M_SIDE)
-    assert [v.entries for v in hilbert_basis(cone)] == [
-        (1, a, b) for a in range(14) for b in range(14)]
+    # The packed support form is W = (max level).bit_length() + 1 bits per
+    # facet; the thin cones cone((0,1),(k,-1)) for k = 1..70 cross several
+    # field widths, and the cones over the squares [0,n]^2 several more.
+    for k in range(1, 71):
+        cone = Cone.from_rays([(0, 1), (k, -1)], 2, M_SIDE)
+        assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+    for n in range(1, 16):
+        square = [(1, 0, 0), (1, n, 0), (1, 0, n), (1, n, n)]
+        cone = Cone.from_rays(square, 3, M_SIDE)
+        assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+    for n in (13, 30):
+        square = [(1, 0, 0), (1, n, 0), (1, 0, n), (1, n, n)]
+        cone = Cone.from_rays(square, 3, M_SIDE)
+        assert [v.entries for v in hilbert_basis(cone)] == [
+            (1, a, b) for a in range(n + 1) for b in range(n + 1)]
     cone = Cone.from_rays([(0, 1), (3000, -1)], 2, M_SIDE)
     assert [v.entries for v in hilbert_basis(cone)] == [
         (0, 1), (1, 0), (3000, -1)]
@@ -134,12 +147,18 @@ def _coefficients(simplex, x):
             for i in range(len(simplex))]
 
 
+def _square_matrices(d):
+    entry = st.integers(-2, 2) if d == 4 else st.integers(-3, 3)
+    return st.lists(st.tuples(*[entry] * d), min_size=d, max_size=d)
+
+
 @example([(3,)])
 @example([(1, 0), (1, 7)])
+@example([(1, 7), (1, 0)])  # det -7: floors of coefficients over a negative det
 @example([(1, 0, 0), (1, 2, 0), (1, 2, 2)])
+@example([(1, 0, 0), (1, 2, 0), (1, 0, 2)])  # class group Z/2 x Z/2, box 1x2x2
 @example([(2, -1, 3), (0, 3, 1), (-1, 2, 4)])
-@given(st.integers(1, 3).flatmap(lambda d: st.lists(
-    st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d)))
+@given(st.integers(1, 4).flatmap(_square_matrices))
 def test_parallelepiped_points(simplex):
     size = abs(_det(simplex))
     assume(size != 0)
