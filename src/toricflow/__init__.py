@@ -32,12 +32,7 @@ from .lattice import (
     primitive,
 )
 from .cones import RANK_LIMIT, Cone, Face
-from .monoid import (
-    HILBERT_RANK_LIMIT,
-    AffineMonoid,
-    SaturationResult,
-    hilbert_basis,
-)
+from .monoid import AffineMonoid, SaturationResult, hilbert_basis
 from .grading import (
     FixedDivisor,
     GradingClass,
@@ -77,7 +72,6 @@ __all__ = [
     "FixedDivisor",
     "GradingClass",
     "GradingKind",
-    "HILBERT_RANK_LIMIT",
     "HomogeneousLND",
     "HypothesisError",
     "IllDefinedRoot",

@@ -336,9 +336,9 @@ def cmd_report(scene, args):
 
 
 _L = ("--l", {"required": True,
-              "help": "subgroup name from the scene, or comma separated ints"})
+              "help": "subgroup name from the scene, or comma separated ints (--l=-1,0)"})
 _POINT = ("--point", {"required": True, "help": "point name from the scene"})
-_ROOT = ("--root", {"required": True, "help": "root vector, comma separated"})
+_ROOT = ("--root", {"required": True, "help": "root vector, comma separated (--root=-1,1)"})
 _BOX = ("--box", {"type": int, "default": DEFAULT_ROOT_BOX,
                   "help": "root scan box, |e_i| <= box (default %d)"
                   % DEFAULT_ROOT_BOX})
@@ -358,15 +358,15 @@ COMMANDS = {
     "lnd": (cmd_lnd, "derivation attached to a Demazure root", (_ROOT,)),
     "flow": (cmd_flow, "flow a named point for time s", (
         _POINT, _ROOT,
-        ("--s", {"required": True, "help": "flow time, rational like -2 or 7/3"}))),
+        ("--s", {"required": True, "help": "flow time, rational like --s=-1/3 or --s=2"}))),
     "limit": (cmd_limit, "limit of a point under a subgroup, if any",
               (_POINT, _L)),
     "verify": (cmd_verify, "full compatibility certificate for one pair", (
         _POINT, _L,
         ("--ts", {"default": None,
-                  "help": "torus samples, comma separated rationals"}),
+                  "help": "torus samples, comma separated rationals (--ts=-1,1/2)"}),
         ("--ss", {"default": None,
-                  "help": "flow samples, comma separated rationals"}))),
+                  "help": "flow samples, comma separated rationals (--ss=-1/3,2)"}))),
     "report": (cmd_report, "one document with every section", (_BOX,)),
 }
 

@@ -14,18 +14,19 @@ from itertools import product
 from operator import mul
 
 from .cones import Cone
-from .errors import BoundExceeded, NotEffective, RankLimitExceeded
+from .errors import BoundExceeded, NotEffective
 from .lattice import (
     LatticeVector,
     M_SIDE,
     _echelon,
     cofactors,
     det,
+    dot,
     generates_full_lattice,
     integer_kernel,
+    matrix_rank,
 )
 
-HILBERT_RANK_LIMIT = 3
 HILBERT_CANDIDATE_CAP = 400_000
 
 
@@ -38,9 +39,21 @@ def _combine(coefficients, columns):
     return total
 
 
-def _parallelepiped_points(simplex):
-    """Nonzero lattice points of {sum q_i v_i : 0 <= q_i < 1} for the
-    linearly independent rows v_i of simplex; there are |det| - 1 of them.
+def _pulling(rays, normals, dim):
+    """Simplices of the pulling triangulation of the dim-dimensional face on
+    rays: its first ray joined to those of each facet that misses it, where
+    the facets are its cuts by the cone's facet normals of rank dim - 1."""
+    if dim == 1:
+        return [rays]
+    cuts = dict.fromkeys(tuple(r for r in rays if dot(h, r) == 0)
+                         for h in normals if dot(h, rays[0]))
+    return [(rays[0],) + simplex for cut in cuts if matrix_rank(cut) == dim - 1
+            for simplex in _pulling(cut, normals, dim - 1)]
+
+
+def _parallelepiped_points(simplex, size):
+    """Nonzero lattice points of {sum q_i v_i : 0 <= q_i < 1} for the rows
+    v_i of simplex, of nonzero det size; there are |size| - 1 of them.
 
     The echelon form of the rows spans VZ^d and is upper triangular with
     positive pivots p_k, so the residue box 0 <= x_k < p_k, worked on as d
@@ -50,7 +63,6 @@ def _parallelepiped_points(simplex):
     signed det gives floor(q_i) exactly.
     """
     rows, _ = _echelon(simplex)
-    size = det(simplex)
     box = list(zip(*product(*(range(rows[k][k]) for k in range(len(rows))))))
     floors = [[n // size for n in _combine(row, box)] for row in cofactors(simplex)]
     points = [[a - b for a, b in zip(x, _combine(column, floors))]
@@ -61,10 +73,9 @@ def _parallelepiped_points(simplex):
 def hilbert_basis(cone):
     """Minimal generating set of cone ∩ M for a pointed full-dimensional cone.
 
-    The cone is triangulated by joining its first ray r0 to every facet
-    that misses r0; in rank <= 3 every facet is simplicial, so each such
-    facet gives one simplicial cone.  An irreducible element of a
-    simplicial cone is one of its rays or a lattice point of its half-open
+    The cone is cut into simplicial cones by a pulling triangulation, in
+    every rank, as no facet need be simplicial.  An irreducible element of
+    a simplicial cone is one of its rays or a lattice point of its half-open
     parallelepiped {sum q_i v_i : 0 <= q_i < 1}, so the extreme rays and
     the parallelepiped points are the candidates: |det| of them per
     simplex, counting the vertex 0.  A cone whose simplices hold more than
@@ -81,7 +92,7 @@ def hilbert_basis(cone):
     element kept before it lies below it.  If low is the least level of a
     candidate, the least level of any nonzero cone point, only kept elements
     of level at most level(u) - low can lie below u; a candidate below level
-    2*low is kept without a scan.  Rank is capped at HILBERT_RANK_LIMIT.
+    2*low is kept without a scan.
 
     >>> c = Cone.from_rays([(1, 0), (1, 2)], 2, M_SIDE)
     >>> [v.entries for v in hilbert_basis(c)]
@@ -89,23 +100,18 @@ def hilbert_basis(cone):
     """
     if cone.side != M_SIDE:
         raise ValueError("Hilbert basis is computed on the weight side")
-    if cone.rank > HILBERT_RANK_LIMIT:
-        raise RankLimitExceeded(
-            "Hilbert basis supports rank <= %d, got %d"
-            % (HILBERT_RANK_LIMIT, cone.rank))
-    r0 = cone.rays[0]
-    simplices = [[r.entries for r in (r0,) + face.rays]
-                 for face in cone.facets() if r0 not in face.rays]
-    count = sum(abs(det(simplex)) for simplex in simplices)
+    normals = [h.entries for h in cone.facet_normals]
+    simplices = [(simplex, det(simplex)) for simplex in _pulling(
+        tuple(r.entries for r in cone.rays), normals, cone.rank)]
+    count = sum(abs(size) for _, size in simplices)
     if count > HILBERT_CANDIDATE_CAP:
         raise BoundExceeded(
             "cone is too wide for a Hilbert basis: its parallelepipeds hold "
             "%d candidate points, over HILBERT_CANDIDATE_CAP = %d; give a "
             "narrower cone or fewer generators" % (count, HILBERT_CANDIDATE_CAP))
     candidates = {r.entries for r in cone.rays}
-    for simplex in simplices:
-        candidates.update(_parallelepiped_points(simplex))
-    normals = [h.entries for h in cone.facet_normals]
+    for simplex, size in simplices:
+        candidates.update(_parallelepiped_points(simplex, size))
     total = [sum(column) for column in zip(*normals)]
     graded = sorted((sum(map(mul, total, u)), u) for u in candidates)
     low = graded[0][0]

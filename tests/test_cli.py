@@ -133,6 +133,26 @@ def test_flow_and_limit(quadric_scene_path, capsys):
     assert doc["exists"] is False and doc["limit"] is None
 
 
+def test_negative_values_are_joined_to_their_flag(quadric_scene_path, capsys):
+    # argparse takes the -1/3 of `--s -1/3` for a flag, so the help shows --s=-1/3
+    doc = run_json(capsys, "--scene", quadric_scene_path, "flow",
+                   "--point", "p", "--root", "0,-1", "--s=-1/3")
+    assert doc["s"] == "-1/3"
+    doc = run_json(capsys, "--scene", quadric_scene_path, "classify", "--l=-1,0")
+    assert doc["subgroup"] == [-1, 0]
+    with pytest.raises(SystemExit) as done:
+        main(["--scene", quadric_scene_path, "flow", "--point", "p",
+              "--root", "0,-1", "--s", "-1/3"])
+    assert done.value.code == 2
+    capsys.readouterr()
+    for command, shown in (("flow", ["--root=-1,1", "--s=-1/3"]), ("classify", ["--l=-1,0"]),
+                           ("verify", ["--l=-1,0", "--ts=-1,1/2", "--ss=-1/3,2"])):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = "".join(capsys.readouterr().out.split())
+        assert all(flag in out for flag in shown), command
+
+
 def test_verify(quadric_scene_path, capsys):
     doc = run_json(capsys, "--scene", quadric_scene_path, "verify",
                    "--l", "vertical", "--point", "p")
@@ -280,17 +300,51 @@ def test_exit_code_3_hypothesis_errors(tmp_path, cusp_scene_path,
 
 
 def test_exit_code_4_resource_errors(tmp_path, capsys):
+    # RANK_LIMIT = 4 is the one rank bound: a rank-5 scene exits 4 when its
+    # cone is built, under hilbert as under dual
     big = tmp_path / "rank5.json"
     rays = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     big.write_text(json.dumps({"rank": 5, "cone_rays": rays}))
-    code, out, err = run(capsys, "--scene", str(big), "dual")
-    assert code == 4
-    assert "RankLimitExceeded" in err
-    wide = tmp_path / "rank4.json"
-    rays = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    wide.write_text(json.dumps({"rank": 4, "cone_rays": rays}))
-    code, out, err = run(capsys, "--scene", str(wide), "hilbert")
-    assert code == 4
+    for command in ("dual", "hilbert"):
+        code, out, err = run(capsys, "--scene", str(big), command)
+        assert code == 4, command
+        assert out == ""
+        assert err.startswith("error: RankLimitExceeded: rank 5 exceeds"), err
+
+
+_TORUS4 = {"p": {"torus": ["2", "3", "5", "7"]}}
+# name: (scene, Hilbert basis size, rays of the cone); the subgroup r is a
+# ray of the cone, so it is parabolic.  The weight cone of the cone over the cube is the
+# cone over the octahedron, and the other way round, with square facets.
+RANK4_SCENES = {
+    "cube": ({"rank": 4, "cone_rays": [[1, a, b, c] for a in (-1, 1) for b in (-1, 1)
+                                       for c in (-1, 1)],
+              "points": _TORUS4, "subgroups": {"r": [1, 1, 1, 1]}}, 7, 8),
+    "octahedron": ({"rank": 4, "cone_rays": [[1] + [s * (i == j) for j in range(3)]
+                                             for i in range(3) for s in (1, -1)],
+                    "points": _TORUS4, "subgroups": {"r": [1, 1, 0, 0]}}, 27, 6),
+    "unit-cube-monoid": ({"rank": 4, "monoid_generators": [
+        [1, a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+        "points": _TORUS4, "subgroups": {"r": [0, 1, 0, 0]}}, 8, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK4_SCENES))
+def test_rank4_scenes_run_every_hilbert_command(tmp_path, capsys, name):
+    scene, size, rays = RANK4_SCENES[name]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    doc = run_json(capsys, "--scene", str(path), "hilbert")
+    assert len(doc["hilbert_basis"]) == size
+    assert run_json(capsys, "--scene", str(path), "saturation")["saturated"] is True
+    subtori = run_json(capsys, "--scene", str(path), "straightening")["subtori"]
+    assert len(subtori) == rays
+    assert scene["subgroups"]["r"] in [s["subgroup"] for s in subtori]
+    doc = run_json(capsys, "--scene", str(path), "verify", "--l", "r", "--point", "p")
+    assert doc["verdict"] == "pass" and doc["reached_exactly"] is True
+    doc = run_json(capsys, "--scene", str(path), "report")
+    assert [v["verdict"] for v in doc["verification"]] == ["pass"]
+    assert doc["warnings"] == []
 
 
 def test_exit_code_2_for_negative_box_and_zero_ray(tmp_path,

@@ -67,10 +67,38 @@ def test_hilbert_basis_requires_weight_side():
 
 
 def test_hilbert_basis_rank_limit():
-    rays = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
-    cone = Cone.from_rays(rays, 4, M_SIDE)
+    # RANK_LIMIT is the only rank bound: rank 4 has a Hilbert basis, and a
+    # rank-5 weight cone is refused when it is built
+    orthant = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
+    cone = Cone.from_rays(orthant, 4, M_SIDE)
+    assert [v.entries for v in hilbert_basis(cone)] == sorted(orthant)
+    rays = [tuple(1 if i == j else 0 for j in range(5)) for i in range(5)]
     with pytest.raises(RankLimitExceeded):
-        hilbert_basis(cone)
+        Cone.from_rays(rays, 5, M_SIDE)
+
+
+def _simplex_volume(cone):
+    return sum(abs(_det(simplex)) for simplex in toricflow.monoid._pulling(
+        tuple(r.entries for r in cone.rays), [h.entries for h in cone.facet_normals],
+        cone.rank))
+
+
+def test_hilbert_basis_rank4_cube_and_octahedron():
+    # The weight cone over the cube [-1,1]^3 has square facets, which the
+    # pulling triangulation cuts in two; its simplices fill the cube without
+    # overlap, 3! * 8 = 48, and its basis is the cube's 27 lattice points.
+    cube = Cone.from_rays([(1,) + v for v in product((-1, 1), repeat=3)], 4, M_SIDE)
+    assert _simplex_volume(cube) == 48
+    basis = [v.entries for v in hilbert_basis(cube)]
+    assert basis == [(1,) + v for v in product((-1, 0, 1), repeat=3)]
+    assert basis == box_scan_hilbert_basis(cube)
+    # the octahedron, 3! * 4/3 = 8: its six vertices and its centre
+    vertices = [(1,) + tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    octahedron = Cone.from_rays(vertices, 4, M_SIDE)
+    assert _simplex_volume(octahedron) == 8
+    basis = [v.entries for v in hilbert_basis(octahedron)]
+    assert basis == sorted(vertices + [(1, 0, 0, 0)])
+    assert basis == box_scan_hilbert_basis(octahedron)
 
 
 def test_hilbert_basis_box_cap():
@@ -86,13 +114,14 @@ def test_hilbert_basis_box_cap():
 
 
 @st.composite
-def pointed_weight_cones(draw):
-    """A pointed full-dimensional cone of rank 1-3 on 2-6 generators with
-    entries in -4..4: every generator pairs positively with a random
-    functional, so the cone is pointed."""
-    rank = draw(st.integers(1, 3))
+def pointed_weight_cones(draw, ranks=st.integers(1, 4)):
+    """A pointed full-dimensional cone of a rank drawn from ranks (1-4) on
+    2-6 generators with entries in -4..4 (-2..2 in rank 4): every generator
+    pairs positively with a random functional, so the cone is pointed."""
+    rank = draw(ranks)
     functional = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
-    vector = st.tuples(*[st.integers(-4, 4)] * rank).filter(
+    entry = st.integers(-2, 2) if rank == 4 else st.integers(-4, 4)
+    vector = st.tuples(*[entry] * rank).filter(
         lambda r: sum(a * b for a, b in zip(functional, r)) > 0)
     generators = draw(st.lists(vector, min_size=max(2, rank), max_size=6))
     try:
@@ -105,6 +134,15 @@ def pointed_weight_cones(draw):
 @example(Cone.from_rays([(-5, 2), (2, 3)], 2, M_SIDE))
 @given(pointed_weight_cones())
 def test_hilbert_basis_matches_box_scan(cone):
+    assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+
+
+# few rank-4 cones come from the draws over every rank; the example is the
+# cone over a pyramid whose hexagonal base misses the first ray
+@example(Cone.from_rays([(1, -1, -1, 0), (1, 0, 0, 1), (1, 1, 0, 1), (1, 2, 1, 1),
+                         (1, 2, 2, 1), (1, 1, 2, 1), (1, 0, 1, 1)], 4, M_SIDE))
+@given(pointed_weight_cones(st.just(4)))
+def test_hilbert_basis_matches_box_scan_in_rank_4(cone):
     assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
 
 
@@ -162,7 +200,7 @@ def _square_matrices(d):
 def test_parallelepiped_points(simplex):
     size = abs(_det(simplex))
     assume(size != 0)
-    points = toricflow.monoid._parallelepiped_points(simplex)
+    points = toricflow.monoid._parallelepiped_points(simplex, _det(simplex))
     assert len(points) == len(set(points)) == size - 1
     for x in points:
         assert any(x)
