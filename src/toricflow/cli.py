@@ -22,8 +22,7 @@ from .monoid import hilbert_basis
 from .grading import GradingKind, classify, straightening_subtori
 from .demazure import roots_in_box
 from .algebra import HomogeneousLND
-from .orbits import (ga_flow_point, limit_point, smallest_root_at_ray,
-                     verify_compatible)
+from .orbits import ga_flow_point, limit_point, verify_compatible, witness_derivation
 from .report import render_text
 from .scene import load_scene, parse_integers, parse_rational
 
@@ -121,7 +120,7 @@ def _verification_doc(rep):
         "verdict": "pass" if rep.passed else "fail",
         "subgroup": _vec(rep.subgroup),
         "point": _point_doc(rep.point),
-        "kind": rep.grading.kind.value,
+        "kind": "Parabolic",
         "ray_index": rep.ray_index,
         "ray": _vec(rep.ray),
         "root": _root_doc(rep.root),
@@ -287,7 +286,7 @@ def cmd_verify(scene, args):
 def cmd_report(scene, args):
     _check_box(args.box)
     classification, witness_lnd, verification, warnings, facts = {}, {}, [], [], {}
-    roots_at = {}  # ray index -> (root, box), one first-root search per ray
+    witnesses = {}  # ray index -> (lnd, box), one first-root search per ray
     mon = scene.monoid()
     saturation = mon.saturation()
     if not saturation.saturated:
@@ -306,18 +305,18 @@ def cmd_report(scene, args):
                 and classify(mon, -subgroup).kind is GradingKind.PARABOLIC):
             warnings.append("subgroup %s is hyperbolic for the t->0 "
                             "convention, but its negation is parabolic" % name)
-        if saturation.saturated and grading.kind is GradingKind.PARABOLIC:
-            if grading.ray_index not in roots_at:
-                roots_at[grading.ray_index] = smallest_root_at_ray(
-                    mon.dual_cone, grading.ray_index)
-            witness_lnd[name] = _lnd_doc(HomogeneousLND(mon, roots_at[grading.ray_index][0]))
+        try:
+            witness = witnesses.get(grading.ray_index) or witness_derivation(mon, grading)
+        except (NormalityRequired, NotParabolic) as error:
+            witness, refusal = None, {"verdict": "refused", "reason": error.verdict,
+                                      "detail": str(error)}
+        else:
+            witnesses[grading.ray_index] = witness
+            witness_lnd[name] = _lnd_doc(witness[0])
         for pname, point in points.items():
             entry = {"subgroup_name": name, "point_name": pname}
-            try:
-                entry.update(_verification_doc(verify_compatible(
-                    mon, subgroup, point, root=roots_at.get(grading.ray_index))))
-            except (NormalityRequired, NotParabolic) as error:
-                entry.update(verdict="refused", reason=error.verdict, detail=str(error))
+            entry.update(refusal if witness is None else _verification_doc(
+                verify_compatible(mon, subgroup, point, witness=witness)))
             for fact in entry.pop("derived_facts", ()):
                 facts.setdefault(fact["fact"], fact)
             verification.append(entry)

@@ -174,7 +174,7 @@ class AffineMonoid:
         self._decompositions = {(0,) * rank: (0,) * len(gens)}
         self._hilbert = None if _weight_cone is None else self.generators
         self._saturation = None
-        self._relations = None
+        self._relations = {}
 
     def __eq__(self, other):
         return (isinstance(other, AffineMonoid)
@@ -256,9 +256,33 @@ class AffineMonoid:
             self._saturation = SaturationResult(witness is None, witness)
         return self._saturation
 
+    def face_relations(self, support):
+        """Basis of the integer relations among the generators at the support
+        indices, zero off the support; cached per support.  The support must
+        be the generators of a face of the weight cone, the smallest face
+        holding it being cut out by the facets that contain it; any other
+        support raises ValueError.
+        """
+        support = tuple(support)
+        if support not in self._relations:
+            gens = self._gen_tuples
+            cut = [0] * self.rank
+            for normal in self.weight_cone.facet_normals:
+                if all(dot(normal.entries, gens[j]) == 0 for j in support):
+                    cut = [a + b for a, b in zip(cut, normal.entries)]
+            if tuple(j for j, g in enumerate(gens) if dot(cut, g) == 0) != support:
+                raise ValueError(
+                    "the nonzero coordinates %s are not the generators of a face "
+                    "of the weight cone" % (list(support),))
+            relations = []
+            for kernel in integer_kernel(list(zip(*(gens[j] for j in support)))):
+                relation = [0] * len(gens)
+                for j, k in zip(support, kernel.entries):
+                    relation[j] = k
+                relations.append(LatticeVector(relation))
+            self._relations[support] = tuple(relations)
+        return self._relations[support]
+
     def relation_lattice(self):
         """Basis of the lattice of integer relations among the generators."""
-        if self._relations is None:
-            rows = tuple(zip(*self._gen_tuples))
-            self._relations = tuple(integer_kernel(rows))
-        return self._relations
+        return self.face_relations(range(len(self.generators)))

@@ -3,11 +3,10 @@
 Points are coordinate tuples aligned with the monoid generator list:
 coordinate j holds the value of chi^(u_j).  They are built as torus
 points, as flow images, or as limit points; each constructor checks that
-the point lies on the variety.  A point with no zero coordinate must
-satisfy the binomial relations of the generator relation lattice; any
-other point must, by the orbit-cone correspondence, vanish exactly off
-the generators of one face of the weight cone and satisfy that face's
-relations.  Flows start from torus points t and use the closed form
+the point lies on the variety: by the orbit-cone correspondence it must
+vanish exactly off the generators of one face of the weight cone (the
+cone itself when no coordinate is zero) and satisfy the binomial
+relations among them.  Flows start from torus points t and use the closed form
 chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
 Limits are taken as the multiplicative parameter goes to zero.
 """
@@ -15,11 +14,11 @@ Limits are taken as the multiplicative parameter goes to zero.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, HomogeneousLND, character_value
+from .algebra import HomogeneousLND, character_value
 from .demazure import DemazureRoot, StepBudget, _ray_entries, lift_roots
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
-from .lattice import LatticeVector, M_SIDE, N_SIDE, dot, integer_kernel
+from .lattice import LatticeVector, M_SIDE, N_SIDE, dot, primitive
 
 _ROOT_SEARCH_START = 5
 
@@ -46,55 +45,15 @@ class ToricPoint:
         if len(coords) != len(self.monoid.generators):
             raise ValueError("coordinate count does not match the generators")
         support = [j for j, c in enumerate(coords) if c != 0]
-        if len(support) == len(coords):
-            relations = [r.entries for r in self.monoid.relation_lattice()]
-        else:
-            relations = _face_relations(self.monoid, support)
-        for relation in relations:
-            lhs = Fraction(1)
-            rhs = Fraction(1)
-            for c, k in zip(coords, relation):
-                if k > 0:
-                    lhs *= c ** k
-                elif k < 0:
-                    rhs *= c ** (-k)
-            if lhs != rhs:
+        for relation in self.monoid.face_relations(support):
+            if character_value(coords, relation.entries) != 1:
                 raise ValueError(
                     "coordinates %s violate the relation %s"
-                    % (coords, relation))
+                    % (coords, relation.entries))
 
     @property
     def is_torus(self):
         return self.provenance[0] == TORUS
-
-
-def _face_relations(mon, support):
-    """Relations among the generators at the support indices, padded with
-    zeros to the full generator count.
-
-    By the orbit-cone correspondence a point with zero coordinates lies
-    on the variety exactly when its support is the set of generators in
-    one face of the weight cone (the smallest face holding the support is
-    cut out by the facets that contain it) and the nonzero coordinates
-    satisfy the relations among those generators.
-    """
-    gens = [g.entries for g in mon.generators]
-    cut = [0] * mon.rank
-    for normal in mon.weight_cone.facet_normals:
-        if all(dot(normal.entries, gens[j]) == 0 for j in support):
-            cut = [a + b for a, b in zip(cut, normal.entries)]
-    face = [j for j, g in enumerate(gens) if dot(cut, g) == 0]
-    if face != support:
-        raise ValueError(
-            "the nonzero coordinates %s are not the generators of a face "
-            "of the weight cone" % (support,))
-    relations = []
-    for kernel in integer_kernel(list(zip(*(gens[j] for j in support)))):
-        relation = [0] * len(gens)
-        for j, k in zip(support, kernel.entries):
-            relation[j] = k
-        relations.append(tuple(relation))
-    return relations
 
 
 def torus_point(mon, t):
@@ -203,11 +162,26 @@ def smallest_root_at_ray(sigma, ray_index):
         box *= 2
 
 
+def witness_derivation(mon, grading):
+    """The derivation of the smallest root at the distinguished ray of a
+    parabolic grading of mon, and the box that held the root.  Raises
+    NormalityRequired on an unsaturated monoid, then NotParabolic."""
+    saturation = mon.saturation()
+    if not saturation.saturated:
+        raise NormalityRequired(saturation.witness.entries)
+    if grading.kind is not GradingKind.PARABOLIC:
+        raise NotParabolic(grading.kind,
+                           "a compatible additive action needs a parabolic grading")
+    root, box = smallest_root_at_ray(mon.dual_cone, grading.ray_index)
+    return HomogeneousLND(mon, root), box
+
+
 @dataclass(frozen=True)
 class InvariantCheck:
-    """One degree-zero generator u.  gm_values and ga_values follow the closed
-    forms t^u*t0^<l,u> and t^u*(1 + s*t^e)^<p,u>, so constant holds by form;
-    annihilated, d(chi^u) = 0, and the report's reached_exactly certify."""
+    """One degree-zero generator u.  For a parabolic l, a positive multiple
+    of p, <l,u> = <p,u> = 0: gm_values and ga_values follow the closed forms
+    t^u*t0^<l,u> and t^u*(1 + s*t^e)^<p,u>, so constant holds by form, and
+    so does annihilated, d(chi^u) = <p,u>*chi^(u+e) = 0."""
 
     exponent: LatticeVector
     base_value: Fraction
@@ -224,7 +198,6 @@ class CompatibilityReport:
     passed: bool
     subgroup: LatticeVector
     point: ToricPoint
-    grading: object
     ray_index: int
     ray: LatticeVector
     root: object
@@ -244,25 +217,26 @@ DEFAULT_GA_SAMPLES = (Fraction(1), Fraction(-1), Fraction(7, 3))
 
 def verify_compatible(mon, subgroup, point,
                       gm_samples=DEFAULT_GM_SAMPLES,
-                      ga_samples=DEFAULT_GA_SAMPLES, root=None):
+                      ga_samples=DEFAULT_GA_SAMPLES, witness=None):
     """Certify that the additive flow of a smallest root at the
     distinguished ray is compatible with the multiplicative action.
 
-    Requires a saturated monoid, a parabolic grading and a torus point;
-    root, smallest_root_at_ray's (root, box) at that ray, is searched for
-    when None.  What certifies: the derivation annihilates each degree-zero
-    generator, and the flow reaches the limit point at t -> 0 exactly at
-    s* = -chi^(-e)(t), where every factor 1 + s*t^e vanishes.  A parabolic
-    l is a positive multiple of p, so the degree-zero values sampled from
-    the closed forms of gm_scale and ga_flow_point are constant by form.
+    Requires a saturated monoid, a parabolic grading and a torus point.
+    witness is witness_derivation's (lnd, box), built here when None; a
+    given one is not classified again, and raises ValueError unless it is
+    over mon at the ray primitive(subgroup).  Once l is a positive multiple
+    of p, constant, annihilated (see InvariantCheck) and reached_exactly
+    follow from closed forms: at s* = -chi^(-e)(t) every factor 1 + s*t^e
+    vanishes, so the flow drops the coordinates of positive degree as the
+    limit at t -> 0 does.  The run itself checks that the HomogeneousLND is
+    well defined and that the limit point and the flowed point at s* pass
+    the relation checks of their face.
     """
-    saturation = mon.saturation()
-    if not saturation.saturated:
-        raise NormalityRequired(saturation.witness.entries)
-    grading = classify(mon, subgroup)
-    if grading.kind is not GradingKind.PARABOLIC:
-        raise NotParabolic(grading.kind,
-                           "a compatible additive action needs a parabolic grading")
+    if witness is None:
+        witness = witness_derivation(mon, classify(mon, subgroup))
+    lnd, root_box = witness
+    if lnd.monoid != mon or primitive(subgroup) != lnd.ray:
+        raise ValueError("the witness is not at the subgroup's ray of this monoid")
     if point.monoid != mon:
         raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
@@ -272,12 +246,7 @@ def verify_compatible(mon, subgroup, point,
     if any(t == 0 for t in gm_samples):
         raise ValueError("multiplicative samples must be nonzero")
 
-    ray_index = grading.ray_index
-    root, root_box = root or smallest_root_at_ray(mon.dual_cone, ray_index)
-    if root.ray_index != ray_index:
-        raise ValueError("the root is not at the distinguished ray")
-    lnd = HomogeneousLND(mon, root)
-    root_value = character_value(point.provenance[1], root.vector.entries)
+    root_value = character_value(point.provenance[1], lnd.root.vector.entries)
 
     checks = []
     for g, base in zip(mon.generators, point.coords):
@@ -288,9 +257,9 @@ def verify_compatible(mon, subgroup, point,
         gm_values = tuple(base * t0 ** weight for t0 in gm_samples)
         ga_values = tuple(base * (1 + s * root_value) ** k for s in ga_samples)
         constant = all(v == base for v in gm_values + ga_values)
-        annihilated = lnd.apply(AlgebraElement.monomial(mon, g)).is_zero
+        # d(chi^g) = k*chi^(g+e) vanishes by form at k = 0
         checks.append(InvariantCheck(g, base, gm_values, ga_values,
-                                     constant, annihilated))
+                                     constant, annihilated=True))
 
     limit = limit_point(mon, subgroup, point)
     assert limit is not None, "parabolic gradings always have limits"
@@ -320,10 +289,9 @@ def verify_compatible(mon, subgroup, point,
         passed=passed,
         subgroup=subgroup,
         point=point,
-        grading=grading,
-        ray_index=ray_index,
-        ray=mon.dual_cone.rays[ray_index],
-        root=root,
+        ray_index=lnd.root.ray_index,
+        ray=lnd.ray,
+        root=lnd.root,
         root_box=root_box,
         invariant_checks=tuple(checks),
         limit=limit,

@@ -642,8 +642,24 @@ def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
         calls.append(ray_index)
         return search(sigma, ray_index)
 
+    classified = []
+    grade = toricflow.grading.classify
+
+    def counted_classify(mon, subgroup):
+        classified.append(subgroup.entries)
+        return grade(mon, subgroup)
+
+    builds = []
+    build = HomogeneousLND.__init__
+
+    def counted_build(self, monoid, root):
+        builds.append(root)
+        build(self, monoid, root)
+
     monkeypatch.setattr(toricflow.orbits, "smallest_root_at_ray", counted)
-    monkeypatch.setattr(toricflow.cli, "smallest_root_at_ray", counted)
+    for module in (toricflow.cli, toricflow.orbits):
+        monkeypatch.setattr(module, "classify", counted_classify)
+    monkeypatch.setattr(HomogeneousLND, "__init__", counted_build)
     path = tmp_path / "rank3.json"
     path.write_text(json.dumps(_RANK3_SCENE))
     doc = run_json(capsys, "--scene", str(path), "report")
@@ -653,6 +669,10 @@ def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
     assert rays == {1}
     assert sum(v["verdict"] == "pass" for v in doc["verification"]) == 4
     assert calls == [1]
+    # each of the five subgroups once, and the negation of the hyperbolic
+    # "down"; one derivation for the one parabolic ray
+    assert len(classified) == 6
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("scene, argv, code, digest", GOLDEN_RUNS)

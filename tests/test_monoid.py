@@ -19,6 +19,7 @@ from toricflow import (
     NotFullDimensional,
     NotPointed,
     RankLimitExceeded,
+    ToricPoint,
     dot,
     hilbert_basis,
     roots_in_box,
@@ -383,6 +384,24 @@ def test_relation_lattice(a2, quadric):
     assert a2.relation_lattice() == ()
     mon = AffineMonoid([(1, 0), (0, 1), (1, 1)], 2)
     assert [v.entries for v in mon.relation_lattice()] == [(1, 1, -1)]
+
+
+def test_face_relations(quadric):
+    curve = AffineMonoid([(1, 0), (1, 1), (1, 2), (1, 3)], 2)
+    for mon in (quadric, curve):
+        assert mon.relation_lattice() == mon.face_relations(range(len(mon.generators)))
+    # the faces of cone((1,0),(1,3)): the origin, its two rays and itself
+    assert curve.face_relations([]) == curve.face_relations([0]) == ()
+    assert curve.face_relations([3]) == ()
+    message = ("the nonzero coordinates [2, 3] are not the generators of a "
+               "face of the weight cone")
+    with pytest.raises(ValueError) as info:
+        curve.face_relations([2, 3])
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ToricPoint(curve, (0, 0, 1, 1), ("limit",))
+    assert str(info.value) == message
+    assert ToricPoint(curve, (0, 0, 0, 0), ("limit",)).coords == (0, 0, 0, 0)
 
 
 def test_relations_annihilate_generators(quadric):

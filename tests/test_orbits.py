@@ -23,7 +23,10 @@ from toricflow import (
     verify_compatible,
 )
 
+import toricflow.monoid
+import toricflow.orbits
 from toricflow.algebra import character_value
+from toricflow.orbits import witness_derivation
 
 from conftest import FLOW_CASES, flow_case, pullback_flow_coords
 
@@ -215,14 +218,46 @@ def test_invariant_values_match_full_points(name, subgroup, samples):
         assert check.ga_values == tuple(q.coords[j] for q in flowed)
 
 
-def test_verify_takes_the_root_it_is_given(quadric):
+def test_verify_takes_the_witness_it_is_given(quadric, a2, cusp, monkeypatch):
     point = torus_point(quadric, (3, 2))
-    found = smallest_root_at_ray(quadric.dual_cone, 0)
-    assert verify_compatible(quadric, n(0, 1), point, root=found) == \
-        verify_compatible(quadric, n(0, 1), point)
-    with pytest.raises(ValueError):
-        verify_compatible(quadric, n(0, 1), point,
-                          root=smallest_root_at_ray(quadric.dual_cone, 1))
+    witness = witness_derivation(quadric, classify(quadric, n(0, 1)))
+    searched = verify_compatible(quadric, n(0, 1), point)
+
+    def refuse(*args):
+        raise AssertionError("a given witness was searched for or classified again")
+
+    monkeypatch.setattr(toricflow.orbits, "smallest_root_at_ray", refuse)
+    monkeypatch.setattr(toricflow.orbits, "classify", refuse)
+    assert verify_compatible(quadric, n(0, 1), point, witness=witness) == searched
+    assert verify_compatible(quadric, n(0, 2), point, witness=witness).passed
+    monkeypatch.undo()
+    other_ray = witness_derivation(quadric, classify(quadric, quadric.dual_cone.rays[1]))
+    other_monoid = witness_derivation(a2, classify(a2, n(0, 1)))
+    assert other_monoid[0].ray == witness[0].ray
+    for wrong in (other_ray, other_monoid):
+        with pytest.raises(ValueError):
+            verify_compatible(quadric, n(0, 1), point, witness=wrong)
+    # saturation is decided before the grading
+    with pytest.raises(NormalityRequired):
+        witness_derivation(cusp, classify(cusp, n(-1)))
+    with pytest.raises(NotParabolic):
+        witness_derivation(a2, classify(a2, n(1, 1)))
+
+
+def test_limit_and_flowed_point_share_their_face_relations(monkeypatch):
+    mon = AffineMonoid([(1, 0), (1, 1), (1, 2)], 2)
+    point = torus_point(mon, (3, 2))
+    calls = []
+    kernel = toricflow.monoid.integer_kernel
+
+    def counted(rows):
+        calls.append(rows)
+        return kernel(rows)
+
+    monkeypatch.setattr(toricflow.monoid, "integer_kernel", counted)
+    report = verify_compatible(mon, n(0, 1), point)
+    assert report.passed and report.limit.coords == (3, 0, 0)
+    assert len(calls) == 1
 
 
 def test_smallest_roots(a2, quadric):
