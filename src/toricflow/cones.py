@@ -25,7 +25,7 @@ from .lattice import (
     M_SIDE,
     N_SIDE,
     LatticeVector,
-    cofactors,
+    adjugate,
     dot,
     matrix_rank,
     pivot_columns,
@@ -47,17 +47,17 @@ def _double_description(rays, basis):
     ambient space.
 
     The basis rays alone cut out a simplicial cone, whose extreme rays are
-    the cofactor normals.  The other rays are then added one at a time:
-    extreme rays h with <h, r> >= 0 stay, and each pair of a positive and
-    a negative one is combined into a new extreme ray on r^perp when the
-    pair is adjacent: when no third extreme ray vanishes on all of their
-    common incidence set Z.  Adjacency needs |Z| >= dim - 2, which is
-    checked first.  A step over DD_PAIR_CAP pairs is refused before any
-    pair is combined.
+    the cofactor normals, read off one elimination by adjugate.  The other
+    rays are then added one at a time: extreme rays h with <h, r> >= 0
+    stay, and each pair of a positive and a negative one is combined into a
+    new extreme ray on r^perp when the pair is adjacent: when no third
+    extreme ray vanishes on all of their common incidence set Z.  Adjacency
+    needs |Z| >= dim - 2, which is checked first.  A step over DD_PAIR_CAP
+    pairs is refused before any pair is combined.
     """
     dim = len(basis)
     facets = []
-    for i, h in zip(basis, cofactors([rays[i] for i in basis])):
+    for i, h in zip(basis, adjugate([rays[i] for i in basis])[1]):
         h = h if dot(h, rays[i]) > 0 else [-a for a in h]
         facets.append((primitive_tuple(h), sum(1 << k for k in basis if k != i)))
     for j, r in enumerate(rays):

@@ -41,10 +41,6 @@ class GradingClass:
     degree_gcd: int
     effective: bool
 
-    @property
-    def facet(self):
-        return self.zero_face if self.kind is GradingKind.PARABOLIC else None
-
 
 def classify(mon, subgroup):
     """Sort the grading of mon by the N-side vector subgroup into a kind.

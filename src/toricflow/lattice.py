@@ -187,22 +187,26 @@ def pivot_columns(rows):
     return [c for _, c in _echelon(rows)[1]]
 
 
-def det(rows):
-    """Determinant of a square int matrix by cofactor expansion along the
-    first row (the matrices here have size at most RANK_LIMIT)."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j in range(len(rows)))
-
-
-def cofactors(rows):
-    """Cofactor matrix C of a square int matrix V: row i of C pairs to
-    det(V) with row i of V and to zero with every other row of V."""
-    return [tuple((-1) ** (i + j) * det([r[:j] + r[j + 1:]
-                                         for k, r in enumerate(rows) if k != i])
-                  for j in range(len(rows)))
-            for i in range(len(rows))]
+def adjugate(rows):
+    """(det V, cofactor rows) of a square int matrix V by one fraction-free
+    Gauss-Jordan pass on [V | I] (Bareiss 1968): at pivot p_k each other
+    row a_i becomes (p_k a_i - a_ik a_k) // p_(k-1), an exact division.
+    A row swap negates the row moved down, keeping the det, so [V | I] ends
+    as [det(V) I | adj(V)].  Cofactor row i, column i of adj(V), pairs to
+    det(V) with row i of V and to 0 with the rest.  Singular V: ValueError."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivot = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        if p != k:
+            m[k], m[p] = m[p], [-x for x in m[k]]
+        prev, pivot, row = pivot, m[k][k], m[k]
+        m = [r if i == k else [(pivot * x - r[k] * y) // prev for x, y in zip(r, row)]
+             for i, r in enumerate(m)]
+    return pivot, list(zip(*m))[n:]
 
 
 def integer_kernel(rows):

@@ -19,8 +19,7 @@ from .lattice import (
     LatticeVector,
     M_SIDE,
     _echelon,
-    cofactors,
-    det,
+    adjugate,
     dot,
     generates_full_lattice,
     integer_kernel,
@@ -51,20 +50,21 @@ def _pulling(rays, normals, dim):
             for simplex in _pulling(cut, normals, dim - 1)]
 
 
-def _parallelepiped_points(simplex, size):
+def _parallelepiped_points(simplex, size, cofactor_rows):
     """Nonzero lattice points of {sum q_i v_i : 0 <= q_i < 1} for the rows
     v_i of simplex, of nonzero det size; there are |size| - 1 of them.
+    size and cofactor_rows are what adjugate(simplex) returns.
 
     The echelon form of the rows spans VZ^d and is upper triangular with
     positive pivots p_k, so the residue box 0 <= x_k < p_k, worked on as d
     coordinate columns, holds one point of each class of Z^d / VZ^d, 0 first.
-    A box point x has coefficients q = x adj(V) / det(V); its class meets
-    the parallelepiped in x - sum floor(q_i) v_i, and floor division by the
-    signed det gives floor(q_i) exactly.
+    A box point x has coefficients q_i = <x, c_i> / det(V) for the cofactor
+    rows c_i; its class meets the parallelepiped in x - sum floor(q_i) v_i,
+    and floor division by the signed det gives floor(q_i) exactly.
     """
     rows, _ = _echelon(simplex)
     box = list(zip(*product(*(range(rows[k][k]) for k in range(len(rows))))))
-    floors = [[n // size for n in _combine(row, box)] for row in cofactors(simplex)]
+    floors = [[n // size for n in _combine(row, box)] for row in cofactor_rows]
     points = [[a - b for a, b in zip(x, _combine(column, floors))]
               for x, column in zip(box, zip(*simplex))]
     return list(zip(*points))[1:]
@@ -101,17 +101,17 @@ def hilbert_basis(cone):
     if cone.side != M_SIDE:
         raise ValueError("Hilbert basis is computed on the weight side")
     normals = [h.entries for h in cone.facet_normals]
-    simplices = [(simplex, det(simplex)) for simplex in _pulling(
+    simplices = [(simplex, *adjugate(simplex)) for simplex in _pulling(
         tuple(r.entries for r in cone.rays), normals, cone.rank)]
-    count = sum(abs(size) for _, size in simplices)
+    count = sum(abs(size) for _, size, _ in simplices)
     if count > HILBERT_CANDIDATE_CAP:
         raise BoundExceeded(
             "cone is too wide for a Hilbert basis: its parallelepipeds hold "
             "%d candidate points, over HILBERT_CANDIDATE_CAP = %d; give a "
             "narrower cone or fewer generators" % (count, HILBERT_CANDIDATE_CAP))
     candidates = {r.entries for r in cone.rays}
-    for simplex, size in simplices:
-        candidates.update(_parallelepiped_points(simplex, size))
+    for simplex, size, cofactor_rows in simplices:
+        candidates.update(_parallelepiped_points(simplex, size, cofactor_rows))
     total = [sum(column) for column in zip(*normals)]
     graded = sorted((sum(map(mul, total, u)), u) for u in candidates)
     low = graded[0][0]

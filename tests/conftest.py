@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -223,6 +223,37 @@ def box_scan_hilbert_basis(cone):
         else:
             basis.append(u)
     return sorted(basis)
+
+
+# Determinant oracles: the expansions that lattice.adjugate replaces.
+def permutation_det(rows):
+    """Determinant as the signed sum over all permutations (Leibniz)."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in combinations(range(len(perm)), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _laplace_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def laplace_cofactors(rows):
+    """Cofactor matrix C of a square int matrix V, each minor expanded along
+    its first row: row i of C pairs to det(V) with row i of V and to zero
+    with every other row of V."""
+    return [tuple((-1) ** (i + j) * _laplace_det([r[:j] + r[j + 1:]
+                                                  for k, r in enumerate(rows) if k != i])
+                  for j in range(len(rows)))
+            for i in range(len(rows))]
 
 
 # Flow oracles: the iterated derivation series that the closed forms in

@@ -2,7 +2,7 @@ import doctest
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import toricflow.lattice
@@ -18,6 +18,9 @@ from toricflow import (
     pairing,
     primitive,
 )
+from toricflow.lattice import adjugate
+
+from conftest import laplace_cofactors, permutation_det
 
 
 def test_doctests():
@@ -116,6 +119,25 @@ def _fraction_rank(rows):
                 min_size=1, max_size=5))
 def test_matrix_rank_matches_rational_elimination(rows):
     assert matrix_rank([tuple(r) for r in rows]) == _fraction_rank(rows)
+
+
+def _square_matrices(d):
+    return st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=d, max_size=d)
+
+
+@example([(0, 1), (1, 0)])  # zero leading entry: one row swap
+@example([(1, 2), (3, 4)])  # det -2
+@example([(-5,)])
+@example([(0, 2, 1, 0), (3, 1, 0, 0), (0, 0, 0, 1), (0, 0, 2, 5)])  # swaps at steps 0 and 2
+@example([(1, 2), (2, 4)])  # singular
+@given(st.integers(1, 4).flatmap(_square_matrices))
+def test_adjugate_matches_expansion_oracles(rows):
+    size = permutation_det(rows)
+    if size == 0:
+        with pytest.raises(ValueError):
+            adjugate(rows)
+    else:
+        assert adjugate(rows) == (size, laplace_cofactors(rows))
 
 
 def test_integer_kernel_frozen_example():

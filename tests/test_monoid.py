@@ -1,11 +1,12 @@
 import doctest
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import toricflow.cones
 import toricflow.monoid
 from toricflow import (
     AffineMonoid,
@@ -24,8 +25,10 @@ from toricflow import (
     hilbert_basis,
     roots_in_box,
 )
+from toricflow.lattice import adjugate
 
-from conftest import FLOW_CASES, box_scan_hilbert_basis, cone_fixture
+from conftest import (FLOW_CASES, box_scan_hilbert_basis, cone_fixture,
+                      laplace_cofactors, permutation_det)
 
 
 def test_doctests():
@@ -78,10 +81,14 @@ def test_hilbert_basis_rank_limit():
         Cone.from_rays(rays, 5, M_SIDE)
 
 
-def _simplex_volume(cone):
-    return sum(abs(_det(simplex)) for simplex in toricflow.monoid._pulling(
+def _simplices(cone):
+    return toricflow.monoid._pulling(
         tuple(r.entries for r in cone.rays), [h.entries for h in cone.facet_normals],
-        cone.rank))
+        cone.rank)
+
+
+def _simplex_volume(cone):
+    return sum(abs(permutation_det(simplex)) for simplex in _simplices(cone))
 
 
 def test_hilbert_basis_rank4_cube_and_octahedron():
@@ -168,21 +175,33 @@ def test_hilbert_basis_square13_and_thin_cone():
         (0, 1), (1, 0), (3000, -1)]
 
 
-def _det(rows):
-    total = 0
-    for perm in permutations(range(len(rows))):
-        inversions = sum(perm[i] > perm[j]
-                         for i, j in combinations(range(len(perm)), 2))
-        term = (-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
+def test_one_adjugate_per_simplex(monkeypatch):
+    # Each pulling simplex is eliminated once, for its det and its cofactors
+    # together, and Cone.from_rays eliminates its duality basis once.
+    calls = []
+
+    def counting_adjugate(rows):
+        calls.append(tuple(rows))
+        return adjugate(rows)
+
+    square = Cone.from_rays([(1, 0, 0), (1, 30, 0), (1, 0, 30), (1, 30, 30)], 3, M_SIDE)
+    cube = Cone.from_rays([(1,) + v for v in product((-1, 1), repeat=3)], 4, M_SIDE)
+    monkeypatch.setattr(toricflow.monoid, "adjugate", counting_adjugate)
+    monkeypatch.setattr(toricflow.cones, "adjugate", counting_adjugate)
+    for cone in (square, cube):
+        calls.clear()
+        hilbert_basis(cone)
+        assert sorted(calls) == sorted(_simplices(cone))
+    assert len(calls) == 6  # three square facets miss the first ray, two simplices each
+    calls.clear()
+    Cone.from_rays([(1,) + v for v in product((-1, 1), repeat=3)], 4, M_SIDE)
+    assert len(calls) == 1
 
 
 def _coefficients(simplex, x):
     # q with x = sum q_i simplex[i], by Cramer's rule
-    return [Fraction(_det(simplex[:i] + [x] + simplex[i + 1:]), _det(simplex))
+    size = permutation_det(simplex)
+    return [Fraction(permutation_det(simplex[:i] + [x] + simplex[i + 1:]), size)
             for i in range(len(simplex))]
 
 
@@ -199,9 +218,10 @@ def _square_matrices(d):
 @example([(2, -1, 3), (0, 3, 1), (-1, 2, 4)])
 @given(st.integers(1, 4).flatmap(_square_matrices))
 def test_parallelepiped_points(simplex):
-    size = abs(_det(simplex))
+    size = abs(permutation_det(simplex))
     assume(size != 0)
-    points = toricflow.monoid._parallelepiped_points(simplex, _det(simplex))
+    points = toricflow.monoid._parallelepiped_points(
+        simplex, permutation_det(simplex), laplace_cofactors(simplex))
     assert len(points) == len(set(points)) == size - 1
     for x in points:
         assert any(x)
