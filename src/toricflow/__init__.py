@@ -37,12 +37,11 @@ from .grading import (
     FixedDivisor,
     GradingClass,
     GradingKind,
-    StraighteningSet,
     classify,
     fixed_locus,
     straightening_subtori,
 )
-from .demazure import DemazureRoot, is_root, roots_in_box
+from .demazure import DemazureRoot, is_root, roots_in_box, smallest_root_at_ray
 from .algebra import AlgebraElement, HomogeneousLND
 from .orbits import (
     CompatibilityReport,
@@ -52,7 +51,6 @@ from .orbits import (
     ga_flow_point,
     gm_scale,
     limit_point,
-    smallest_root_at_ray,
     torus_point,
     verify_compatible,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "SaturationResult",
     "Scene",
     "SceneError",
-    "StraighteningSet",
     "ToricError",
     "ToricPoint",
     "classify",

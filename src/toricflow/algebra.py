@@ -205,8 +205,7 @@ class HomogeneousLND:
                     % (g.entries, self.root.vector.entries))
 
     def degree(self, u):
-        entries = u.entries if isinstance(u, LatticeVector) else tuple(u)
-        return dot(self.ray.entries, entries)
+        return dot(self.ray.entries, u)
 
     def apply(self, f):
         """One application of the derivation to an algebra element."""

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .errors import (BoundExceeded, HypothesisError, NormalityRequired,
                      NotParabolic, ResourceError, SceneError, ToricError)
-from .lattice import LatticeVector
 from .monoid import hilbert_basis
 from .grading import GradingKind, classify, straightening_subtori
 from .demazure import roots_in_box
@@ -46,7 +45,7 @@ def _dumps(value, indent=0):
 
 
 def _vec(v):
-    return list(v.entries if isinstance(v, LatticeVector) else v)
+    return list(v)
 
 
 def _frac(x):
@@ -182,21 +181,20 @@ def cmd_classify(scene, args):
 
 def cmd_straightening(scene, args):
     mon = scene.monoid()
-    result = straightening_subtori(mon)
     return {
         "generators": [_vec(u) for u in mon.generators],
-        "subtori": _straightening_doc(mon, result),
+        "subtori": _straightening_doc(mon, straightening_subtori(mon)),
     }
 
 
-def _straightening_doc(mon, result):
+def _straightening_doc(mon, divisors):
     facets = mon.weight_cone.facets()
     return [{"ray_index": divisor.ray_index,
-             "subgroup": _vec(subtorus),
+             "subgroup": _vec(divisor.ray),
              "facet_rays": [_vec(r) for r in facets[divisor.ray_index].rays],
              "vanishing_coordinates": list(divisor.vanishing),
              "surviving_coordinates": list(divisor.surviving)}
-            for subtorus, divisor in zip(result.subtori, result.divisors)]
+            for divisor in divisors]
 
 
 def _check_box(box):

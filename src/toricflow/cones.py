@@ -88,9 +88,8 @@ def _double_description(rays, basis):
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a cone, recorded by the facet normals that cut it out."""
+    """A face of a cone: the cone's rays that lie on it, and its dimension."""
 
-    saturated_normals: tuple
     rays: tuple
     dim: int
 
@@ -122,7 +121,7 @@ class Cone:
                 "rank %d exceeds the supported limit %d" % (rank, RANK_LIMIT))
         cleaned = []
         for r in rays:
-            entries = tuple(int(e) for e in (r.entries if isinstance(r, LatticeVector) else r))
+            entries = tuple(int(e) for e in r)
             if len(entries) != rank:
                 raise ValueError("ray length does not match rank")
             if all(e == 0 for e in entries):
@@ -187,9 +186,9 @@ class Cone:
     def facets(self):
         """All codimension-one faces, one per facet normal: double
         description yields facet-defining normals only."""
-        return [Face((k,), tuple(r for r in self.rays if dot(h.entries, r.entries) == 0),
+        return [Face(tuple(r for r in self.rays if dot(h.entries, r.entries) == 0),
                      self.rank - 1)
-                for k, h in enumerate(self.facet_normals)]
+                for h in self.facet_normals]
 
     def zero_face(self, functional):
         """The face on which a nonnegative functional vanishes.
@@ -208,10 +207,7 @@ class Cone:
                 "functional %s is negative on ray %s"
                 % (functional.entries, self.rays[bad[0]].entries))
         face_rays = tuple(r for r, v in zip(self.rays, values) if v == 0)
-        saturated = tuple(
-            k for k, h in enumerate(self.facet_normals)
-            if all(dot(h.entries, r.entries) == 0 for r in face_rays))
-        return Face(saturated, face_rays, matrix_rank([r.entries for r in face_rays]))
+        return Face(face_rays, matrix_rank([r.entries for r in face_rays]))
 
     def __repr__(self):
         return "Cone(%s, rank=%d, rays=%s)" % (

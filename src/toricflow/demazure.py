@@ -24,6 +24,7 @@ from .errors import BoundExceeded
 from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon
 
 ROOT_STEP_CAP = 1_000_000
+_ROOT_SEARCH_START = 5
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def is_root(sigma, e):
     condition holds) or None.
     """
     rays = _ray_entries(sigma)
-    entries = tuple(int(x) for x in (e.entries if isinstance(e, LatticeVector) else e))
+    entries = tuple(int(x) for x in e)
     if len(entries) != sigma.rank:
         raise ValueError("rank mismatch")
     distinguished = _distinguished_ray(rays, entries)
@@ -217,3 +218,21 @@ def roots_in_box(sigma, bound, ray_index=None):
     budget = StepBudget("root enumeration at max-norm %d" % bound, "; lower --box")
     return [DemazureRoot(LatticeVector(e, M_SIDE), i)
             for i in indices for e in lift_roots(rays, i, bound, budget)]
+
+
+def smallest_root_at_ray(sigma, ray_index):
+    """The lex-first root at the ray in the first box 5*2^k that holds a
+    root, and that box.
+
+    Every ray of a pointed full-dimensional cone has a root.  Each box is
+    one depth-first lift that stops at its first root; the lifts together
+    may take at most ROOT_STEP_CAP steps.
+    """
+    rays = _ray_entries(sigma, ray_index)
+    budget = StepBudget("the search for a root at ray %s" % (rays[ray_index],))
+    box = _ROOT_SEARCH_START
+    while True:
+        root = next(lift_roots(rays, ray_index, box, budget), None)
+        if root is not None:
+            return DemazureRoot(LatticeVector(root, M_SIDE), ray_index), box
+        box *= 2

@@ -47,7 +47,9 @@ def classify(mon, subgroup):
 
     Runs on any monoid, saturated or not; only the weight cone and the
     generator degrees matter.  degree_gcd is the gcd of the generator
-    degrees, and the grading is effective exactly when it is 1.
+    degrees, and the grading is effective exactly when it is 1.  A parabolic
+    l is a positive multiple of the inner normal of its zero facet, so
+    ray_index is the index of primitive(l) among the dual cone's rays.
     """
     if not isinstance(subgroup, LatticeVector) or subgroup.side != N_SIDE:
         raise ValueError("classify needs an N-side vector")
@@ -62,8 +64,7 @@ def classify(mon, subgroup):
     except NotNonnegative:
         return GradingClass(GradingKind.HYPERBOLIC, None, None, degree_gcd, effective)
     if face.dim == mon.rank - 1:
-        ray_index = face.saturated_normals[0]
-        assert primitive(subgroup).entries == mon.dual_cone.rays[ray_index].entries
+        ray_index = mon.dual_cone.rays.index(primitive(subgroup))
         return GradingClass(GradingKind.PARABOLIC, face, ray_index, degree_gcd, effective)
     if face.dim == 0:
         return GradingClass(GradingKind.ELLIPTIC, face, None, degree_gcd, effective)
@@ -74,8 +75,10 @@ def classify(mon, subgroup):
 class FixedDivisor:
     """Fixed-point locus of a parabolic action, as coordinate data.
 
-    vanishing lists the generator indices whose coordinates are zero on
-    the divisor (positive degree), surviving those of degree zero.
+    ray is the dual-cone ray p at ray_index, the subtorus that fixes the
+    divisor pointwise.  vanishing lists the generator indices whose
+    coordinates are zero on the divisor (positive degree), surviving those
+    of degree zero.
     """
 
     ray_index: int
@@ -102,17 +105,9 @@ def fixed_locus(mon, subgroup):
     return _divisor(mon, grading.ray_index)
 
 
-@dataclass(frozen=True)
-class StraighteningSet:
-    """All subtori that straighten: one per ray of the dual cone, paired
-    with the divisor it fixes."""
-
-    subtori: tuple
-    divisors: tuple
-
-
 def straightening_subtori(mon):
-    """Primitive dual-cone ray generators with their fixed divisors.
+    """The fixed divisors of the straightening subtori, one per ray of the
+    dual cone in ray order; each divisor's ray is its subtorus.
 
     Requires a saturated monoid; the induced product structure near the
     divisor is what saturation buys.
@@ -120,5 +115,4 @@ def straightening_subtori(mon):
     result = mon.saturation()
     if not result.saturated:
         raise NormalityRequired(result.witness.entries)
-    rays = mon.dual_cone.rays
-    return StraighteningSet(rays, tuple(_divisor(mon, k) for k in range(len(rays))))
+    return tuple(_divisor(mon, k) for k in range(len(mon.dual_cone.rays)))

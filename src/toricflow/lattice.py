@@ -37,18 +37,6 @@ class LatticeVector:
         if self.side not in _SIDES:
             raise ValueError("side must be %r, %r or None" % (N_SIDE, M_SIDE))
 
-    @classmethod
-    def n(cls, *entries):
-        if len(entries) == 1 and not isinstance(entries[0], int):
-            entries = tuple(entries[0])
-        return cls(entries, N_SIDE)
-
-    @classmethod
-    def m(cls, *entries):
-        if len(entries) == 1 and not isinstance(entries[0], int):
-            entries = tuple(entries[0])
-        return cls(entries, M_SIDE)
-
     @property
     def rank(self):
         return len(self.entries)

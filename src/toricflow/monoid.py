@@ -153,7 +153,7 @@ class AffineMonoid:
             raise ValueError("rank must be positive")
         gens = []
         for g in generators:
-            entries = tuple(int(e) for e in (g.entries if isinstance(g, LatticeVector) else g))
+            entries = tuple(int(e) for e in g)
             if len(entries) != rank:
                 raise ValueError("generator length does not match rank")
             if all(e == 0 for e in entries):
@@ -226,7 +226,7 @@ class AffineMonoid:
         return memo[target]
 
     def _entries(self, u):
-        entries = tuple(int(e) for e in (u.entries if isinstance(u, LatticeVector) else u))
+        entries = tuple(int(e) for e in u)
         if len(entries) != self.rank:
             raise ValueError("rank mismatch")
         return entries
@@ -282,7 +282,3 @@ class AffineMonoid:
                 relations.append(LatticeVector(relation))
             self._relations[support] = tuple(relations)
         return self._relations[support]
-
-    def relation_lattice(self):
-        """Basis of the lattice of integer relations among the generators."""
-        return self.face_relations(range(len(self.generators)))

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import HomogeneousLND, character_value
-from .demazure import DemazureRoot, StepBudget, _ray_entries, lift_roots
+from .demazure import smallest_root_at_ray
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
-from .lattice import LatticeVector, M_SIDE, N_SIDE, dot, primitive
-
-_ROOT_SEARCH_START = 5
+from .lattice import LatticeVector, N_SIDE, dot, primitive
 
 TORUS = "torus"
 FLOW = "flow"
@@ -131,35 +129,17 @@ def ga_flow_point(lnd, s, point):
     """Image of a torus point t under the additive flow at time s.
 
     Coordinate j is t^(u_j) * (1 + s*t^e)^<p,u_j>, the closed form of
-    exp(s*d)(chi^(u_j)) evaluated at t.
+    exp(s*d)(chi^(u_j)) evaluated at t.  The point already holds t^(u_j)
+    as its coordinate j, so only t^e is computed from t.
     """
     if point.monoid != lnd.monoid:
         raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
         raise ValueError("the additive flow starts from a torus point")
-    t = point.provenance[1]
-    step = 1 + Fraction(s) * character_value(t, lnd.root.vector.entries)
-    coords = tuple(character_value(t, g.entries) * step ** lnd.degree(g)
-                   for g in lnd.monoid.generators)
+    step = 1 + Fraction(s) * character_value(point.provenance[1], lnd.root.vector.entries)
+    coords = tuple(c * step ** lnd.degree(g)
+                   for c, g in zip(point.coords, lnd.monoid.generators))
     return ToricPoint(lnd.monoid, coords, (FLOW,))
-
-
-def smallest_root_at_ray(sigma, ray_index):
-    """The lex-first root at the ray in the first box 5*2^k that holds a
-    root, and that box.
-
-    Every ray of a pointed full-dimensional cone has a root.  Each box is
-    one depth-first lift that stops at its first root; the lifts together
-    may take at most ROOT_STEP_CAP steps.
-    """
-    rays = _ray_entries(sigma, ray_index)
-    budget = StepBudget("the search for a root at ray %s" % (rays[ray_index],))
-    box = _ROOT_SEARCH_START
-    while True:
-        root = next(lift_roots(rays, ray_index, box, budget), None)
-        if root is not None:
-            return DemazureRoot(LatticeVector(root, M_SIDE), ray_index), box
-        box *= 2
 
 
 def witness_derivation(mon, grading):

@@ -177,7 +177,7 @@ def test_criterion_4_certificate_end_to_end():
         a2 = AffineMonoid([(1, 0), (0, 1)], 2)
         x = torus_point(a2, (2, 5))
         assert x.coords == (2, 5)
-        report = verify_compatible(a2, LatticeVector.n(1, 0), x,
+        report = verify_compatible(a2, LatticeVector((1, 0), N_SIDE), x,
                                    gm_samples=gm, ga_samples=ga)
         assert report.passed
         assert report.limit.coords == (0, 5)
@@ -187,7 +187,7 @@ def test_criterion_4_certificate_end_to_end():
         quadric = AffineMonoid([(1, 0), (1, 1), (1, 2)], 2)
         p = torus_point(quadric, (3, 2))
         assert p.coords == (3, 6, 12)
-        report = verify_compatible(quadric, LatticeVector.n(0, 1), p,
+        report = verify_compatible(quadric, LatticeVector((0, 1), N_SIDE), p,
                                    gm_samples=gm, ga_samples=ga)
         assert report.passed
         assert report.limit.coords == (3, 0, 0)
@@ -205,13 +205,13 @@ def test_criterion_5_negative_fixtures(tmp_path, capsys):
         x = torus_point(a2, (2, 5))
 
         with pytest.raises(NotParabolic) as info:
-            verify_compatible(a2, LatticeVector.n(1, -1), x)
+            verify_compatible(a2, LatticeVector((1, -1), N_SIDE), x)
         assert info.value.verdict == "NotParabolic(Hyperbolic)"
-        assert classify(a2, LatticeVector.n(1, 1)).kind is GradingKind.ELLIPTIC
-        assert classify(a3, LatticeVector.n(1, 1, 0)).kind is \
+        assert classify(a2, LatticeVector((1, 1), N_SIDE)).kind is GradingKind.ELLIPTIC
+        assert classify(a3, LatticeVector((1, 1, 0), N_SIDE)).kind is \
             GradingKind.DEGENERATE_NONNEGATIVE
         with pytest.raises(NormalityRequired) as info:
-            verify_compatible(cusp, LatticeVector.n(1),
+            verify_compatible(cusp, LatticeVector((1,), N_SIDE),
                               torus_point(cusp, (2,)))
         assert "(1,)" in str(info.value)
 
@@ -289,11 +289,12 @@ def test_criterion_7_straightening_completeness():
             "quadric": [((0, 1), (1, 2), (0,)), ((2, -1), (0, 1), (2,))],
         }
         for name, mon in saturated_fixtures():
-            result = straightening_subtori(mon)
-            assert [p.entries for p in result.subtori] == [
+            divisors = straightening_subtori(mon)
+            assert [d.ray.entries for d in divisors] == [
                 r.entries for r in mon.dual_cone.rays], name
             table = []
-            for p, divisor in zip(result.subtori, result.divisors):
+            for divisor in divisors:
+                p = divisor.ray
                 grading = classify(mon, p)
                 assert grading.kind is GradingKind.PARABOLIC, name
                 locus = fixed_locus(mon, p)

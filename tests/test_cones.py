@@ -206,8 +206,7 @@ def test_facets_are_cut_from_facet_defining_normals(cone):
         return
     facets = built.facets()
     assert len(facets) == len(built.facet_normals)
-    for k, (normal, face) in enumerate(zip(built.facet_normals, facets)):
-        assert face.saturated_normals == (k,)
+    for normal, face in zip(built.facet_normals, facets):
         assert face.dim == rank - 1
         assert matrix_rank([r.entries for r in face.rays]) == rank - 1
         assert face.rays == tuple(r for r in built.rays

@@ -8,6 +8,7 @@ from toricflow import (
     AffineMonoid,
     GradingKind,
     LatticeVector,
+    N_SIDE,
     NormalityRequired,
     NotParabolic,
     classify,
@@ -23,7 +24,7 @@ from conftest import cone_fixture
 
 
 def n(*entries):
-    return LatticeVector.n(*entries)
+    return LatticeVector(entries, N_SIDE)
 
 
 def test_quadric_parabolic(quadric):
@@ -152,22 +153,30 @@ def test_fixed_locus_refuses_nonparabolic(a2):
 
 
 def test_straightening_quadric(quadric):
-    result = straightening_subtori(quadric)
-    assert [p.entries for p in result.subtori] == [(0, 1), (2, -1)]
-    assert [d.ray_index for d in result.divisors] == [0, 1]
-    assert result.divisors[0].vanishing == (1, 2)
-    assert result.divisors[0].surviving == (0,)
-    assert result.divisors[1].vanishing == (0, 1)
-    assert result.divisors[1].surviving == (2,)
+    divisors = straightening_subtori(quadric)
+    assert [d.ray.entries for d in divisors] == [(0, 1), (2, -1)]
+    assert [d.ray_index for d in divisors] == [0, 1]
+    assert divisors[0].vanishing == (1, 2)
+    assert divisors[0].surviving == (0,)
+    assert divisors[1].vanishing == (0, 1)
+    assert divisors[1].surviving == (2,)
 
 
 def test_straightening_subtori_are_parabolic(a2, a3, quadric, line):
-    for mon in (a2, a3, quadric, line):
-        result = straightening_subtori(mon)
-        assert [p.entries for p in result.subtori] == [
+    monoids = [a2, a3, quadric, line]
+    for name in ("square", "pentagon"):  # non-simplicial weight cones
+        sigma = cone_fixture(name)
+        monoids.append(AffineMonoid(hilbert_basis(sigma.dual()), sigma.rank))
+    for mon in monoids:
+        divisors = straightening_subtori(mon)
+        assert [d.ray.entries for d in divisors] == [
             r.entries for r in mon.dual_cone.rays]
-        for p in result.subtori:
-            assert classify(mon, p).kind is GradingKind.PARABOLIC
+        for k, divisor in enumerate(divisors):
+            p = divisor.ray
+            for c in (1, 3):
+                grading = classify(mon, c * p)
+                assert grading.kind is GradingKind.PARABOLIC
+                assert grading.ray_index == k
             flipped = classify(mon, -p)
             assert flipped.kind is GradingKind.HYPERBOLIC
 
@@ -177,10 +186,10 @@ def test_straightening_divisors_are_fixed_loci_on_non_simplicial_cones(name):
     sigma = cone_fixture(name)
     mon = AffineMonoid(hilbert_basis(sigma.dual()), sigma.rank)
     assert mon.dual_cone == sigma and len(sigma.rays) > sigma.rank
-    result = straightening_subtori(mon)
-    assert len(result.divisors) == len(sigma.rays)
+    divisors = straightening_subtori(mon)
+    assert len(divisors) == len(sigma.rays)
     for k, ray in enumerate(sigma.rays):
-        assert result.divisors[k] == fixed_locus(mon, ray)
+        assert divisors[k] == fixed_locus(mon, ray)
 
 
 def test_straightening_requires_saturation(cusp):

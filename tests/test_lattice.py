@@ -82,12 +82,6 @@ def test_vector_container_protocol():
     assert LatticeVector((0, 0)).is_zero
 
 
-def test_flexible_constructors():
-    assert LatticeVector.n(1, 2).entries == (1, 2)
-    assert LatticeVector.n((1, 2)).entries == (1, 2)
-    assert LatticeVector.m([0, -3]).side == M_SIDE
-
-
 def test_matrix_rank_known_values():
     assert matrix_rank([(1, 0), (0, 1)]) == 2
     assert matrix_rank([(1, 2), (2, 4)]) == 1

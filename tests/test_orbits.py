@@ -9,6 +9,7 @@ from toricflow import (
     AlgebraElement,
     HomogeneousLND,
     LatticeVector,
+    N_SIDE,
     M_SIDE,
     NormalityRequired,
     NotParabolic,
@@ -32,7 +33,7 @@ from conftest import FLOW_CASES, flow_case, pullback_flow_coords
 
 
 def n(*entries):
-    return LatticeVector.n(*entries)
+    return LatticeVector(entries, N_SIDE)
 
 
 def test_torus_point_coordinates(quadric, a2):
