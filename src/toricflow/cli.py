@@ -10,9 +10,8 @@ stdout, and exits 0.  Failures map to exit codes by error family:
 
 import argparse
 import functools
-import json
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import (BoundExceeded, HypothesisError, NormalityRequired,
@@ -28,40 +27,43 @@ from .scene import load_scene, parse_integers, parse_rational
 DEFAULT_ROOT_BOX = 5
 
 
+def _scalar(value):
+    """A JSON scalar as json.dumps writes it; literals by identity, as True == 1."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError("%s is not a JSON scalar" % type(value).__name__)
+
+
 def _dumps(value, indent=0):
-    """json.dumps with scalar-only lists and empty containers on one line."""
-    if isinstance(value, dict) and value:
-        parts = ["%s: %s" % (json.dumps(key), _dumps(item, indent + 1))
+    """JSON with 2-space indent, scalar-only lists and empty containers inline."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [_quote(key) + ": " + _dumps(item, indent + 1)
                  for key, item in value.items()]
         brackets = "{}"
-    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+    elif isinstance(value, list):
+        if not any(isinstance(item, (dict, list)) for item in value):
+            return "[" + ", ".join(map(_scalar, value)) + "]"
         parts = [_dumps(item, indent + 1) for item in value]
         brackets = "[]"
     else:
-        return json.dumps(value)
+        return _scalar(value)
     inner = "\n" + "  " * (indent + 1)
     return (brackets[0] + inner + ("," + inner).join(parts)
             + "\n" + "  " * indent + brackets[1])
-
-
-def _vec(v):
-    return list(v)
-
-
-def _frac(x):
-    return str(Fraction(x))
-
-
-def _fracs(values):
-    return [_frac(x) for x in values]
 
 
 def _cone_doc(cone):
     return {
         "side": cone.side,
         "rank": cone.rank,
-        "rays": [_vec(r) for r in cone.rays],
-        "facet_normals": [_vec(n) for n in cone.facet_normals],
+        "rays": [list(r) for r in cone.rays],
+        "facet_normals": [list(n) for n in cone.facet_normals],
     }
 
 
@@ -72,20 +74,20 @@ def _grading_doc(mon, grading):
         "effective": grading.effective,
         "zero_face_dim": None if grading.zero_face is None else grading.zero_face.dim,
         "zero_face_rays": None if grading.zero_face is None
-        else [_vec(r) for r in grading.zero_face.rays],
+        else [list(r) for r in grading.zero_face.rays],
         "ray_index": grading.ray_index,
     }
     if grading.ray_index is not None:
-        doc["ray"] = _vec(mon.dual_cone.rays[grading.ray_index])
+        doc["ray"] = list(mon.dual_cone.rays[grading.ray_index])
     return doc
 
 
 def _point_doc(point):
-    return {"coords": _fracs(point.coords), "provenance": point.provenance[0]}
+    return {"coords": [str(x) for x in point.coords], "provenance": point.provenance[0]}
 
 
 def _root_doc(root):
-    return {"vector": _vec(root.vector), "ray_index": root.ray_index}
+    return {"vector": list(root.vector), "ray_index": root.ray_index}
 
 
 def _lnd_doc(lnd):
@@ -94,10 +96,10 @@ def _lnd_doc(lnd):
     for gen in lnd.monoid.generators:
         k = lnd.degree(gen)
         image = {",".join(map(str, (gen + lnd.root.vector).entries)): str(k)} if k else {}
-        action.append({"generator": _vec(gen), "degree": k, "image": image})
+        action.append({"generator": list(gen), "degree": k, "image": image})
     return {
         "root": _root_doc(lnd.root),
-        "ray": _vec(lnd.ray),
+        "ray": list(lnd.ray),
         "kernel_rank": lnd.kernel_rank(),
         "action": action,
     }
@@ -105,10 +107,10 @@ def _lnd_doc(lnd):
 
 def _invariant_doc(check):
     return {
-        "exponent": _vec(check.exponent),
-        "base_value": _frac(check.base_value),
-        "gm_values": _fracs(check.gm_values),
-        "ga_values": _fracs(check.ga_values),
+        "exponent": list(check.exponent),
+        "base_value": str(check.base_value),
+        "gm_values": [str(x) for x in check.gm_values],
+        "ga_values": [str(x) for x in check.ga_values],
         "constant": check.constant,
         "annihilated": check.annihilated,
     }
@@ -117,18 +119,18 @@ def _invariant_doc(check):
 def _verification_doc(rep):
     return {
         "verdict": "pass" if rep.passed else "fail",
-        "subgroup": _vec(rep.subgroup),
+        "subgroup": list(rep.subgroup),
         "point": _point_doc(rep.point),
         "kind": "Parabolic",
         "ray_index": rep.ray_index,
-        "ray": _vec(rep.ray),
+        "ray": list(rep.ray),
         "root": _root_doc(rep.root),
         "root_box": rep.root_box,
-        "gm_samples": _fracs(rep.gm_samples),
-        "ga_samples": _fracs(rep.ga_samples),
+        "gm_samples": [str(x) for x in rep.gm_samples],
+        "ga_samples": [str(x) for x in rep.ga_samples],
         "invariants": [_invariant_doc(c) for c in rep.invariant_checks],
-        "limit": {"coords": _fracs(rep.limit.coords)},
-        "flow_parameter": _frac(rep.flow_parameter),
+        "limit": {"coords": [str(x) for x in rep.limit.coords]},
+        "flow_parameter": str(rep.flow_parameter),
         "reached_exactly": rep.reached_exactly,
         "notes": [],
         "derived_facts": [dict(f) for f in rep.derived_facts],
@@ -137,18 +139,15 @@ def _verification_doc(rep):
 
 def cmd_dual(scene, args):
     cone = scene.primary_cone()
-    return {
-        "cone": _cone_doc(cone),
-        "dual": _cone_doc(cone.dual()),
-    }
+    return {"cone": _cone_doc(cone), "dual": _cone_doc(cone.dual())}
 
 
 def cmd_facets(scene, args):
     cone = scene.primary_cone()
     return {
         "cone": _cone_doc(cone),
-        "facets": [{"normal_index": index, "normal": _vec(cone.facet_normals[index]),
-                    "rays": [_vec(r) for r in face.rays], "dim": face.dim}
+        "facets": [{"normal_index": index, "normal": list(cone.facet_normals[index]),
+                    "rays": [list(r) for r in face.rays], "dim": face.dim}
                    for index, face in enumerate(cone.facets())],
     }
 
@@ -157,7 +156,7 @@ def cmd_hilbert(scene, args):
     cone = scene.weight_cone()
     return {
         "weight_cone": _cone_doc(cone),
-        "hilbert_basis": [_vec(u) for u in hilbert_basis(cone)],
+        "hilbert_basis": [list(u) for u in hilbert_basis(cone)],
     }
 
 
@@ -165,7 +164,7 @@ def cmd_saturation(scene, args):
     result = scene.monoid().saturation()
     return {
         "saturated": result.saturated,
-        "witness": None if result.witness is None else _vec(result.witness),
+        "witness": None if result.witness is None else list(result.witness),
     }
 
 
@@ -174,7 +173,7 @@ def cmd_classify(scene, args):
     mon = scene.monoid()
     grading = classify(mon, subgroup)
     return {
-        "subgroup": _vec(subgroup),
+        "subgroup": list(subgroup),
         "classification": _grading_doc(mon, grading),
     }
 
@@ -182,19 +181,19 @@ def cmd_classify(scene, args):
 def cmd_straightening(scene, args):
     mon = scene.monoid()
     return {
-        "generators": [_vec(u) for u in mon.generators],
-        "subtori": _straightening_doc(mon, straightening_subtori(mon)),
+        "generators": [list(u) for u in mon.generators],
+        "subtori": _straightening_doc(mon),
     }
 
 
-def _straightening_doc(mon, divisors):
+def _straightening_doc(mon):
     facets = mon.weight_cone.facets()
     return [{"ray_index": divisor.ray_index,
-             "subgroup": _vec(divisor.ray),
-             "facet_rays": [_vec(r) for r in facets[divisor.ray_index].rays],
+             "subgroup": list(divisor.ray),
+             "facet_rays": [list(r) for r in facets[divisor.ray_index].rays],
              "vanishing_coordinates": list(divisor.vanishing),
              "surviving_coordinates": list(divisor.surviving)}
-            for divisor in divisors]
+            for divisor in straightening_subtori(mon)]
 
 
 def _check_box(box):
@@ -213,7 +212,7 @@ def _roots_doc(scene, box, ray_index=None):
     indices = range(len(sigma.rays)) if ray_index is None else [ray_index]
     return {
         "count": len(roots),
-        "by_ray": [{"ray_index": index, "ray": _vec(sigma.rays[index]),
+        "by_ray": [{"ray_index": index, "ray": list(sigma.rays[index]),
                     "count": sum(1 for r in roots if r.ray_index == index)}
                    for index in indices],
         "roots": [_root_doc(r) for r in roots],
@@ -234,22 +233,18 @@ def _lnd_from_arg(scene, text):
 
 
 def cmd_lnd(scene, args):
-    lnd = _lnd_from_arg(scene, args.root)
-    return {
-        "lnd": _lnd_doc(lnd),
-    }
+    return {"lnd": _lnd_doc(_lnd_from_arg(scene, args.root))}
 
 
 def cmd_flow(scene, args):
     lnd = _lnd_from_arg(scene, args.root)
     point = scene.point(args.point)
     s = parse_rational(args.s, "--s")
-    image = ga_flow_point(lnd, s, point)
     return {
         "point": _point_doc(point),
         "root": _root_doc(lnd.root),
-        "s": _frac(s),
-        "image": _point_doc(image),
+        "s": str(s),
+        "image": _point_doc(ga_flow_point(lnd, s, point)),
     }
 
 
@@ -260,9 +255,9 @@ def cmd_limit(scene, args):
     limit = limit_point(mon, subgroup, point)
     return {
         "point": _point_doc(point),
-        "subgroup": _vec(subgroup),
+        "subgroup": list(subgroup),
         "exists": limit is not None,
-        "limit": None if limit is None else {"coords": _fracs(limit.coords)},
+        "limit": None if limit is None else {"coords": [str(x) for x in limit.coords]},
     }
 
 
@@ -289,13 +284,13 @@ def cmd_report(scene, args):
     saturation = mon.saturation()
     if not saturation.saturated:
         warnings.append("monoid is not saturated, witness %s; straightening and flow "
-                        "verification are refused" % (_vec(saturation.witness),))
+                        "verification are refused" % (list(saturation.witness),))
     points = ({name: scene.point(name) for name in sorted(scene.point_coords)}
               if scene.subgroups else {})
     for name in sorted(scene.subgroups):
         subgroup = scene.subgroups[name]
         grading = classify(mon, subgroup)
-        classification[name] = dict(_grading_doc(mon, grading), subgroup=_vec(subgroup))
+        classification[name] = dict(_grading_doc(mon, grading), subgroup=list(subgroup))
         if not grading.effective:
             warnings.append("subgroup %s acts with degree gcd %d, not effectively"
                             % (name, grading.degree_gcd))
@@ -322,8 +317,7 @@ def cmd_report(scene, args):
     # trips the root step cap is the error reported, not the wider scan.
     return {
         "classification": classification,
-        "straightening": (_straightening_doc(mon, straightening_subtori(mon))
-                          if saturation.saturated else None),
+        "straightening": _straightening_doc(mon) if saturation.saturated else None,
         "roots": {"box": args.box, **_roots_doc(scene, args.box)},
         "witness_lnd": witness_lnd,
         "verification": verification,

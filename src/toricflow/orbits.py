@@ -3,10 +3,10 @@
 Points are coordinate tuples aligned with the monoid generator list:
 coordinate j holds the value of chi^(u_j).  They are built as torus
 points, as flow images, or as limit points; each constructor checks that
-the point lies on the variety: by the orbit-cone correspondence it must
-vanish exactly off the generators of one face of the weight cone (the
-cone itself when no coordinate is zero) and satisfy the binomial
-relations among them.  Flows start from torus points t and use the closed form
+the point lies on the variety: a torus point must hold chi^(u_j)(t), any
+other must vanish exactly off the generators of one face of the weight
+cone (the orbit-cone correspondence) and satisfy the binomial relations
+among them.  Flows start from torus points t and use the closed form
 chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
 Limits are taken as the multiplicative parameter goes to zero.
 """
@@ -29,8 +29,8 @@ LIMIT = "limit"
 class ToricPoint:
     """Coordinates indexed by the monoid generators, with provenance.
 
-    provenance is ("torus", t) for torus points and ("flow",) or
-    ("limit",) for toolkit-computed images.
+    provenance is ("torus", t) for torus points, whose coords must be the
+    chi^(u_j)(t), and ("flow",) or ("limit",) for toolkit-computed images.
     """
 
     monoid: object
@@ -42,27 +42,33 @@ class ToricPoint:
         object.__setattr__(self, "coords", coords)
         if len(coords) != len(self.monoid.generators):
             raise ValueError("coordinate count does not match the generators")
+        if self.is_torus:  # chi(t) for a nonzero t meets every relation
+            if coords != _characters(self.monoid, self.provenance[1]):
+                raise ValueError("coordinates %s are not the characters at the "
+                                 "torus point %s" % (coords, self.provenance[1]))
+            return
         support = [j for j, c in enumerate(coords) if c != 0]
         for relation in self.monoid.face_relations(support):
             if character_value(coords, relation.entries) != 1:
-                raise ValueError(
-                    "coordinates %s violate the relation %s"
-                    % (coords, relation.entries))
+                raise ValueError("coordinates %s violate the relation %s"
+                                 % (coords, relation.entries))
 
     @property
     def is_torus(self):
         return self.provenance[0] == TORUS
 
 
+def _characters(mon, t):
+    """chi^(u_j)(t) for each generator u_j; t must be nonzero."""
+    if len(t) != mon.rank or any(x == 0 for x in t):
+        raise ValueError("a torus point needs %d nonzero coordinates" % mon.rank)
+    return tuple(character_value(t, g.entries) for g in mon.generators)
+
+
 def torus_point(mon, t):
     """The point with chi^(u_j) = prod_k t_k^(u_j_k); t must be nonzero."""
     t = tuple(Fraction(x) for x in t)
-    if len(t) != mon.rank:
-        raise ValueError("torus coordinate count must equal the rank")
-    if any(x == 0 for x in t):
-        raise ValueError("torus coordinates must be nonzero")
-    coords = tuple(character_value(t, g.entries) for g in mon.generators)
-    return ToricPoint(mon, coords, (TORUS, t))
+    return ToricPoint(mon, _characters(mon, t), (TORUS, t))
 
 
 def gm_scale(mon, subgroup, t0, point):
@@ -74,11 +80,11 @@ def gm_scale(mon, subgroup, t0, point):
         raise ValueError("the multiplicative parameter must be nonzero")
     if point.monoid != mon:
         raise ValueError("point belongs to a different monoid")
+    if point.is_torus:
+        return torus_point(mon, [x * t0 ** l for x, l in zip(point.provenance[1],
+                                                             subgroup.entries)])
     coords = tuple(c * t0 ** dot(subgroup.entries, g.entries)
                    for c, g in zip(point.coords, mon.generators))
-    if point.is_torus:
-        t = tuple(x * t0 ** l for x, l in zip(point.provenance[1], subgroup.entries))
-        return ToricPoint(mon, coords, (TORUS, t))
     return ToricPoint(mon, coords, point.provenance)
 
 

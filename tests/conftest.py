@@ -256,6 +256,24 @@ def laplace_cofactors(rows):
             for i in range(len(rows))]
 
 
+# Output oracle: the JSON writer that cli._dumps replaces, one json.dumps
+# call per key and per scalar.
+def json_dumps_per_scalar(value, indent=0):
+    """json.dumps with scalar-only lists and empty containers on one line."""
+    if isinstance(value, dict) and value:
+        parts = ["%s: %s" % (json.dumps(key), json_dumps_per_scalar(item, indent + 1))
+                 for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        parts = [json_dumps_per_scalar(item, indent + 1) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    inner = "\n" + "  " * (indent + 1)
+    return (brackets[0] + inner + ("," + inner).join(parts)
+            + "\n" + "  " * indent + brackets[1])
+
+
 # Flow oracles: the iterated derivation series that the closed forms in
 # HomogeneousLND.exp_flow and ga_flow_point replace.
 _ORACLE_STEP_CAP = 10_000

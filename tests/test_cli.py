@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from toricflow import AlgebraElement, HomogeneousLND
 from toricflow.cli import build_parser, main
 from toricflow.scene import load_scene
 
-from conftest import CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE
+from conftest import CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, json_dumps_per_scalar
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -387,6 +388,29 @@ def test_exit_code_4_output_over_the_digit_limit(tmp_path, capsys, fmt):
     assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS=0" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int->str digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_exit_code_4_bare_int_over_the_digit_limit(tmp_path, capsys, fmt):
+    # rays with 400-digit entries give facet normals with about 800 digits,
+    # printed as ints, not as Fraction strings
+    a, b, c = 10**399 + 7, 3 * 10**399 + 1, 7 * 10**399 + 3
+    scene = tmp_path / "wide.json"
+    scene.write_text(json.dumps({"rank": 3, "cone_rays": [[1, 0, 0], [1, a, 0], [1, b, c]]}))
+    doc = run_json(capsys, "--scene", str(scene), "dual")
+    assert max(abs(x) for n in doc["cone"]["facet_normals"] for x in n) > 10**640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "--scene", str(scene), "--format", fmt, "dual")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 4
+    assert out == ""
+    assert err == ("error: BoundExceeded: an exact output value has over 640 digits, "
+                   "the int->str digit limit; set PYTHONINTMAXSTRDIGITS=0 to lift it\n")
+
+
 def test_exit_code_4_root_point_cap(tmp_path, capsys):
     orthant = tmp_path / "orthant4.json"
     rays = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -684,6 +708,28 @@ def test_output_bytes_match_recorded_digests(tmp_path, capsys, scene, argv,
     got = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert (got_code, got) == (code, digest), (
         "new output of %s %s: exit %d, digest %s" % (scene, argv, got_code, got))
+
+
+_odd_text = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff')))
+_json_scalars = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+                          st.integers(), st.integers(-10**60, 10**60), _odd_text)
+
+
+@settings(max_examples=300)
+@given(st.recursive(_json_scalars,
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_odd_text, inner, max_size=4),
+                    max_leaves=30))
+@example([True, 1, False, 0, None, [], {}, [[1, True], [0, False]]])
+@example({"": {}, "\"\\\n\ud800": [-10**50, "\u00e9", [[]]], "t": [{"1": True}]})
+def test_writer_matches_json_dumps_per_scalar(document):
+    assert toricflow.cli._dumps(document) == json_dumps_per_scalar(document)
+
+
+def test_writer_refuses_a_rational_that_is_not_a_string():
+    with pytest.raises(TypeError):
+        toricflow.cli._dumps({"s": [Fraction(1, 2)]})
 
 
 def test_json_is_parseable_for_all_commands(quadric_scene_path, capsys):

@@ -50,6 +50,18 @@ def test_torus_point_rejects_zero(quadric):
         torus_point(quadric, (3, 0))
 
 
+def test_torus_point_coords_must_be_its_characters(a2, quadric):
+    # (1, 1) is on the variety, but not the point t = (2, 5): the flow would
+    # read t for the root and the coordinates for the rest
+    with pytest.raises(ValueError, match="not the characters"):
+        ToricPoint(a2, (1, 1), ("torus", (2, 5)))
+    with pytest.raises(ValueError):
+        ToricPoint(a2, (0, 5), ("torus", (0, 5)))
+    with pytest.raises(ValueError):
+        ToricPoint(quadric, (3, 6, 12), ("torus", (3, 2, 1)))
+    assert ToricPoint(a2, (2, 5), ("torus", (2, 5))).coords == (2, 5)
+
+
 def test_point_relations_enforced(quadric):
     # coordinates must satisfy c0*c2 = c1^2
     with pytest.raises(ValueError):
