@@ -22,7 +22,7 @@ from math import comb
 
 from .demazure import DemazureRoot, is_root
 from .errors import IllDefinedRoot, NotADemazureRoot
-from .lattice import M_SIDE, LatticeVector, dot, matrix_rank
+from .lattice import M_SIDE, Frozen, LatticeVector, dot, matrix_rank
 
 
 def character_value(t, u):
@@ -33,7 +33,7 @@ def character_value(t, u):
     return value
 
 
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """Immutable element of the monoid algebra.
 
     Terms are kept sorted by exponent; every exponent must be a monoid
@@ -61,12 +61,7 @@ class AlgebraElement:
         for u in merged:
             if not monoid.contains(u):
                 raise ValueError("exponent %s is outside the monoid" % (u.entries,))
-        object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "terms",
-                           tuple(sorted(merged.items(), key=lambda t: t[0].entries)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+        self._set(monoid, tuple(sorted(merged.items(), key=lambda t: t[0].entries)))
 
     @classmethod
     def zero(cls, monoid):
@@ -151,13 +146,6 @@ class AlgebraElement:
         for _ in range(n):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.monoid == other.monoid and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.monoid, self.terms))
 
     def evaluate_at_torus(self, t):
         """Value at the torus point with coordinates t (nonzero Fractions)."""

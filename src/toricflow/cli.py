@@ -12,7 +12,6 @@ import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 from .errors import (BoundExceeded, HypothesisError, NormalityRequired,
                      NotParabolic, ResourceError, SceneError, ToricError)
@@ -388,9 +387,10 @@ def _read_scene(args):
             text = sys.stdin.read()
             text.encode("utf-8")  # stdin decodes bad bytes to lone surrogates
         else:
-            text = Path(args.scene).read_text(encoding="utf-8")
+            with open(args.scene, encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as error:
-        raise SceneError("cannot read scene file %s: %s" % (Path(args.scene), error))
+        raise SceneError("cannot read scene file %s: %s" % (args.scene, error))
     except UnicodeError as error:
         raise SceneError("scene is not UTF-8: %s" % error)
     return load_scene(text)

@@ -10,7 +10,7 @@ dualizing is just a role swap.  Ambient rank is capped at RANK_LIMIT, and
 one double-description step may combine at most DD_PAIR_CAP facet pairs.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import and_
 
@@ -24,6 +24,7 @@ from .errors import (
 from .lattice import (
     M_SIDE,
     N_SIDE,
+    Frozen,
     LatticeVector,
     adjugate,
     dot,
@@ -86,22 +87,19 @@ def _double_description(rays, basis):
     return facets
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "rays dim")):
     """A face of a cone: the cone's rays that lie on it, and its dimension."""
 
-    rays: tuple
-    dim: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Full-dimensional pointed cone with rays and facet normals."""
 
-    side: str
-    rank: int
-    rays: tuple
-    facet_normals: tuple
+    __slots__ = ("side", "rank", "rays", "facet_normals")
+
+    def __init__(self, side, rank, rays, facet_normals):
+        self._set(side, rank, rays, facet_normals)
 
     @classmethod
     def from_rays(cls, rays, rank, side):

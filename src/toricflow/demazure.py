@@ -15,7 +15,7 @@ infinitely many roots, which the toolkit witnesses by strictly growing
 box counts, never by assertion.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import gcd
 from operator import add, mul
@@ -27,12 +27,10 @@ ROOT_STEP_CAP = 1_000_000
 _ROOT_SEARCH_START = 5
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(namedtuple("DemazureRoot", "vector ray_index")):
     """A root vector together with the index of its distinguished ray."""
 
-    vector: LatticeVector
-    ray_index: int
+    __slots__ = ()
 
 
 def _distinguished_ray(rays, entries):

@@ -16,7 +16,7 @@ a unique ray of the dual cone, the distinguished ray; l is automatically a
 positive multiple of its primitive generator.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import NormalityRequired, NotNonnegative, NotParabolic
@@ -30,16 +30,12 @@ class GradingKind(Enum):
     DEGENERATE_NONNEGATIVE = "DegenerateNonnegative"
 
 
-@dataclass(frozen=True)
-class GradingClass:
+class GradingClass(namedtuple("GradingClass",
+                              "kind zero_face ray_index degree_gcd effective")):
     """Outcome of classify.  zero_face and ray_index are None when the
     grading is hyperbolic; ray_index is set only for parabolic gradings."""
 
-    kind: GradingKind
-    zero_face: object
-    ray_index: int | None
-    degree_gcd: int
-    effective: bool
+    __slots__ = ()
 
 
 def classify(mon, subgroup):
@@ -71,8 +67,7 @@ def classify(mon, subgroup):
     return GradingClass(GradingKind.DEGENERATE_NONNEGATIVE, face, None, degree_gcd, effective)
 
 
-@dataclass(frozen=True)
-class FixedDivisor:
+class FixedDivisor(namedtuple("FixedDivisor", "ray_index ray vanishing surviving")):
     """Fixed-point locus of a parabolic action, as coordinate data.
 
     ray is the dual-cone ray p at ray_index, the subtorus that fixes the
@@ -81,10 +76,7 @@ class FixedDivisor:
     of degree zero.
     """
 
-    ray_index: int
-    ray: LatticeVector
-    vanishing: tuple
-    surviving: tuple
+    __slots__ = ()
 
 
 def _divisor(mon, ray_index):

@@ -7,16 +7,44 @@ elements of Z^k (relation coefficients and the like).  Everything here is
 arbitrary-precision integer arithmetic; the toolkit never touches floats.
 """
 
-from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import mul
 
 N_SIDE = "N"
 M_SIDE = "M"
 _SIDES = (N_SIDE, M_SIDE, None)
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class Frozen:
+    """Base of the slotted records.  __init__ sets the slots once, through
+    _set; a slot can then be neither set nor deleted.  Two records are equal
+    when they are of one class with equal slot values."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class LatticeVector(Frozen):
     """Immutable integer vector with an optional side tag.
 
     >>> v = LatticeVector((2, -4), M_SIDE)
@@ -26,16 +54,15 @@ class LatticeVector:
     -1
     """
 
-    entries: tuple
-    side: str | None = None
+    __slots__ = ("entries", "side")
 
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries, side=None):
+        entries = tuple(map(int, entries))
         if not entries:
             raise ValueError("empty vector")
-        if self.side not in _SIDES:
+        if side not in _SIDES:
             raise ValueError("side must be %r, %r or None" % (N_SIDE, M_SIDE))
+        self._set(entries, side)
 
     @property
     def rank(self):
@@ -87,7 +114,7 @@ def dot(a, b):
     """Plain dot product of two equal-length int sequences."""
     if len(a) != len(b):
         raise ValueError("length mismatch in dot product")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def pairing(n, m):
@@ -102,10 +129,8 @@ def pairing(n, m):
 
 
 def gcd_all(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
+    """gcd of an iterable of ints, read one at a time; 0 when it is empty."""
+    return reduce(gcd, values, 0)
 
 
 def primitive(v):
@@ -114,7 +139,7 @@ def primitive(v):
 
 
 def primitive_tuple(entries):
-    g = gcd_all(entries)
+    g = gcd(*entries)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(e // g for e in entries)

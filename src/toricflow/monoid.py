@@ -9,7 +9,7 @@ lattice points of their cone are detected with an explicit witness.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from operator import mul
 
@@ -130,10 +130,8 @@ def hilbert_basis(cone):
     return [LatticeVector(u, M_SIDE) for u in basis]
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    saturated: bool
-    witness: LatticeVector | None
+class SaturationResult(namedtuple("SaturationResult", "saturated witness")):
+    __slots__ = ()
 
 
 class AffineMonoid:

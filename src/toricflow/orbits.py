@@ -11,64 +11,63 @@ chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
 Limits are taken as the multiplicative parameter goes to zero.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import HomogeneousLND, character_value
 from .demazure import smallest_root_at_ray
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
-from .lattice import LatticeVector, N_SIDE, dot, primitive
+from .lattice import N_SIDE, Frozen, dot, primitive
 
 TORUS = "torus"
 FLOW = "flow"
 LIMIT = "limit"
 
 
-@dataclass(frozen=True)
-class ToricPoint:
+class ToricPoint(Frozen):
     """Coordinates indexed by the monoid generators, with provenance.
 
     provenance is ("torus", t) for torus points, whose coords must be the
     chi^(u_j)(t), and ("flow",) or ("limit",) for toolkit-computed images.
+    A torus point given coords None takes the chi^(u_j)(t) as its coords.
     """
 
-    monoid: object
-    coords: tuple
-    provenance: tuple
+    __slots__ = ("monoid", "coords", "provenance")
 
-    def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != len(self.monoid.generators):
-            raise ValueError("coordinate count does not match the generators")
-        if self.is_torus:  # chi(t) for a nonzero t meets every relation
-            if coords != _characters(self.monoid, self.provenance[1]):
+    def __init__(self, monoid, coords, provenance):
+        if coords is not None:
+            coords = tuple(Fraction(c) for c in coords)
+            if len(coords) != len(monoid.generators):
+                raise ValueError("coordinate count does not match the generators")
+        if provenance[0] == TORUS:  # chi(t) for a nonzero t meets every relation
+            t = provenance[1]
+            if len(t) != monoid.rank or any(x == 0 for x in t):
+                raise ValueError("a torus point needs %d nonzero coordinates" % monoid.rank)
+            characters = tuple(character_value(t, g.entries) for g in monoid.generators)
+            if coords not in (None, characters):
                 raise ValueError("coordinates %s are not the characters at the "
-                                 "torus point %s" % (coords, self.provenance[1]))
-            return
-        support = [j for j, c in enumerate(coords) if c != 0]
-        for relation in self.monoid.face_relations(support):
-            if character_value(coords, relation.entries) != 1:
-                raise ValueError("coordinates %s violate the relation %s"
-                                 % (coords, relation.entries))
+                                 "torus point %s" % (coords, t))
+            coords = characters
+        else:
+            support = [j for j, c in enumerate(coords) if c != 0]
+            for relation in monoid.face_relations(support):
+                if character_value(coords, relation.entries) != 1:
+                    raise ValueError("coordinates %s violate the relation %s"
+                                     % (coords, relation.entries))
+        self._set(monoid, coords, provenance)
 
     @property
     def is_torus(self):
         return self.provenance[0] == TORUS
 
-
-def _characters(mon, t):
-    """chi^(u_j)(t) for each generator u_j; t must be nonzero."""
-    if len(t) != mon.rank or any(x == 0 for x in t):
-        raise ValueError("a torus point needs %d nonzero coordinates" % mon.rank)
-    return tuple(character_value(t, g.entries) for g in mon.generators)
+    def __repr__(self):
+        return "ToricPoint(monoid=%r, coords=%r, provenance=%r)" % self._values()
 
 
 def torus_point(mon, t):
     """The point with chi^(u_j) = prod_k t_k^(u_j_k); t must be nonzero."""
-    t = tuple(Fraction(x) for x in t)
-    return ToricPoint(mon, _characters(mon, t), (TORUS, t))
+    return ToricPoint(mon, None, (TORUS, tuple(Fraction(x) for x in t)))
 
 
 def gm_scale(mon, subgroup, t0, point):
@@ -162,39 +161,22 @@ def witness_derivation(mon, grading):
     return HomogeneousLND(mon, root), box
 
 
-@dataclass(frozen=True)
-class InvariantCheck:
+class InvariantCheck(namedtuple("InvariantCheck", "exponent base_value gm_values "
+                                "ga_values constant annihilated")):
     """One degree-zero generator u.  For a parabolic l, a positive multiple
     of p, <l,u> = <p,u> = 0: gm_values and ga_values follow the closed forms
     t^u*t0^<l,u> and t^u*(1 + s*t^e)^<p,u>, so constant holds by form, and
     so does annihilated, d(chi^u) = <p,u>*chi^(u+e) = 0."""
 
-    exponent: LatticeVector
-    base_value: Fraction
-    gm_values: tuple
-    ga_values: tuple
-    constant: bool
-    annihilated: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(namedtuple("CompatibilityReport", (
+        "passed subgroup point ray_index ray root root_box invariant_checks limit "
+        "flow_parameter reached_exactly gm_samples ga_samples derived_facts"))):
     """Outcome of verify_compatible, structured for rendering."""
 
-    passed: bool
-    subgroup: LatticeVector
-    point: ToricPoint
-    ray_index: int
-    ray: LatticeVector
-    root: object
-    root_box: int
-    invariant_checks: tuple
-    limit: ToricPoint
-    flow_parameter: Fraction
-    reached_exactly: bool
-    gm_samples: tuple
-    ga_samples: tuple
-    derived_facts: tuple
+    __slots__ = ()
 
 
 DEFAULT_GM_SAMPLES = (Fraction(2), Fraction(1, 2), Fraction(-3))

@@ -250,8 +250,10 @@ def test_exit_code_2_scene_errors(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "--scene", str(bad), "dual")
     assert code == 2
     assert err.startswith("error: SceneError:")
-    code, out, err = run(capsys, "--scene", str(tmp_path / "nope.json"), "dual")
-    assert code == 2
+    for unreadable in (tmp_path / "nope.json", tmp_path):
+        code, out, err = run(capsys, "--scene", str(unreadable), "dual")
+        assert code == 2
+        assert err.startswith("error: SceneError: cannot read scene file %s: " % unreadable)
     malformed = {
         "not_utf8": b'{"rank": 1, "cone_rays": [[1]], "points": {"\xff": {"torus": [1]}}}',
         "too_deep": b"[" * 100000 + b"]" * 100000,
@@ -511,6 +513,16 @@ def test_python_dash_m_runs_the_cli(quadric_scene_path):
         timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["dual"]["rays"] == [[1, 0], [1, 2]]
+
+
+def test_cli_import_skips_dataclasses_inspect_and_pathlib():
+    # each CLI call pays for its imports; these three cost about half of them
+    src = Path(toricflow.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); import toricflow.cli; "
+            "print(*sorted((set(sys.modules) - before) & {'dataclasses', 'inspect', 'pathlib'}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 # every subcommand and its flags, as --help lists them
