@@ -18,7 +18,7 @@ a finite sum with exact rational coefficients.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .demazure import DemazureRoot, is_root
 from .errors import IllDefinedRoot, NotADemazureRoot
@@ -26,11 +26,13 @@ from .lattice import M_SIDE, Frozen, LatticeVector, dot, matrix_rank
 
 
 def character_value(t, u):
-    """Value of chi^u at the torus point with coordinates t: prod t_k^(u_k)."""
-    value = Fraction(1)
-    for base, exponent in zip(t, u):
-        value *= base ** exponent
-    return value
+    """Value of chi^u at the torus point with coordinates t: prod t_k^(u_k),
+    as one Fraction of two integer products.  t holds ints or Fractions; a
+    zero exponent contributes 1, a zero base under a negative one raises
+    ZeroDivisionError."""
+    pairs = [(x.numerator, x.denominator, e) for x, e in zip(t, u) if e]
+    return Fraction(prod(a ** e if e > 0 else b ** -e for a, b, e in pairs),
+                    prod(b ** e if e > 0 else a ** -e for a, b, e in pairs))
 
 
 class AlgebraElement(Frozen):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cones import Cone
 from .errors import SceneError
-from .lattice import LatticeVector, M_SIDE, N_SIDE
+from .lattice import LatticeVector, N_SIDE
 from .monoid import AffineMonoid, hilbert_basis
 from .orbits import torus_point
 

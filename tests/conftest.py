@@ -274,6 +274,16 @@ def json_dumps_per_scalar(value, indent=0):
             + "\n" + "  " * indent + brackets[1])
 
 
+# Character oracle: the product of Fraction powers that
+# algebra.character_value replaces with two integer products.
+def character_value_by_powers(t, u):
+    """prod t_k^(u_k), one Fraction power and product per coordinate."""
+    value = Fraction(1)
+    for base, exponent in zip(t, u):
+        value *= Fraction(base) ** exponent
+    return value
+
+
 # Flow oracles: the iterated derivation series that the closed forms in
 # HomogeneousLND.exp_flow and ga_flow_point replace.
 _ORACLE_STEP_CAP = 10_000

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FLOW_CASES, derivation_powers, flow_case, iterated_exp_flow
+from conftest import (FLOW_CASES, character_value_by_powers, derivation_powers, flow_case,
+                      iterated_exp_flow)
 
 from toricflow import (
     AffineMonoid,
@@ -17,6 +18,7 @@ from toricflow import (
     NotADemazureRoot,
     is_root,
 )
+from toricflow.algebra import character_value
 
 
 def mono(mon, entries, coeff=1):
@@ -79,6 +81,37 @@ def test_evaluate_at_torus_is_a_homomorphism(a2):
 def quadric_lnd():
     mon = AffineMonoid([(1, 0), (1, 1), (1, 2)], 2)
     return mon, HomogeneousLND(mon, LatticeVector((0, -1), M_SIDE))
+
+
+_bases = st.one_of(st.integers(-9, 9),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), rank=st.integers(1, 4))
+def test_character_value_matches_fraction_powers(data, rank):
+    # ints and Fractions of either sign, exponents of either sign or zero
+    t = data.draw(st.lists(_bases.filter(bool), min_size=rank, max_size=rank))
+    u = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
+    value = character_value(t, u)
+    assert type(value) is Fraction
+    assert value == character_value_by_powers(t, u)
+
+
+@settings(max_examples=50)
+@given(data=st.data(), rank=st.integers(1, 4))
+def test_character_value_of_zero_base(data, rank):
+    t = data.draw(st.lists(_bases.filter(bool), min_size=rank, max_size=rank))
+    u = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
+    k = data.draw(st.integers(0, rank - 1))
+    t[k] = data.draw(st.sampled_from([0, Fraction(0)]))
+    if u[k] < 0:
+        with pytest.raises(ZeroDivisionError):
+            character_value(t, u)
+        with pytest.raises(ZeroDivisionError):
+            character_value_by_powers(t, u)
+    else:
+        assert character_value(t, u) == character_value_by_powers(t, u)
 
 
 def test_lnd_accepts_root_object_and_vector(quadric):

@@ -26,10 +26,9 @@ from toricflow import (
 
 import toricflow.monoid
 import toricflow.orbits
-from toricflow.algebra import character_value
 from toricflow.orbits import witness_derivation
 
-from conftest import FLOW_CASES, flow_case, pullback_flow_coords
+from conftest import FLOW_CASES, character_value_by_powers, flow_case, pullback_flow_coords
 
 
 def n(*entries):
@@ -60,6 +59,22 @@ def test_torus_point_coords_must_be_its_characters(a2, quadric):
     with pytest.raises(ValueError):
         ToricPoint(quadric, (3, 6, 12), ("torus", (3, 2, 1)))
     assert ToricPoint(a2, (2, 5), ("torus", (2, 5))).coords == (2, 5)
+
+
+def test_point_coordinates_convert_to_fractions(quadric):
+    # ints and "p/q" strings convert; Fractions are kept
+    mixed = ToricPoint(quadric, (3, "-6/5", Fraction(12, 25)), ("limit",))
+    exact = ToricPoint(quadric, (Fraction(3), Fraction(-6, 5), Fraction(12, 25)), ("limit",))
+    assert mixed == exact and hash(mixed) == hash(exact)
+    assert all(type(c) is Fraction for c in mixed.coords)
+    with pytest.raises(ValueError):
+        ToricPoint(quadric, (3, "x", 12), ("limit",))
+    by_ints = torus_point(quadric, (3, -2))
+    assert by_ints == torus_point(quadric, (Fraction(3), Fraction(-2)))
+    assert all(type(x) is Fraction for x in by_ints.provenance[1] + by_ints.coords)
+    assert torus_point(quadric, ("3", "-1/2")) == torus_point(quadric, (3, Fraction(-1, 2)))
+    with pytest.raises(ValueError):
+        torus_point(quadric, (3, "x"))
 
 
 def test_point_relations_enforced(quadric):
@@ -190,9 +205,9 @@ def test_ga_flow_point_at_solved_parameter_matches_pullback(name, subgroup, t):
     assert at_solved.coords == pullback_flow_coords(lnd, report.flow_parameter, point)
     # the closed form s* = -chi^(-e)(t) is the time solved from a coordinate
     # that is linear along the flow
-    assert report.flow_parameter == -1 / character_value(t, report.root.vector.entries)
+    assert report.flow_parameter == -1 / character_value_by_powers(t, report.root.vector.entries)
     j = next(j for j, g in enumerate(mon.generators) if lnd.degree(g) == 1)
-    slope = character_value(t, (mon.generators[j] + report.root.vector).entries)
+    slope = character_value_by_powers(t, (mon.generators[j] + report.root.vector).entries)
     assert report.flow_parameter == (report.limit.coords[j] - point.coords[j]) / slope
 
 
@@ -215,7 +230,7 @@ def test_invariant_values_match_full_points(name, subgroup, samples):
     elif samples == "vanishing":
         # the flow time s* at which every factor 1 + s*t^e is zero
         root, _ = smallest_root_at_ray(mon.dual_cone, classify(mon, subgroup).ray_index)
-        root_value = character_value(point.provenance[1], root.vector.entries)
+        root_value = character_value_by_powers(point.provenance[1], root.vector.entries)
         kwargs = {"ga_samples": (-1 / root_value, 2)}
         assert 1 + kwargs["ga_samples"][0] * root_value == 0
     report = verify_compatible(mon, subgroup, point, **kwargs)
