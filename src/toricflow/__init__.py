@@ -28,7 +28,6 @@ from .lattice import (
     generates_full_lattice,
     integer_kernel,
     matrix_rank,
-    pairing,
     primitive,
 )
 from .cones import RANK_LIMIT, Cone, Face
@@ -38,7 +37,6 @@ from .grading import (
     GradingClass,
     GradingKind,
     classify,
-    fixed_locus,
     straightening_subtori,
 )
 from .demazure import DemazureRoot, is_root, roots_in_box, smallest_root_at_ray
@@ -95,7 +93,6 @@ __all__ = [
     "classify",
     "dot",
     "evaluate",
-    "fixed_locus",
     "ga_flow_point",
     "gcd_all",
     "generates_full_lattice",
@@ -106,7 +103,6 @@ __all__ = [
     "limit_point",
     "load_scene",
     "matrix_rank",
-    "pairing",
     "primitive",
     "render_text",
     "roots_in_box",

@@ -19,10 +19,28 @@ a finite sum with exact rational coefficients.
 
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 
 from .demazure import DemazureRoot, is_root
-from .errors import IllDefinedRoot, NotADemazureRoot
+from .errors import BoundExceeded, IllDefinedRoot, NotADemazureRoot
 from .lattice import M_SIDE, Frozen, LatticeVector, dot, matrix_rank
+
+# The most bits that one exact power of a point, a flow or a scaling may
+# reach, by the bound of check_power_bits: about 79,000 decimal digits.
+POWER_BIT_CAP = 1 << 18
+
+
+def check_power_bits(values, exponent_rows):
+    """Refuse, before any is formed, the products prod x_k^(e_k) of the
+    values x over the exponent rows e whose size could pass POWER_BIT_CAP.
+    x^e has at most |e| * ceil(log2 m) bits, plus one, for m the larger of
+    |numerator| and denominator, so 0 and +-1 cost nothing."""
+    sizes = [(max(abs(x.numerator), x.denominator) - 1).bit_length() for x in values]
+    bound = max([sum(map(mul, map(abs, row), sizes)) for row in exponent_rows], default=0)
+    if bound > POWER_BIT_CAP:
+        raise BoundExceeded(
+            "an exact power would have up to %d bits, over POWER_BIT_CAP = %d; "
+            "give smaller coordinates, exponents or flow times" % (bound, POWER_BIT_CAP))
 
 
 def character_value(t, u):

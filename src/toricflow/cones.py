@@ -167,17 +167,6 @@ class Cone(Frozen):
             facet_normals=self.rays,
         )
 
-    def contains(self, v):
-        """Membership test against the facet normals.  Untagged vectors
-        are accepted; a vector tagged with the other side is not."""
-        if not isinstance(v, LatticeVector):
-            raise ValueError("contains expects a LatticeVector")
-        if v.side is not None and v.side != self.side:
-            raise ValueError("vector is tagged with the other side")
-        if v.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return all(dot(h.entries, v.entries) >= 0 for h in self.facet_normals)
-
     def contains_tuple(self, entries):
         return all(dot(h.entries, entries) >= 0 for h in self.facet_normals)
 

@@ -19,7 +19,7 @@ positive multiple of its primitive generator.
 from collections import namedtuple
 from enum import Enum
 
-from .errors import NormalityRequired, NotNonnegative, NotParabolic
+from .errors import NormalityRequired, NotNonnegative
 from .lattice import N_SIDE, LatticeVector, dot, gcd_all, primitive
 
 
@@ -86,15 +86,6 @@ def _divisor(mon, ray_index):
     vanishing = tuple(j for j, v in enumerate(degrees) if v > 0)
     surviving = tuple(j for j, v in enumerate(degrees) if v == 0)
     return FixedDivisor(ray_index, ray, vanishing, surviving)
-
-
-def fixed_locus(mon, subgroup):
-    """The invariant divisor fixed pointwise by a parabolic action."""
-    grading = classify(mon, subgroup)
-    if grading.kind is not GradingKind.PARABOLIC:
-        raise NotParabolic(grading.kind,
-                           "fixed divisors exist only for parabolic gradings")
-    return _divisor(mon, grading.ray_index)
 
 
 def straightening_subtori(mon):

@@ -1,8 +1,8 @@
 """Exact integer linear algebra on a dual pair of lattices.
 
 Vectors carry a side tag: "N" for one-parameter subgroups, "M" for
-characters.  The pairing is the ordinary dot product and is only defined
-between an N-side and an M-side vector.  Vectors with side None are plain
+characters.  The pairing of an N-side and an M-side vector is their dot
+product, written N-side first.  Vectors with side None are plain
 elements of Z^k (relation coefficients and the like).  Everything here is
 arbitrary-precision integer arithmetic; the toolkit never touches floats.
 """
@@ -50,8 +50,6 @@ class LatticeVector(Frozen):
     >>> v = LatticeVector((2, -4), M_SIDE)
     >>> primitive(v).entries
     (1, -2)
-    >>> pairing(LatticeVector((1, 0), N_SIDE), LatticeVector((-1, 3), M_SIDE))
-    -1
     """
 
     __slots__ = ("entries", "side")
@@ -78,32 +76,15 @@ class LatticeVector(Frozen):
     def __len__(self):
         return len(self.entries)
 
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def _check_compatible(self, other):
+    def __add__(self, other):
         if not isinstance(other, LatticeVector):
             raise TypeError("expected a LatticeVector")
         if other.side != self.side or other.rank != self.rank:
             raise ValueError("vectors live in different lattices")
-
-    def __add__(self, other):
-        self._check_compatible(other)
         return LatticeVector(tuple(a + b for a, b in zip(self.entries, other.entries)), self.side)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return LatticeVector(tuple(a - b for a, b in zip(self.entries, other.entries)), self.side)
 
     def __neg__(self):
         return LatticeVector(tuple(-a for a in self.entries), self.side)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return LatticeVector(tuple(k * a for a in self.entries), self.side)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         tag = "" if self.side is None else ", %s" % self.side
@@ -115,17 +96,6 @@ def dot(a, b):
     if len(a) != len(b):
         raise ValueError("length mismatch in dot product")
     return sum(map(mul, a, b))
-
-
-def pairing(n, m):
-    """Evaluate an N-side vector on an M-side vector.
-
-    The orientation is part of the contract; same-side arguments are a bug
-    in the caller, not a convention choice.
-    """
-    if n.side != N_SIDE or m.side != M_SIDE:
-        raise ValueError("pairing takes an N-side then an M-side vector")
-    return dot(n.entries, m.entries)
 
 
 def gcd_all(values):

@@ -26,7 +26,11 @@ from .lattice import (
     matrix_rank,
 )
 
+# The most candidates hilbert_basis takes: parallelepiped points of the
+# pulling simplices in ranks 1, 3 and 4, basis elements of the walk in rank 2.
 HILBERT_CANDIDATE_CAP = 400_000
+# The most points one decompose call may search.
+DECOMPOSE_NODE_CAP = 100_000
 
 
 def _combine(coefficients, columns):
@@ -70,11 +74,49 @@ def _parallelepiped_points(simplex, size, cofactor_rows):
     return list(zip(*points))[1:]
 
 
+def _walk(a, b):
+    """Hilbert basis of the rank-2 cone on the primitive rays a and b: the
+    lattice points on the compact edges of the hull of its nonzero lattice
+    points, walked from a to b by the Hirzebruch-Jung continued fraction
+    (Oda 1988, 1.6; Cox, Little and Schenck 2011, 10.2).
+
+    With n = det(a, b) > 0, the element after a is u_1 = w + t a, where
+    det(a, w) = 1 comes from the extended Euclid on a and t = ceil(-det(w, b)
+    / n) is the least t that puts u_1 in the cone.  Then u_(i+1) = c u_i -
+    u_(i-1), with c = ceil(det(u_(i-1), b) / det(u_i, b)) the least c that
+    keeps it in the cone.  det(u_i, b) falls at every step, and the walk ends
+    at det(u_i, b) = 0, where u_i = b.  Consecutive elements have det 1.
+    """
+    high = a[0] * b[1] - a[1] * b[0]
+    if high < 0:
+        a, b, high = b, a, -high
+    x = pow(a[0], -1, abs(a[1])) if a[1] else a[0]  # a_0 x = 1 mod a_1, by Euclid
+    w = ((a[0] * x - 1) // a[1] if a[1] else 0, x)
+    t = -((w[0] * b[1] - w[1] * b[0]) // high)
+    prev, u = a, (w[0] + t * a[0], w[1] + t * a[1])
+    low = u[0] * b[1] - u[1] * b[0]
+    basis = [a, u]
+    while low:
+        if len(basis) == HILBERT_CANDIDATE_CAP:
+            raise BoundExceeded(
+                "cone is too wide for a Hilbert basis: its continued-fraction "
+                "walk passed %d basis elements, over HILBERT_CANDIDATE_CAP = %d; "
+                "give rays with smaller entries" % (len(basis) + 1, HILBERT_CANDIDATE_CAP))
+        c = -(-high // low)
+        prev, u = u, (c * u[0] - prev[0], c * u[1] - prev[1])
+        high, low = low, c * low - high
+        basis.append(u)
+    return basis
+
+
 def hilbert_basis(cone):
     """Minimal generating set of cone ∩ M for a pointed full-dimensional cone.
 
-    The cone is cut into simplicial cones by a pulling triangulation, in
-    every rank, as no facet need be simplicial.  An irreducible element of
+    In rank 2 it is walked by the continued fraction of the cone (_walk), in
+    one integer step per basis element; a walk that passes
+    HILBERT_CANDIDATE_CAP elements is refused.  In ranks 1, 3 and 4 the cone
+    is cut into simplicial cones by a pulling triangulation, as no facet
+    need be simplicial.  An irreducible element of
     a simplicial cone is one of its rays or a lattice point of its half-open
     parallelepiped {sum q_i v_i : 0 <= q_i < 1}, so the extreme rays and
     the parallelepiped points are the candidates: |det| of them per
@@ -100,6 +142,8 @@ def hilbert_basis(cone):
     """
     if cone.side != M_SIDE:
         raise ValueError("Hilbert basis is computed on the weight side")
+    if cone.rank == 2:
+        return [LatticeVector(u, M_SIDE) for u in sorted(_walk(*(r.entries for r in cone.rays)))]
     normals = [h.entries for h in cone.facet_normals]
     simplices = [(simplex, *adjugate(simplex)) for simplex in _pulling(
         tuple(r.entries for r in cone.rays), normals, cone.rank)]
@@ -171,7 +215,7 @@ class AffineMonoid:
             raise NotEffective("generators %s do not generate the full lattice" % (gens,))
         self._decompositions = {(0,) * rank: (0,) * len(gens)}
         self._hilbert = None if _weight_cone is None else self.generators
-        self._saturation = None
+        self._saturation = None if _weight_cone is None else SaturationResult(True, None)
         self._relations = {}
 
     def __eq__(self, other):
@@ -188,7 +232,8 @@ class AffineMonoid:
     def decompose(self, u):
         """A nonnegative integer combination of the generators equal to u,
         as a coefficient tuple, or None.  Deterministic: depth-first in
-        generator order, first success wins.
+        generator order, first success wins.  A search that would take more
+        than DECOMPOSE_NODE_CAP points raises BoundExceeded.
         """
         target = self._entries(u)
         memo = self._decompositions
@@ -196,6 +241,7 @@ class AffineMonoid:
             return None
         gens = self._gen_tuples
         stack = [target]
+        known = len(memo)
         while stack:
             t = stack[-1]
             if t in memo:
@@ -208,6 +254,11 @@ class AffineMonoid:
                 if not self.weight_cone.contains_tuple(w):
                     continue
                 if w not in memo:
+                    if len(memo) - known + len(stack) == DECOMPOSE_NODE_CAP:
+                        raise BoundExceeded(
+                            "membership of %s took over DECOMPOSE_NODE_CAP = %d "
+                            "search points; give smaller exponents or roots"
+                            % (target, DECOMPOSE_NODE_CAP))
                     stack.append(w)
                     descended = True
                     break

@@ -8,13 +8,14 @@ other must vanish exactly off the generators of one face of the weight
 cone (the orbit-cone correspondence) and satisfy the binomial relations
 among them.  Flows start from torus points t and use the closed form
 chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
-Limits are taken as the multiplicative parameter goes to zero.
+Limits are taken as the multiplicative parameter goes to zero.  Each point,
+flow and scaling checks its powers with check_power_bits before forming them.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import HomogeneousLND, character_value
+from .algebra import HomogeneousLND, character_value, check_power_bits
 from .demazure import smallest_root_at_ray
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
@@ -23,6 +24,7 @@ from .lattice import N_SIDE, Frozen, dot, primitive
 TORUS = "torus"
 FLOW = "flow"
 LIMIT = "limit"
+_ZERO = Fraction(0)
 
 
 def _fraction(x):
@@ -48,6 +50,7 @@ class ToricPoint(Frozen):
             t = provenance[1]
             if len(t) != monoid.rank or any(x == 0 for x in t):
                 raise ValueError("a torus point needs %d nonzero coordinates" % monoid.rank)
+            check_power_bits(t, [g.entries for g in monoid.generators])
             characters = tuple(character_value(t, g.entries) for g in monoid.generators)
             if coords not in (None, characters):
                 raise ValueError("coordinates %s are not the characters at the "
@@ -55,7 +58,9 @@ class ToricPoint(Frozen):
             coords = characters
         else:
             support = [j for j, c in enumerate(coords) if c != 0]
-            for relation in monoid.face_relations(support):
+            relations = monoid.face_relations(support)
+            check_power_bits(coords, [r.entries for r in relations])
+            for relation in relations:
                 if character_value(coords, relation.entries) != 1:
                     raise ValueError("coordinates %s violate the relation %s"
                                      % (coords, relation.entries))
@@ -84,10 +89,12 @@ def gm_scale(mon, subgroup, t0, point):
     if point.monoid != mon:
         raise ValueError("point belongs to a different monoid")
     if point.is_torus:
+        check_power_bits([t0], [[max(subgroup.entries, key=abs)]])
         return torus_point(mon, [x * t0 ** l for x, l in zip(point.provenance[1],
                                                              subgroup.entries)])
-    coords = tuple(c * t0 ** dot(subgroup.entries, g.entries)
-                   for c, g in zip(point.coords, mon.generators))
+    degrees = [dot(subgroup.entries, g.entries) for g in mon.generators]
+    check_power_bits([t0], [[max(degrees, key=abs)]])
+    coords = tuple(c * t0 ** k for c, k in zip(point.coords, degrees))
     return ToricPoint(mon, coords, point.provenance)
 
 
@@ -105,8 +112,7 @@ def limit_point(mon, subgroup, point):
     for c, k in zip(point.coords, degrees):
         if c != 0 and k < 0:
             return None
-    coords = tuple(c if k == 0 else Fraction(0)
-                   for c, k in zip(point.coords, degrees))
+    coords = tuple(c if k == 0 else _ZERO for c, k in zip(point.coords, degrees))
     return ToricPoint(mon, coords, (LIMIT,))
 
 
@@ -146,10 +152,19 @@ def ga_flow_point(lnd, s, point):
         raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
         raise ValueError("the additive flow starts from a torus point")
-    step = 1 + _fraction(s) * character_value(point.provenance[1], lnd.root.vector.entries)
-    coords = tuple(c * step ** k if k else c
-                   for c, k in zip(point.coords, map(lnd.degree, lnd.monoid.generators)))
+    step = 1 + _fraction(s) * _root_value(lnd, point)
+    degrees = [lnd.degree(g) for g in lnd.monoid.generators]
+    check_power_bits([step], [[max(degrees)]])
+    coords = tuple(c * step ** k if k else c for c, k in zip(point.coords, degrees))
     return ToricPoint(lnd.monoid, coords, (FLOW,))
+
+
+def _root_value(lnd, point):
+    """t^e for the root e of lnd at the torus point t, refused before it is
+    formed when it could pass POWER_BIT_CAP bits."""
+    t, e = point.provenance[1], lnd.root.vector.entries
+    check_power_bits(t, [e])
+    return character_value(t, e)
 
 
 def witness_derivation(mon, grading):
@@ -229,7 +244,7 @@ def verify_compatible(mon, subgroup, point,
     limit = limit_point(mon, subgroup, point)
     assert limit is not None, "parabolic gradings always have limits"
 
-    flow_parameter = -1 / character_value(point.provenance[1], lnd.root.vector.entries)
+    flow_parameter = -1 / _root_value(lnd, point)
     reached = ga_flow_point(lnd, flow_parameter, point).coords == limit.coords
 
     derived_facts = ()

@@ -6,9 +6,11 @@ from math import factorial
 import pytest
 from hypothesis import HealthCheck, settings
 
-from toricflow import (AffineMonoid, AlgebraElement, Cone, HomogeneousLND,
-                       LatticeVector, M_SIDE, N_SIDE, NotFullDimensional,
-                       NotPointed, dot, evaluate, matrix_rank, roots_in_box)
+from toricflow import (AffineMonoid, AlgebraElement, Cone, GradingKind,
+                       HomogeneousLND, LatticeVector, M_SIDE, N_SIDE,
+                       NotFullDimensional, NotParabolic, NotPointed, classify,
+                       dot, evaluate, matrix_rank, roots_in_box)
+from toricflow.grading import _divisor
 from toricflow.lattice import primitive_tuple
 
 settings.register_profile(
@@ -223,6 +225,16 @@ def box_scan_hilbert_basis(cone):
         else:
             basis.append(u)
     return sorted(basis)
+
+
+def fixed_locus(mon, subgroup):
+    """The divisor fixed pointwise by a parabolic subgroup: its grading's
+    distinguished ray, as straightening_subtori gives it for that ray."""
+    grading = classify(mon, subgroup)
+    if grading.kind is not GradingKind.PARABOLIC:
+        raise NotParabolic(grading.kind,
+                           "fixed divisors exist only for parabolic gradings")
+    return _divisor(mon, grading.ray_index)
 
 
 # Determinant oracles: the expansions that lattice.adjugate replaces.

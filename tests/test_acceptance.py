@@ -28,7 +28,6 @@ from toricflow import (
     NormalityRequired,
     NotParabolic,
     classify,
-    fixed_locus,
     matrix_rank,
     primitive,
     roots_in_box,
@@ -39,7 +38,7 @@ from toricflow import (
 from toricflow.cli import main as cli_main
 
 from conftest import (CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, cone_fixture,
-                      root_growth_witness)
+                      fixed_locus, root_growth_witness)
 
 
 @contextmanager

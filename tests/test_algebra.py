@@ -10,6 +10,7 @@ from conftest import (FLOW_CASES, character_value_by_powers, derivation_powers, 
 from toricflow import (
     AffineMonoid,
     AlgebraElement,
+    BoundExceeded,
     DemazureRoot,
     HomogeneousLND,
     IllDefinedRoot,
@@ -18,7 +19,7 @@ from toricflow import (
     NotADemazureRoot,
     is_root,
 )
-from toricflow.algebra import character_value
+from toricflow.algebra import POWER_BIT_CAP, character_value, check_power_bits
 
 
 def mono(mon, entries, coeff=1):
@@ -96,6 +97,41 @@ def test_character_value_matches_fraction_powers(data, rank):
     value = character_value(t, u)
     assert type(value) is Fraction
     assert value == character_value_by_powers(t, u)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), rank=st.integers(1, 3))
+def test_power_cap_lets_no_larger_power_through(data, rank):
+    # exponents up to 10^5 on bases up to 2^10 put the bound on both sides
+    # of the cap; a power that passes has at most cap + rank bits, one more
+    # per factor than the bound
+    side = st.integers(-2**10, 2**10)
+    t = data.draw(st.lists(st.one_of(side, st.fractions(max_denominator=2**10).map(
+        lambda q: Fraction(q.numerator % 2**10, q.denominator))).filter(bool),
+        min_size=rank, max_size=rank))
+    u = data.draw(st.lists(st.integers(-10**5, 10**5), min_size=rank, max_size=rank))
+    try:
+        check_power_bits(t, [[0] * rank, u])
+    except BoundExceeded as error:
+        assert "over POWER_BIT_CAP = %d;" % POWER_BIT_CAP in str(error)
+        return
+    value = character_value(t, u)
+    assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= (
+        POWER_BIT_CAP + rank)
+
+
+def test_power_cap_refuses_one_past_the_bound():
+    # 0, 1 and -1 cost no bits, whatever their exponent
+    check_power_bits([0, 1, -1, Fraction(1)], [[10**12] * 4])
+    for x in (2, 3, Fraction(-7, 3), Fraction(1, 1024), 12345678901234567):
+        size = (max(abs(Fraction(x).numerator), Fraction(x).denominator) - 1).bit_length()
+        most = POWER_BIT_CAP // size
+        check_power_bits([x], [(most,), (-most,)])
+        with pytest.raises(BoundExceeded) as info:
+            check_power_bits([x], [(1,), (-most - 1,)])
+        assert str(info.value) == (
+            "an exact power would have up to %d bits, over POWER_BIT_CAP = %d; give "
+            "smaller coordinates, exponents or flow times" % ((most + 1) * size, POWER_BIT_CAP))
 
 
 @settings(max_examples=50)

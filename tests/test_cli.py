@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -505,6 +506,62 @@ def test_exit_code_4_report_root_search_names_no_box_flag(tmp_path, capsys, monk
                    "reached 31 steps, over ROOT_STEP_CAP = 30\n")
 
 
+def _thin_scene(tmp_path, k, point):
+    path = tmp_path / ("thin%d.json" % k)
+    path.write_text(json.dumps({"rank": 2, "cone_rays": [[1, 0], [1, k]],
+                                "points": {"p": {"torus": point}},
+                                "subgroups": {"near": [1, 0], "wide": [1, k]}}))
+    return str(path)
+
+
+def test_hilbert_of_a_thin_cone_walks_three_elements(tmp_path, capsys):
+    doc = run_json(capsys, "--scene", _thin_scene(tmp_path, 10**9, ["2", "3"]), "hilbert")
+    assert doc["hilbert_basis"] == [[0, 1], [1, 0], [10**9, -1]]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--l", "near", "--point", "p"], ["report"]])
+def test_exit_code_4_power_cap(tmp_path, capsys, argv):
+    # the character of (10^9, -1) at (2, 3) is 2^(10^9)/3; a monoid scene
+    # with the generator (10^8, 1) meets 2^(10^8)*3 the same way
+    monoid = tmp_path / "monoid.json"
+    monoid.write_text(json.dumps({"rank": 2, "monoid_generators": [[1, 0], [10**8, 1]],
+                                  "points": {"p": {"torus": ["2", "3"]}},
+                                  "subgroups": {"near": [0, 1]}}))
+    for path, bound in ((_thin_scene(tmp_path, 10**9, ["2", "3"]), 10**9 + 2),
+                        (str(monoid), 10**8 + 2)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--scene", path, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == ("error: BoundExceeded: an exact power would have up to %d bits, "
+                       "over POWER_BIT_CAP = 262144; give smaller coordinates, exponents "
+                       "or flow times\n" % bound)
+
+
+def test_powers_of_one_cost_nothing(tmp_path, capsys):
+    # every power at the point (1, -1) is +-1, so the thin cone at k = 10^9
+    # verifies at once, and a cone scene is saturated by construction, so
+    # its derivations are checked by the facet test, not by decomposing
+    path = _thin_scene(tmp_path, 10**9, ["1", "-1"])
+    doc = run_json(capsys, "--scene", path, "verify", "--l", "wide", "--point", "p")
+    assert doc["verdict"] == "pass" and doc["limit"]["coords"] == ["0", "0", "-1"]
+    doc = run_json(capsys, "--scene", path, "lnd", "--root=-1,1")
+    assert doc["lnd"]["action"][2]["image"] == {"999999999,0": "1000000000"}
+
+
+def test_exit_code_4_decompose_cap(tmp_path, capsys):
+    # the monoid misses (0, 1); the derivation's check decomposes (0, m)
+    scene = tmp_path / "holed.json"
+    scene.write_text(json.dumps({"rank": 2,
+                                 "monoid_generators": [[1, 0], [0, 2], [0, 3], [1, 1]]}))
+    assert run_json(capsys, "--scene", str(scene), "lnd", "--root=-1,1000")["lnd"]
+    code, out, err = run(capsys, "--scene", str(scene), "lnd", "--root=-1,1000000000")
+    assert (code, out) == (4, "")
+    assert err == ("error: BoundExceeded: membership of (0, 1000000000) took over "
+                   "DECOMPOSE_NODE_CAP = 100000 search points; give smaller exponents "
+                   "or roots\n")
+
+
 def test_python_dash_m_runs_the_cli(quadric_scene_path):
     src = Path(toricflow.__file__).resolve().parents[1]
     done = subprocess.run(
@@ -873,10 +930,9 @@ def _csv(values, size):
 
 
 @st.composite
-def _argvs(draw, rank):
+def _argvs(draw, rank, ints=st.integers(-3, 3).map(str)):
     """argv for one subcommand in --flag=value form, so that negative
     values parse; --root and --l sometimes have the wrong length."""
-    ints = st.integers(-3, 3).map(str)
     sizes = st.sampled_from([rank, rank, 1 + rank % 3])
     subgroup = st.one_of(st.just("l"), sizes.flatmap(lambda n: _csv(ints, n)))
     root = sizes.flatmap(lambda n: _csv(ints, n))
@@ -961,7 +1017,10 @@ _POLYGON16_SCENE = {
 @example((QUADRIC_SCENE, ["verify", "--point=p", "--l=vertical", "--ts=1,0"]))
 @given(_runs())
 def test_exit_code_contract(run_args):
-    scene, argv = run_args
+    _check_exit_code_contract(*run_args)
+
+
+def _check_exit_code_contract(scene, argv):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(scene))
@@ -973,3 +1032,44 @@ def test_exit_code_contract(run_args):
     assert code in (0, 2, 3, 4)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines
+
+
+_WIDE = st.one_of(st.integers(-3, 3), st.integers(-10**9, 10**9))
+
+
+@st.composite
+def _wide_rank2_runs(draw):
+    """A rank-2 scene with entries up to 10^9 in its rays or generators, its
+    torus point and its subgroup, and an argv for one subcommand of it whose
+    --root and --l entries are as large."""
+    vector = st.lists(_WIDE, min_size=2, max_size=2)
+    coordinate = st.one_of(_RATIONALS, _WIDE.map(str)).filter(lambda q: q != "0")
+    scene = {
+        "rank": 2,
+        draw(st.sampled_from(["cone_rays", "monoid_generators"])):
+            draw(st.lists(vector, min_size=2, max_size=4)),
+        "points": {"p": {"torus": draw(st.lists(coordinate, min_size=2, max_size=2))}},
+        "subgroups": {"l": draw(vector.filter(any))},
+    }
+    return scene, draw(_argvs(2, _WIDE.map(str)))
+
+
+_THIN9 = {"rank": 2, "cone_rays": [[1, 0], [1, 10**9]],
+          "points": {"p": {"torus": ["2", "3"]}}, "subgroups": {"l": [1, 0]}}
+_HOLED = {"rank": 2, "monoid_generators": [[1, 0], [0, 2], [0, 3], [1, 1]],
+          "points": {"p": {"torus": ["2", "3"]}}, "subgroups": {"l": [1, 0]}}
+
+
+# Every subcommand ends within a few seconds however large the entries: the
+# examples trip the power cap, the walk's cap and the decompose cap.
+@settings(max_examples=80, deadline=None)
+@example((_THIN9, ["verify", "--l=l", "--point=p"]))
+@example((_THIN9, ["flow", "--point=p", "--root=-1,1", "--s=1"]))
+# the weight cone of this one is cone((1,0),(10^9,10^9-1)), of 10^9 elements
+@example((dict(_THIN9, cone_rays=[[0, 1], [10**9 - 1, -10**9]]), ["report"]))
+@example((_HOLED, ["lnd", "--root=-1,1000000000"]))
+@given(_wide_rank2_runs())
+def test_exit_code_contract_on_wide_rank2_scenes(run_args):
+    start = time.perf_counter()
+    _check_exit_code_contract(*run_args)
+    assert time.perf_counter() - start < 5

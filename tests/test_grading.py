@@ -12,7 +12,6 @@ from toricflow import (
     NormalityRequired,
     NotParabolic,
     classify,
-    fixed_locus,
     gcd_all,
     hilbert_basis,
     matrix_rank,
@@ -20,7 +19,7 @@ from toricflow import (
     straightening_subtori,
 )
 
-from conftest import cone_fixture
+from conftest import cone_fixture, fixed_locus
 
 
 def n(*entries):
@@ -174,7 +173,7 @@ def test_straightening_subtori_are_parabolic(a2, a3, quadric, line):
         for k, divisor in enumerate(divisors):
             p = divisor.ray
             for c in (1, 3):
-                grading = classify(mon, c * p)
+                grading = classify(mon, LatticeVector([c * x for x in p], N_SIDE))
                 assert grading.kind is GradingKind.PARABOLIC
                 assert grading.ray_index == k
             flipped = classify(mon, -p)

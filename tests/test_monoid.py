@@ -1,4 +1,5 @@
 import doctest
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -114,11 +115,70 @@ def test_hilbert_basis_box_cap():
     cone = Cone.from_rays([(1, 0), (1000, 999)], 2, M_SIDE)
     assert [v.entries for v in hilbert_basis(cone)] == [
         (j + 1, j) for j in range(1000)]
-    cone = Cone.from_rays([(1, 0), (1, 400001)], 2, M_SIDE)
-    with pytest.raises(BoundExceeded, match="400001 candidate points.*400000") as info:
+    # the triangle over (0,0), (633,0), (0,633) is one simplex of det 633^2
+    cone = Cone.from_rays([(1, 0, 0), (1, 633, 0), (1, 0, 633)], 3, M_SIDE)
+    with pytest.raises(BoundExceeded, match="400689 candidate points.*400000") as info:
         hilbert_basis(cone)
     assert "HILBERT_CANDIDATE_CAP" in str(info.value)
     assert "give a narrower cone or fewer generators" in str(info.value)
+
+
+def test_hilbert_basis_walk_cap():
+    # The weight cone of cone((1,0),(1,400001)) has 3 basis elements, which
+    # the walk finds at once; the cone((1,0),(1,400001)) itself has the
+    # 400,002 elements (1,j), and the walk stops one past the cap.
+    weight = Cone.from_rays([(1, 0), (1, 400001)], 2, N_SIDE).dual()
+    assert [v.entries for v in hilbert_basis(weight)] == [(0, 1), (1, 0), (400001, -1)]
+    cone = Cone.from_rays([(1, 0), (1, 400001)], 2, M_SIDE)
+    with pytest.raises(BoundExceeded) as info:
+        hilbert_basis(cone)
+    assert str(info.value) == (
+        "cone is too wide for a Hilbert basis: its continued-fraction walk passed "
+        "400001 basis elements, over HILBERT_CANDIDATE_CAP = 400000; give rays "
+        "with smaller entries")
+
+
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _rank2_cones(bound):
+    """Pointed full-dimensional rank-2 weight cones on two rays with entries
+    in -bound..bound."""
+    vectors = st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+    return st.tuples(vectors, vectors).filter(lambda pair: _det(*pair)).map(
+        lambda pair: Cone.from_rays(list(pair), 2, M_SIDE))
+
+
+@example(Cone.from_rays([(1, 0), (30, 29)], 2, M_SIDE))
+@example(Cone.from_rays([(-30, 1), (30, 1)], 2, M_SIDE))
+@given(_rank2_cones(30))
+def test_rank2_walk_matches_box_scan(cone):
+    assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+
+
+# entries up to 400 keep det(a, b), which bounds the basis size, under the cap
+@given(_rank2_cones(400))
+def test_rank2_walk_structure(cone):
+    # the walk runs from one ray to the other; consecutive elements have
+    # det 1, and each inner one is a Hirzebruch-Jung step, u_(i-1) + u_(i+1)
+    # = b_i u_i with b_i >= 2
+    walk = toricflow.monoid._walk(*(r.entries for r in cone.rays))
+    assert {walk[0], walk[-1]} == {r.entries for r in cone.rays}
+    assert sorted(walk) == [v.entries for v in hilbert_basis(cone)]
+    assert all(_det(u, v) == 1 for u, v in zip(walk, walk[1:]))
+    for before, u, after in zip(walk, walk[1:], walk[2:]):
+        total = (before[0] + after[0], before[1] + after[1])
+        b, remainder = divmod(total[0] * u[0] + total[1] * u[1], u[0] ** 2 + u[1] ** 2)
+        assert remainder == 0 and b >= 2 and total == (b * u[0], b * u[1])
+
+
+def test_thin_weight_cones_take_milliseconds():
+    start = time.perf_counter()
+    for k in (2, 3, 10, 10**3, 5 * 10**5, 10**6, 10**9):
+        weight = Cone.from_rays([(1, 0), (1, k)], 2, N_SIDE).dual()
+        assert [v.entries for v in hilbert_basis(weight)] == [(0, 1), (1, 0), (k, -1)]
+    assert time.perf_counter() - start < 0.5
 
 
 @st.composite

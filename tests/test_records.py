@@ -9,10 +9,11 @@ from toricflow import (
     LatticeVector,
     N_SIDE,
     classify,
-    fixed_locus,
     torus_point,
     verify_compatible,
 )
+
+from conftest import fixed_locus
 
 FIELDS = {
     "LatticeVector": "entries side",
