@@ -70,7 +70,7 @@ def _double_description(rays, basis):
         if len(pos) * len(neg) > DD_PAIR_CAP:
             raise BoundExceeded(
                 "cone duality at generator %d of %d would combine %d facet "
-                "pairs, over the cap of %d; give fewer generators"
+                "pairs, over DD_PAIR_CAP = %d; give fewer generators"
                 % (j + 1, len(rays), len(pos) * len(neg), DD_PAIR_CAP))
         bit = 1 << j
         kept = [(h, mask | bit if v == 0 else mask)
@@ -116,7 +116,8 @@ class Cone(Frozen):
             raise ValueError("rank must be positive")
         if rank > RANK_LIMIT:
             raise RankLimitExceeded(
-                "rank %d exceeds the supported limit %d" % (rank, RANK_LIMIT))
+                "rank %d exceeds RANK_LIMIT = %d; give vectors of at most %d entries"
+                % (rank, RANK_LIMIT, RANK_LIMIT))
         cleaned = []
         for r in rays:
             entries = tuple(int(e) for e in r)

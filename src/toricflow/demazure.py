@@ -213,7 +213,8 @@ def roots_in_box(sigma, bound, ray_index=None):
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     indices = range(len(rays)) if ray_index is None else [ray_index]
-    budget = StepBudget("root enumeration at max-norm %d" % bound, "; lower --box")
+    budget = StepBudget("root enumeration at max-norm %d" % bound,
+                        "; lower --box or give fewer rays")
     return [DemazureRoot(LatticeVector(e, M_SIDE), i)
             for i in indices for e in lift_roots(rays, i, bound, budget)]
 

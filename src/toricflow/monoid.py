@@ -23,7 +23,6 @@ from .lattice import (
     dot,
     generates_full_lattice,
     integer_kernel,
-    matrix_rank,
 )
 
 # The most candidates hilbert_basis takes: parallelepiped points of the
@@ -44,13 +43,16 @@ def _combine(coefficients, columns):
 
 def _pulling(rays, normals, dim):
     """Simplices of the pulling triangulation of the dim-dimensional face on
-    rays: its first ray joined to those of each facet that misses it, where
-    the facets are its cuts by the cone's facet normals of rank dim - 1."""
+    rays: its first ray joined to those of each facet that misses it.  Its
+    cuts by the cone's facet normals that miss the first ray are faces that
+    miss it, and each such face lies in a facet that misses it, so those
+    facets are the cuts that no other cut strictly contains."""
     if dim == 1:
         return [rays]
     cuts = dict.fromkeys(tuple(r for r in rays if dot(h, r) == 0)
                          for h in normals if dot(h, rays[0]))
-    return [(rays[0],) + simplex for cut in cuts if matrix_rank(cut) == dim - 1
+    sets = [set(cut) for cut in cuts]
+    return [(rays[0],) + simplex for cut, s in zip(cuts, sets) if not any(s < t for t in sets)
             for simplex in _pulling(cut, normals, dim - 1)]
 
 

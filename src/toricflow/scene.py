@@ -6,10 +6,12 @@ A scene fixes the ambient rank and exactly one of
   monoid_generators  M-side integer vectors generating the weight monoid
 
 plus optional named torus points and named subgroup vectors.  Rationals
-travel as "p/q" strings or plain integers, never floats.  Cone scenes get
-their monoid from the Hilbert basis of the dual weight cone, so they are
-saturated by construction; generator order of monoid scenes is preserved
-because point coordinates are indexed against it.
+travel as "p/q" strings or plain integers, never floats.  Either list is
+checked at load and spans one cone, from which sigma and the weight cone
+are read without building the monoid.  Cone scenes get their monoid from
+the Hilbert basis of the dual weight cone, so they are saturated by
+construction; generator order of monoid scenes is preserved because point
+coordinates are indexed against it.
 """
 
 import hashlib
@@ -19,11 +21,13 @@ from fractions import Fraction
 
 from .cones import Cone
 from .errors import SceneError
-from .lattice import LatticeVector, N_SIDE
+from .lattice import LatticeVector, M_SIDE, N_SIDE
 from .monoid import AffineMonoid, hilbert_basis
 from .orbits import torus_point
 
 _TOP_KEYS = {"rank", "cone_rays", "monoid_generators", "points", "subgroups"}
+# The two vector lists: what one vector is called, and its lattice.
+_VECTOR_LISTS = {"cone_rays": ("ray", N_SIDE), "monoid_generators": ("generator", M_SIDE)}
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -80,31 +84,21 @@ class Scene:
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise SceneError("rank must be a positive integer")
         self.rank = rank
-        has_cone = "cone_rays" in raw
-        has_monoid = "monoid_generators" in raw
-        if has_cone == has_monoid:
-            raise SceneError(
-                "scene needs exactly one of cone_rays or monoid_generators")
-        self.cone_rays = None
-        self.monoid_generators = None
-        if has_cone:
-            rays = raw["cone_rays"]
-            if not isinstance(rays, list) or not rays:
-                raise SceneError("cone_rays must be a nonempty list")
-            self.cone_rays = tuple(
-                _int_vector(r, rank, "cone_rays[%d]" % i)
-                for i, r in enumerate(rays))
-            for i, r in enumerate(self.cone_rays):
-                if all(e == 0 for e in r):
-                    raise SceneError("cone_rays[%d]: the zero vector is not a ray"
-                                     % i)
-        else:
-            gens = raw["monoid_generators"]
-            if not isinstance(gens, list) or not gens:
-                raise SceneError("monoid_generators must be a nonempty list")
-            self.monoid_generators = tuple(
-                _int_vector(g, rank, "monoid_generators[%d]" % i)
-                for i, g in enumerate(gens))
+        keys = [key for key in _VECTOR_LISTS if key in raw]
+        if len(keys) != 1:
+            raise SceneError("scene needs exactly one of cone_rays or monoid_generators")
+        key, = keys
+        noun, self.side = _VECTOR_LISTS[key]
+        vectors = raw[key]
+        if not isinstance(vectors, list) or not vectors:
+            raise SceneError("%s must be a nonempty list" % key)
+        self.vectors = tuple(_int_vector(v, rank, "%s[%d]" % (key, i))
+                             for i, v in enumerate(vectors))
+        for i, v in enumerate(self.vectors):
+            if not any(v):
+                raise SceneError("%s[%d]: the zero vector is not a %s" % (key, i, noun))
+        if self.side == M_SIDE and len(set(self.vectors)) != len(self.vectors):
+            raise SceneError("monoid_generators must be pairwise distinct")
 
         self.point_coords = {}
         points = raw.get("points", {})
@@ -134,7 +128,7 @@ class Scene:
             self.subgroups[name] = LatticeVector(entries, N_SIDE)
 
         self.raw = raw
-        self._sigma = None
+        self._cone = None
         self._monoid = None
 
     @property
@@ -142,33 +136,27 @@ class Scene:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+    def primary_cone(self):
+        """The cone the scene wrote, which `dual` and `facets` operate on:
+        sigma on N for cone_rays, the weight cone on M for monoid_generators,
+        taken from the monoid when that was built first."""
+        if self._cone is None:
+            self._cone = (self._monoid.weight_cone if self._monoid is not None
+                          else Cone.from_rays(self.vectors, self.rank, self.side))
+        return self._cone
+
     def sigma(self):
-        """The N-side cone: given directly, or the dual of the weight cone."""
-        if self._sigma is None:
-            if self.cone_rays is not None:
-                self._sigma = Cone.from_rays(self.cone_rays, self.rank, N_SIDE)
-            else:
-                self._sigma = self.monoid().dual_cone
-        return self._sigma
+        cone = self.primary_cone()
+        return cone if cone.side == N_SIDE else cone.dual()
 
     def weight_cone(self):
-        if self.cone_rays is not None:
-            return self.sigma().dual()
-        return self.monoid().weight_cone
-
-    def primary_cone(self):
-        """What `dual` and `facets` operate on: the cone the scene wrote."""
-        if self.cone_rays is not None:
-            return self.sigma()
-        return self.monoid().weight_cone
+        cone = self.primary_cone()
+        return cone if cone.side == M_SIDE else cone.dual()
 
     def monoid(self):
         if self._monoid is None:
-            if self.monoid_generators is not None:
-                try:
-                    self._monoid = AffineMonoid(self.monoid_generators, self.rank)
-                except ValueError as error:
-                    raise SceneError("monoid_generators: %s" % error)
+            if self.side == M_SIDE:
+                self._monoid = AffineMonoid(self.vectors, self.rank)
             else:
                 cone = self.weight_cone()
                 self._monoid = AffineMonoid(hilbert_basis(cone), self.rank,

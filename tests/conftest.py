@@ -227,6 +227,17 @@ def box_scan_hilbert_basis(cone):
     return sorted(basis)
 
 
+def rank_pulling(rays, normals, dim):
+    """Pulling triangulation oracle: the dim-dimensional face on rays is its
+    first ray joined to each cut by a facet normal that misses that ray and
+    has rank dim - 1, which makes the cut a facet of the face."""
+    if dim == 1:
+        return [rays]
+    cuts = dict.fromkeys(tuple(r for r in rays if dot(h, r) == 0)
+                         for h in normals if dot(h, rays[0]))
+    return [(rays[0],) + simplex for cut in cuts if matrix_rank(cut) == dim - 1
+            for simplex in rank_pulling(cut, normals, dim - 1)]
+
 def fixed_locus(mon, subgroup):
     """The divisor fixed pointwise by a parabolic subgroup: its grading's
     distinguished ray, as straightening_subtori gives it for that ray."""

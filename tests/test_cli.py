@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 import toricflow
 import toricflow.cones
+import toricflow.monoid
 from toricflow import AlgebraElement, HomogeneousLND
 from toricflow.cli import build_parser, main
 from toricflow.scene import load_scene
 
-from conftest import CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, json_dumps_per_scalar
+from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE,
+                      json_dumps_per_scalar)
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -303,6 +305,83 @@ def test_exit_code_3_hypothesis_errors(tmp_path, cusp_scene_path,
     assert "NotFullDimensional" in err
 
 
+def _stdin_run(scene, argv):
+    """Exit code, stdout and stderr of main(argv) with the scene on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(scene))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+_CONE_COMMANDS = (["dual"], ["facets"], ["hilbert"], ["roots", "--box=2"])
+_POINT_AND_LINE = {"points": {"p": {"torus": ["2", "3"]}}, "subgroups": {"l": [1, 0]}}
+
+
+def test_cone_commands_ignore_the_monoid_lattice():
+    # (2,0) and (0,1) generate a monoid of index 2 in M, which the commands
+    # that read generators refuse; its weight cone is the quadrant's
+    doubled = {"rank": 2, "monoid_generators": [[2, 0], [0, 1]], **_POINT_AND_LINE}
+    quadrant = {"rank": 2, "monoid_generators": [[1, 0], [0, 1]], **_POINT_AND_LINE}
+    for argv in _CONE_COMMANDS:
+        docs = []
+        for scene in (doubled, quadrant):
+            code, out, err = _stdin_run(scene, argv)
+            assert code == 0, (argv, err)
+            doc = json.loads(out)
+            del doc["scene_digest"]
+            docs.append(doc)
+        assert docs[0] == docs[1], argv
+    for argv in (["classify", "--l=l"], ["saturation"], ["verify", "--l=l", "--point=p"]):
+        code, out, err = _stdin_run(doubled, argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: NotEffective:"), err
+
+
+@st.composite
+def _scaled_monoid_scenes(draw):
+    """A rank-2 monoid scene whose first generator is scaled by 2 to 5."""
+    vector = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    gens = draw(st.lists(vector, min_size=2, max_size=4, unique=True))
+    k = draw(st.integers(2, 5))
+    gens[0] = (k * gens[0][0], k * gens[0][1])
+    return {"rank": 2, "monoid_generators": [list(g) for g in gens]}
+
+
+@given(_scaled_monoid_scenes(), st.sampled_from(_CONE_COMMANDS))
+def test_cone_commands_never_refuse_the_monoid_lattice(scene, argv):
+    code, out, err = _stdin_run(scene, argv)
+    assert code in (0, 2, 3, 4)
+    assert "NotEffective" not in err, (scene, argv, err)
+
+
+@pytest.mark.parametrize("gens", [[[1, 0], [0, 0]], [[1, 0], [0, 1], [1, 0]]],
+                         ids=["zero", "duplicate"])
+def test_zero_and_duplicate_generators_exit_2_everywhere(gens):
+    scene = {"rank": 2, "monoid_generators": gens, **_POINT_AND_LINE}
+    options = {"--l": "l", "--point": "p", "--root": "-1,0", "--s": "1", "--ts": "2",
+               "--ss": "1", "--box": "1", "--ray": "0"}
+    for command, flags in _SUBCOMMAND_FLAGS.items():
+        argv = [command] + ["%s=%s" % (flag, options[flag]) for flag in flags]
+        code, out, err = _stdin_run(scene, argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err.startswith("error: SceneError: monoid_generators"), err
+
+
+def test_cone_commands_build_no_monoid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("AffineMonoid built")
+
+    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", refuse)
+    for scene in (QUADRIC_SCENE, A2_SCENE):
+        for argv in _CONE_COMMANDS:
+            code, out, err = _stdin_run(scene, argv)
+            assert code == 0, (scene, argv, err)
+
 def test_exit_code_4_resource_errors(tmp_path, capsys):
     # RANK_LIMIT = 4 is the one rank bound: a rank-5 scene exits 4 when its
     # cone is built, under hilbert as under dual
@@ -313,7 +392,8 @@ def test_exit_code_4_resource_errors(tmp_path, capsys):
         code, out, err = run(capsys, "--scene", str(big), command)
         assert code == 4, command
         assert out == ""
-        assert err.startswith("error: RankLimitExceeded: rank 5 exceeds"), err
+        assert err == ("error: RankLimitExceeded: rank 5 exceeds RANK_LIMIT = 4; "
+                       "give vectors of at most 4 entries\n"), err
 
 
 _TORUS4 = {"p": {"torus": ["2", "3", "5", "7"]}}
@@ -451,7 +531,7 @@ def test_exit_code_4_double_description_cap(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: BoundExceeded:") and err.count("\n") == 1, err
-    assert "would combine 4 facet pairs, over the cap of 3" in err
+    assert "would combine 4 facet pairs, over DD_PAIR_CAP = 3" in err
     assert "fewer generators" in err
 
 
@@ -1021,16 +1101,9 @@ def test_exit_code_contract(run_args):
 
 
 def _check_exit_code_contract(scene, argv):
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(scene))
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
+    code, out, err = _stdin_run(scene, argv)
     assert code in (0, 2, 3, 4)
-    lines = err.getvalue().splitlines()
+    lines = err.splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines
 
 

@@ -29,7 +29,7 @@ from toricflow import (
 from toricflow.lattice import adjugate
 
 from conftest import (FLOW_CASES, box_scan_hilbert_basis, cone_fixture,
-                      laplace_cofactors, permutation_det)
+                      laplace_cofactors, permutation_det, rank_pulling)
 
 
 def test_doctests():
@@ -213,6 +213,16 @@ def test_hilbert_basis_matches_box_scan(cone):
 def test_hilbert_basis_matches_box_scan_in_rank_4(cone):
     assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
 
+
+# the 49-ray cone over the paraboloid (1, x, y, x^2 + y^2), |x|, |y| <= 3
+@example(Cone.from_rays([(1, x, y, x * x + y * y) for x in range(-3, 4)
+                         for y in range(-3, 4)], 4, M_SIDE))
+@given(pointed_weight_cones(st.integers(3, 4)))
+def test_pulling_keeps_the_facets_the_rank_test_keeps(cone):
+    # the inclusion-maximal cuts are the cuts of rank dim - 1
+    args = (tuple(r.entries for r in cone.rays), [h.entries for h in cone.facet_normals],
+            cone.rank)
+    assert toricflow.monoid._pulling(*args) == rank_pulling(*args)
 
 def test_hilbert_basis_square13_and_thin_cone():
     # The packed support form is W = (max level).bit_length() + 1 bits per

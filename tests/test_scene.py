@@ -92,10 +92,9 @@ def test_unknown_point_and_bad_subgroup_text():
 
 
 def test_monoid_scene_errors_are_scene_errors():
-    scene = load_scene(json.dumps({
-        "rank": 2, "monoid_generators": [[1, 0], [1, 0]]}))
+    # duplicate generators are refused when the scene is read
     with pytest.raises(SceneError):
-        scene.monoid()
+        load_scene(json.dumps({"rank": 2, "monoid_generators": [[1, 0], [1, 0]]}))
 
 
 def test_digest_ignores_key_order_and_tracks_content():
