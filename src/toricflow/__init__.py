@@ -47,7 +47,6 @@ from .orbits import (
     ToricPoint,
     evaluate,
     ga_flow_point,
-    gm_scale,
     limit_point,
     torus_point,
     verify_compatible,
@@ -96,7 +95,6 @@ __all__ = [
     "ga_flow_point",
     "gcd_all",
     "generates_full_lattice",
-    "gm_scale",
     "hilbert_basis",
     "integer_kernel",
     "is_root",

@@ -14,7 +14,9 @@ the closed form (Demazure 1970)
     exp(s*d)(chi^u) = sum_j C(k, j) * s^j * chi^(u + j*e)
                     = chi^u * (1 + s*chi^e)^k,     k = <p, u>,
 
-a finite sum with exact rational coefficients.
+a finite sum with exact rational coefficients.  Elements carry no ring
+arithmetic: they are built, differentiated, flowed and evaluated at a
+point (orbits.evaluate).
 """
 
 from fractions import Fraction
@@ -25,8 +27,8 @@ from .demazure import DemazureRoot, is_root
 from .errors import BoundExceeded, IllDefinedRoot, NotADemazureRoot
 from .lattice import M_SIDE, Frozen, LatticeVector, dot, matrix_rank
 
-# The most bits that one exact power of a point, a flow or a scaling may
-# reach, by the bound of check_power_bits: about 79,000 decimal digits.
+# The most bits that one exact power of a point or a flow may reach, by
+# the bound of check_power_bits: about 79,000 decimal digits.
 POWER_BIT_CAP = 1 << 18
 
 
@@ -83,103 +85,6 @@ class AlgebraElement(Frozen):
                 raise ValueError("exponent %s is outside the monoid" % (u.entries,))
         self._set(monoid, tuple(sorted(merged.items(), key=lambda t: t[0].entries)))
 
-    @classmethod
-    def zero(cls, monoid):
-        return cls(monoid, {})
-
-    @classmethod
-    def one(cls, monoid):
-        return cls.monomial(monoid, (0,) * monoid.rank)
-
-    @classmethod
-    def monomial(cls, monoid, u, coefficient=1):
-        return cls(monoid, [(u, coefficient)])
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, u):
-        if not isinstance(u, LatticeVector):
-            u = LatticeVector(tuple(u), M_SIDE)
-        for v, c in self.terms:
-            if v == u:
-                return c
-        return Fraction(0)
-
-    def _lift(self, other):
-        if isinstance(other, AlgebraElement):
-            if other.monoid != self.monoid:
-                raise ValueError("elements of different algebras")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlgebraElement(self.monoid, [((0,) * self.monoid.rank, other)])
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return AlgebraElement(self.monoid, list(self.terms) + list(other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraElement(self.monoid, [(u, -c) for u, c in self.terms])
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AlgebraElement(self.monoid, [(u, c * other) for u, c in self.terms])
-        if isinstance(other, AlgebraElement):
-            if other.monoid != self.monoid:
-                raise ValueError("elements of different algebras")
-            out = []
-            for u, c in self.terms:
-                for v, d in other.terms:
-                    out.append((u + v, c * d))
-            return AlgebraElement(self.monoid, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        result = AlgebraElement.one(self.monoid)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def evaluate_at_torus(self, t):
-        """Value at the torus point with coordinates t (nonzero Fractions)."""
-        t = tuple(Fraction(x) for x in t)
-        if len(t) != self.monoid.rank:
-            raise ValueError("rank mismatch")
-        return sum((c * character_value(t, u.entries) for u, c in self.terms),
-                   Fraction(0))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*chi%s" % (c, u.entries) for u, c in self.terms)
-
 
 class HomogeneousLND:
     """Locally nilpotent derivation attached to a Demazure root.
@@ -226,12 +131,6 @@ class HomogeneousLND:
             if k:
                 out.append((u + e, c * k))
         return AlgebraElement(self.monoid, out)
-
-    def nilpotency_degree(self, f):
-        """Least k with d^k f = 0; exactly 1 + max term degree."""
-        if f.is_zero:
-            raise ValueError("nilpotency degree of zero is undefined")
-        return 1 + max(self.degree(u) for u, _ in f.terms)
 
     def exp_flow(self, s, f):
         """exp(s*d) applied to f, by the binomial closed form term by term."""

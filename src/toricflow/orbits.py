@@ -1,4 +1,4 @@
-"""Points, multiplicative scaling, limits, additive flows, verification.
+"""Points, limits, additive flows, verification.
 
 Points are coordinate tuples aligned with the monoid generator list:
 coordinate j holds the value of chi^(u_j).  They are built as torus
@@ -8,8 +8,8 @@ other must vanish exactly off the generators of one face of the weight
 cone (the orbit-cone correspondence) and satisfy the binomial relations
 among them.  Flows start from torus points t and use the closed form
 chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
-Limits are taken as the multiplicative parameter goes to zero.  Each point,
-flow and scaling checks its powers with check_power_bits before forming them.
+Limits are taken as the multiplicative parameter goes to zero.  Each point
+and flow checks its powers with check_power_bits before forming them.
 """
 
 from collections import namedtuple
@@ -79,25 +79,6 @@ def torus_point(mon, t):
     return ToricPoint(mon, None, (TORUS, tuple(map(_fraction, t))))
 
 
-def gm_scale(mon, subgroup, t0, point):
-    """Scale a point by the multiplicative action of subgroup at time t0."""
-    if subgroup.side != N_SIDE or subgroup.rank != mon.rank:
-        raise ValueError("subgroup must be an N-side vector of the right rank")
-    t0 = _fraction(t0)
-    if t0 == 0:
-        raise ValueError("the multiplicative parameter must be nonzero")
-    if point.monoid != mon:
-        raise ValueError("point belongs to a different monoid")
-    if point.is_torus:
-        check_power_bits([t0], [[max(subgroup.entries, key=abs)]])
-        return torus_point(mon, [x * t0 ** l for x, l in zip(point.provenance[1],
-                                                             subgroup.entries)])
-    degrees = [dot(subgroup.entries, g.entries) for g in mon.generators]
-    check_power_bits([t0], [[max(degrees, key=abs)]])
-    coords = tuple(c * t0 ** k for c, k in zip(point.coords, degrees))
-    return ToricPoint(mon, coords, point.provenance)
-
-
 def limit_point(mon, subgroup, point):
     """Limit of t.point as t -> 0, or None when a negative degree blocks it.
 
@@ -117,26 +98,23 @@ def limit_point(mon, subgroup, point):
 
 
 def evaluate(element, point):
-    """Value of an algebra element at a point.
+    """Value of an algebra element at a point: the sum of c * chi^u there.
 
-    Torus points evaluate monomials directly from their torus coordinates.
-    Other points use a fixed generator decomposition of each exponent; the
-    relation checks at construction make the value independent of the
-    decomposition on nonvanishing coordinates.
+    A torus point t gives chi^u(t) from t.  Any other point raises its
+    coordinates to a fixed generator decomposition of u; the relation
+    checks at construction make the value independent of the decomposition
+    on nonvanishing coordinates.
     """
     if element.monoid != point.monoid:
         raise ValueError("element and point live over different monoids")
     if point.is_torus:
-        return element.evaluate_at_torus(point.provenance[1])
-    total = Fraction(0)
+        return sum((c * character_value(point.provenance[1], u.entries)
+                    for u, c in element.terms), _ZERO)
+    total = _ZERO
     for u, c in element.terms:
         decomposition = point.monoid.decompose(u)
         assert decomposition is not None, "exponent invariant violated"
-        value = Fraction(1)
-        for coordinate, power in zip(point.coords, decomposition):
-            if power:
-                value *= coordinate ** power
-        total += c * value
+        total += c * character_value(point.coords, decomposition)
     return total
 
 

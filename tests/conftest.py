@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, settings
 
 from toricflow import (AffineMonoid, AlgebraElement, Cone, GradingKind,
                        HomogeneousLND, LatticeVector, M_SIDE, N_SIDE,
-                       NotFullDimensional, NotParabolic, NotPointed, classify,
-                       dot, evaluate, matrix_rank, roots_in_box)
+                       NotFullDimensional, NotParabolic, NotPointed, ToricPoint,
+                       classify, dot, evaluate, matrix_rank, roots_in_box,
+                       torus_point)
 from toricflow.grading import _divisor
 from toricflow.lattice import primitive_tuple
 
@@ -307,6 +308,51 @@ def character_value_by_powers(t, u):
     return value
 
 
+# Ring oracles: the monoid-algebra arithmetic and the multiplicative action
+# that the closed forms made unneeded in the package.  An AlgebraElement
+# merges equal exponents and drops zero coefficients when it is built, so
+# each operation lists its terms and builds a new element.
+def monomial(mon, u, coefficient=1):
+    """coefficient * chi^u."""
+    return AlgebraElement(mon, [(u, coefficient)])
+
+
+def zero(mon):
+    return AlgebraElement(mon, [])
+
+
+def add(f, *others):
+    """The sum of elements of one monoid algebra."""
+    assert all(g.monoid == f.monoid for g in others), "elements of different algebras"
+    return AlgebraElement(f.monoid, [t for g in (f,) + others for t in g.terms])
+
+
+def scale(c, f):
+    """c * f for a rational c."""
+    return AlgebraElement(f.monoid, [(u, c * a) for u, a in f.terms])
+
+
+def multiply(f, g):
+    """f * g, term by term: chi^u * chi^v = chi^(u + v)."""
+    assert f.monoid == g.monoid, "elements of different algebras"
+    return AlgebraElement(f.monoid, [(u + v, a * b) for u, a in f.terms
+                                     for v, b in g.terms])
+
+
+def gm_scale(mon, subgroup, t0, point):
+    """The point moved by the one-parameter subgroup at time t0: coordinate
+    j times t0^<l, u_j>.  A torus point t goes to the torus point with
+    coordinates t_k * t0^(l_k).  No power cap, beyond the one of the
+    ToricPoint it builds."""
+    t0 = Fraction(t0)
+    if point.is_torus:
+        return torus_point(mon, [x * t0 ** l for x, l in zip(point.provenance[1],
+                                                             subgroup.entries)])
+    return ToricPoint(mon, [c * t0 ** dot(subgroup.entries, g.entries)
+                            for c, g in zip(point.coords, mon.generators)],
+                      point.provenance)
+
+
 # Flow oracles: the iterated derivation series that the closed forms in
 # HomogeneousLND.exp_flow and ga_flow_point replace.
 _ORACLE_STEP_CAP = 10_000
@@ -315,7 +361,7 @@ _ORACLE_STEP_CAP = 10_000
 def derivation_powers(lnd, f):
     """f, d f, d^2 f, ... up to the last nonzero power, by repeated apply."""
     powers = []
-    while not f.is_zero:
+    while f.terms:
         assert len(powers) < _ORACLE_STEP_CAP, "derivation is not nilpotent"
         powers.append(f)
         f = lnd.apply(f)
@@ -325,18 +371,15 @@ def derivation_powers(lnd, f):
 def iterated_exp_flow(lnd, s, f):
     """exp(s*d) f as the series sum_k s^k/k! d^k f."""
     s = Fraction(s)
-    total = AlgebraElement.zero(f.monoid)
-    for k, power in enumerate(derivation_powers(lnd, f)):
-        total = total + power * (s ** k / factorial(k))
-    return total
+    return add(zero(f.monoid), *(scale(s ** k / factorial(k), power)
+                                 for k, power in enumerate(derivation_powers(lnd, f))))
 
 
 def pullback_flow_coords(lnd, s, point):
     """Flowed coordinates by pullback: each generator's iterated flow,
     evaluated at the point."""
     mon = lnd.monoid
-    return tuple(evaluate(iterated_exp_flow(lnd, s, AlgebraElement.monomial(mon, g)),
-                          point)
+    return tuple(evaluate(iterated_exp_flow(lnd, s, monomial(mon, g)), point)
                  for g in mon.generators)
 
 

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import toricflow
 import toricflow.cones
 import toricflow.monoid
-from toricflow import AlgebraElement, HomogeneousLND
+from toricflow import HomogeneousLND
 from toricflow.cli import build_parser, main
 from toricflow.scene import load_scene
 
 from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE,
-                      json_dumps_per_scalar)
+                      json_dumps_per_scalar, monomial)
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -997,7 +997,7 @@ def test_lnd_images_match_applying_the_derivation(tmp_path, capsys, scene):
         lnd = HomogeneousLND(mon, root["vector"])
         assert len(action) == len(mon.generators)
         for gen, entry in zip(mon.generators, action):
-            image = lnd.apply(AlgebraElement.monomial(mon, gen))
+            image = lnd.apply(monomial(mon, gen))
             assert entry["image"] == {",".join(str(a) for a in u.entries): str(c)
                                       for u, c in image.terms}
 
