@@ -56,18 +56,16 @@ def character_value(t, u):
 
 
 class AlgebraElement(Frozen):
-    """Immutable element of the monoid algebra.
-
-    Terms are kept sorted by exponent; every exponent must be a monoid
-    member, which the constructor enforces.
-    """
+    """Immutable element of the monoid algebra, built from a list of
+    (exponent, coefficient) pairs.  Terms are merged and kept sorted by
+    exponent; every exponent must be a monoid member, which the constructor
+    enforces."""
 
     __slots__ = ("monoid", "terms")
 
     def __init__(self, monoid, terms):
         merged = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for u, c in items:
+        for u, c in terms:
             if not isinstance(u, LatticeVector):
                 u = LatticeVector(tuple(u), M_SIDE)
             if u.side != M_SIDE or u.rank != monoid.rank:

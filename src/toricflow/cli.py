@@ -28,26 +28,28 @@ DEFAULT_ROOT_BOX = 5
 
 def _scalar(value):
     """A JSON scalar as json.dumps writes it; literals by identity, as True == 1."""
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
     if isinstance(value, str):
         return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     raise TypeError("%s is not a JSON scalar" % type(value).__name__)
 
 
 def _dumps(value, indent=0):
-    """JSON with 2-space indent, scalar-only lists and empty containers inline."""
-    if isinstance(value, dict):
+    """JSON with 2-space indent, scalar-only lists and empty containers
+    inline; containers are told by exact type, and int lists are their repr."""
+    if type(value) is dict:
         if not value:
             return "{}"
         parts = [_quote(key) + ": " + _dumps(item, indent + 1)
                  for key, item in value.items()]
         brackets = "{}"
-    elif isinstance(value, list):
-        if not any(isinstance(item, (dict, list)) for item in value):
-            return "[" + ", ".join(map(_scalar, value)) + "]"
+    elif type(value) is list:
+        types = set(map(type, value))
+        if types.isdisjoint((dict, list)):
+            return repr(value) if types <= {int} else "[" + ", ".join(map(_scalar, value)) + "]"
         parts = [_dumps(item, indent + 1) for item in value]
         brackets = "[]"
     else:
@@ -61,8 +63,8 @@ def _cone_doc(cone):
     return {
         "side": cone.side,
         "rank": cone.rank,
-        "rays": [list(r) for r in cone.rays],
-        "facet_normals": [list(n) for n in cone.facet_normals],
+        "rays": [list(r.entries) for r in cone.rays],
+        "facet_normals": [list(n.entries) for n in cone.facet_normals],
     }
 
 
@@ -73,11 +75,11 @@ def _grading_doc(mon, grading):
         "effective": grading.effective,
         "zero_face_dim": None if grading.zero_face is None else grading.zero_face.dim,
         "zero_face_rays": None if grading.zero_face is None
-        else [list(r) for r in grading.zero_face.rays],
+        else [list(r.entries) for r in grading.zero_face.rays],
         "ray_index": grading.ray_index,
     }
     if grading.ray_index is not None:
-        doc["ray"] = list(mon.dual_cone.rays[grading.ray_index])
+        doc["ray"] = list(mon.dual_cone.rays[grading.ray_index].entries)
     return doc
 
 
@@ -86,7 +88,7 @@ def _point_doc(point):
 
 
 def _root_doc(root):
-    return {"vector": list(root.vector), "ray_index": root.ray_index}
+    return {"vector": list(root.vector.entries), "ray_index": root.ray_index}
 
 
 def _lnd_doc(lnd):
@@ -95,10 +97,10 @@ def _lnd_doc(lnd):
     for gen in lnd.monoid.generators:
         k = lnd.degree(gen)
         image = {",".join(map(str, (gen + lnd.root.vector).entries)): str(k)} if k else {}
-        action.append({"generator": list(gen), "degree": k, "image": image})
+        action.append({"generator": list(gen.entries), "degree": k, "image": image})
     return {
         "root": _root_doc(lnd.root),
-        "ray": list(lnd.ray),
+        "ray": list(lnd.ray.entries),
         "kernel_rank": lnd.kernel_rank(),
         "action": action,
     }
@@ -106,7 +108,7 @@ def _lnd_doc(lnd):
 
 def _invariant_doc(check):
     return {
-        "exponent": list(check.exponent),
+        "exponent": list(check.exponent.entries),
         "base_value": str(check.base_value),
         "gm_values": [str(x) for x in check.gm_values],
         "ga_values": [str(x) for x in check.ga_values],
@@ -118,11 +120,11 @@ def _invariant_doc(check):
 def _verification_doc(rep):
     return {
         "verdict": "pass" if rep.passed else "fail",
-        "subgroup": list(rep.subgroup),
+        "subgroup": list(rep.subgroup.entries),
         "point": _point_doc(rep.point),
         "kind": "Parabolic",
         "ray_index": rep.ray_index,
-        "ray": list(rep.ray),
+        "ray": list(rep.ray.entries),
         "root": _root_doc(rep.root),
         "root_box": rep.root_box,
         "gm_samples": [str(x) for x in rep.gm_samples],
@@ -145,8 +147,8 @@ def cmd_facets(scene, args):
     cone = scene.primary_cone()
     return {
         "cone": _cone_doc(cone),
-        "facets": [{"normal_index": index, "normal": list(cone.facet_normals[index]),
-                    "rays": [list(r) for r in face.rays], "dim": face.dim}
+        "facets": [{"normal_index": index, "normal": list(cone.facet_normals[index].entries),
+                    "rays": [list(r.entries) for r in face.rays], "dim": face.dim}
                    for index, face in enumerate(cone.facets())],
     }
 
@@ -155,7 +157,7 @@ def cmd_hilbert(scene, args):
     cone = scene.weight_cone()
     return {
         "weight_cone": _cone_doc(cone),
-        "hilbert_basis": [list(u) for u in hilbert_basis(cone)],
+        "hilbert_basis": [list(u.entries) for u in hilbert_basis(cone)],
     }
 
 
@@ -163,7 +165,7 @@ def cmd_saturation(scene, args):
     result = scene.monoid().saturation()
     return {
         "saturated": result.saturated,
-        "witness": None if result.witness is None else list(result.witness),
+        "witness": None if result.witness is None else list(result.witness.entries),
     }
 
 
@@ -172,7 +174,7 @@ def cmd_classify(scene, args):
     mon = scene.monoid()
     grading = classify(mon, subgroup)
     return {
-        "subgroup": list(subgroup),
+        "subgroup": list(subgroup.entries),
         "classification": _grading_doc(mon, grading),
     }
 
@@ -180,7 +182,7 @@ def cmd_classify(scene, args):
 def cmd_straightening(scene, args):
     mon = scene.monoid()
     return {
-        "generators": [list(u) for u in mon.generators],
+        "generators": [list(u.entries) for u in mon.generators],
         "subtori": _straightening_doc(mon),
     }
 
@@ -188,8 +190,8 @@ def cmd_straightening(scene, args):
 def _straightening_doc(mon):
     facets = mon.weight_cone.facets()
     return [{"ray_index": divisor.ray_index,
-             "subgroup": list(divisor.ray),
-             "facet_rays": [list(r) for r in facets[divisor.ray_index].rays],
+             "subgroup": list(divisor.ray.entries),
+             "facet_rays": [list(r.entries) for r in facets[divisor.ray_index].rays],
              "vanishing_coordinates": list(divisor.vanishing),
              "surviving_coordinates": list(divisor.surviving)}
             for divisor in straightening_subtori(mon)]
@@ -211,7 +213,7 @@ def _roots_doc(scene, box, ray_index=None):
     indices = range(len(sigma.rays)) if ray_index is None else [ray_index]
     return {
         "count": len(roots),
-        "by_ray": [{"ray_index": index, "ray": list(sigma.rays[index]),
+        "by_ray": [{"ray_index": index, "ray": list(sigma.rays[index].entries),
                     "count": sum(1 for r in roots if r.ray_index == index)}
                    for index in indices],
         "roots": [_root_doc(r) for r in roots],
@@ -254,7 +256,7 @@ def cmd_limit(scene, args):
     limit = limit_point(mon, subgroup, point)
     return {
         "point": _point_doc(point),
-        "subgroup": list(subgroup),
+        "subgroup": list(subgroup.entries),
         "exists": limit is not None,
         "limit": None if limit is None else {"coords": [str(x) for x in limit.coords]},
     }
@@ -283,13 +285,13 @@ def cmd_report(scene, args):
     saturation = mon.saturation()
     if not saturation.saturated:
         warnings.append("monoid is not saturated, witness %s; straightening and flow "
-                        "verification are refused" % (list(saturation.witness),))
+                        "verification are refused" % (list(saturation.witness.entries),))
     points = ({name: scene.point(name) for name in sorted(scene.point_coords)}
               if scene.subgroups else {})
     for name in sorted(scene.subgroups):
         subgroup = scene.subgroups[name]
         grading = classify(mon, subgroup)
-        classification[name] = dict(_grading_doc(mon, grading), subgroup=list(subgroup))
+        classification[name] = dict(_grading_doc(mon, grading), subgroup=list(subgroup.entries))
         if not grading.effective:
             warnings.append("subgroup %s acts with degree gcd %d, not effectively"
                             % (name, grading.degree_gcd))

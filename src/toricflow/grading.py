@@ -51,7 +51,7 @@ def classify(mon, subgroup):
         raise ValueError("classify needs an N-side vector")
     if subgroup.rank != mon.rank:
         raise ValueError("rank mismatch")
-    if subgroup.is_zero:
+    if not any(subgroup.entries):
         raise ValueError("the zero vector does not grade")
     degree_gcd = gcd_all(dot(subgroup.entries, g.entries) for g in mon.generators)
     effective = degree_gcd == 1

@@ -18,8 +18,8 @@ _SIDES = (N_SIDE, M_SIDE, None)
 
 class Frozen:
     """Base of the slotted records.  __init__ sets the slots once, through
-    _set; a slot can then be neither set nor deleted.  Two records are equal
-    when they are of one class with equal slot values."""
+    _set or their descriptors; a slot can then be neither set nor deleted.
+    Two records are equal when they are of one class with equal slot values."""
 
     __slots__ = ()
 
@@ -60,15 +60,12 @@ class LatticeVector(Frozen):
             raise ValueError("empty vector")
         if side not in _SIDES:
             raise ValueError("side must be %r, %r or None" % (N_SIDE, M_SIDE))
-        self._set(entries, side)
+        LatticeVector.entries.__set__(self, entries)  # the slots' own setters
+        LatticeVector.side.__set__(self, side)
 
     @property
     def rank(self):
         return len(self.entries)
-
-    @property
-    def is_zero(self):
-        return all(e == 0 for e in self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -229,8 +226,7 @@ def integer_kernel(rows):
 
 def generates_full_lattice(vectors, rank):
     """Do the integer vectors generate all of Z^rank as a group?"""
-    rows = [tuple(v) for v in vectors]
-    reduced, pivots = _echelon(rows)
+    reduced, pivots = _echelon(vectors)
     if len(pivots) != rank:
         return False
     return all(abs(reduced[r][c]) == 1 for r, c in pivots)

@@ -1,49 +1,49 @@
 """Plain-text rendering of the JSON-plain documents the commands print."""
 
+from json.encoder import encode_basestring_ascii as _quote
+
+_SCALARS = {type(None), bool, int, str}
+# C0, DEL, C1, U+2028 and U+2029: a key or string holding one is written as
+# its JSON literal, so that no scene string can start a line of its own
+_BREAKS = frozenset(map(chr, [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]))
+
 
 def _scalar(value):
-    if value is None:
-        return "none"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if type(value) is str:
+        return value if _BREAKS.isdisjoint(value) else _quote(value)
+    if value is None or value is True or value is False:
+        return "none" if value is None else "true" if value else "false"
     return str(value)
 
 
-def _is_scalar(value):
-    return value is None or isinstance(value, (str, int, bool))
-
-
-def _inline(values):
-    return "[" + ", ".join(_scalar(v) for v in values) + "]"
-
-
-def _all_scalar(values):
-    return all(_is_scalar(v) for v in values)
+def _inline(values, rows=True):
+    """A scalar list in brackets, or a nonempty list of scalar lists (if
+    rows) joined by spaces, told by the items' exact types; else None."""
+    types = set(map(type, values))
+    if types <= {int}:
+        return repr(values)
+    if types <= _SCALARS:
+        return "[" + ", ".join(map(_scalar, values)) + "]"
+    if rows and types == {list}:
+        parts = [_inline(row, False) for row in values]
+        return None if None in parts else " ".join(parts)
+    return None
 
 
 def _walk(value, indent, lines):
     pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            lines.append(pad + "(empty)")
-            return
-        for key, item in value.items():
-            if _is_scalar(item):
-                lines.append("%s%s: %s" % (pad, key, _scalar(item)))
-            elif isinstance(item, list) and _all_scalar(item):
-                lines.append("%s%s: %s" % (pad, key, _inline(item)))
-            elif (isinstance(item, list) and item
-                  and all(isinstance(x, list) and _all_scalar(x) for x in item)):
-                lines.append("%s%s: %s" % (pad, key,
-                                           " ".join(_inline(x) for x in item)))
-            else:
-                lines.append("%s%s:" % (pad, key))
-                _walk(item, indent + 1, lines)
-    else:  # a list of dicts: the dict branch writes scalar lists inline
+    if type(value) is not dict:  # a list of dicts: the dict branch writes scalar lists inline
         for item in value:
             lines.append(pad + "-")
+            _walk(item, indent + 1, lines)
+        return
+    if not value:
+        lines.append(pad + "(empty)")
+    for key, item in value.items():
+        line = (_scalar(item) if type(item) in _SCALARS
+                else _inline(item) if type(item) is list else None)
+        lines.append(pad + _scalar(key) + ":" + ("" if line is None else " " + line))
+        if line is None:
             _walk(item, indent + 1, lines)
 
 

@@ -298,6 +298,62 @@ def json_dumps_per_scalar(value, indent=0):
             + "\n" + "  " * indent + brackets[1])
 
 
+
+# Text oracle: the renderer that report.render_text replaces, which tests
+# each item with isinstance and writes every string bare.
+def _text_scalar(value):
+    if value is None:
+        return "none"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+def _text_is_scalar(value):
+    return value is None or isinstance(value, (str, int, bool))
+
+
+def _text_inline(values):
+    return "[" + ", ".join(_text_scalar(v) for v in values) + "]"
+
+
+def _text_all_scalar(values):
+    return all(_text_is_scalar(v) for v in values)
+
+
+def _text_walk(value, indent, lines):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            lines.append(pad + "(empty)")
+            return
+        for key, item in value.items():
+            if _text_is_scalar(item):
+                lines.append("%s%s: %s" % (pad, key, _text_scalar(item)))
+            elif isinstance(item, list) and _text_all_scalar(item):
+                lines.append("%s%s: %s" % (pad, key, _text_inline(item)))
+            elif (isinstance(item, list) and item
+                  and all(isinstance(x, list) and _text_all_scalar(x) for x in item)):
+                lines.append("%s%s: %s" % (pad, key,
+                                           " ".join(_text_inline(x) for x in item)))
+            else:
+                lines.append("%s%s:" % (pad, key))
+                _text_walk(item, indent + 1, lines)
+    else:  # a list of dicts: the dict branch writes scalar lists inline
+        for item in value:
+            lines.append(pad + "-")
+            _text_walk(item, indent + 1, lines)
+
+
+def render_text_per_item(document):
+    """Plain text: scalars, scalar lists and lists of scalar lists on the
+    key's line, dicts and lists of dicts indented below it."""
+    lines = []
+    _text_walk(document, 0, lines)
+    return "\n".join(lines) + "\n"
+
 # Character oracle: the product of Fraction powers that
 # algebra.character_value replaces with two integer products.
 def character_value_by_powers(t, u):

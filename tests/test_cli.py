@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -19,10 +20,11 @@ import toricflow.cones
 import toricflow.monoid
 from toricflow import HomogeneousLND
 from toricflow.cli import build_parser, main
+from toricflow.report import render_text
 from toricflow.scene import load_scene
 
 from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE,
-                      json_dumps_per_scalar, monomial)
+                      json_dumps_per_scalar, monomial, render_text_per_item)
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -876,9 +878,83 @@ def test_writer_matches_json_dumps_per_scalar(document):
     assert toricflow.cli._dumps(document) == json_dumps_per_scalar(document)
 
 
-def test_writer_refuses_a_rational_that_is_not_a_string():
+@pytest.mark.parametrize("stray", [Fraction(5, 2), 2.5, (1, 2)],
+                         ids=["Fraction", "float", "tuple"])
+def test_writer_refuses_a_rational_that_is_not_a_string(stray):
+    # inside an otherwise int-only list, so that the list's repr, which
+    # would print 5/2 as Fraction(5, 2), 2.5 or (1, 2), is never taken
     with pytest.raises(TypeError):
-        toricflow.cli._dumps({"s": [Fraction(1, 2)]})
+        toricflow.cli._dumps({"s": [1, stray, -3]})
+
+
+def _breaks_line(text):
+    """Holds a C0 or C1 control, DEL, U+2028 or U+2029."""
+    return any(unicodedata.category(c) in ("Cc", "Zl", "Zp") for c in text)
+
+
+def _text_documents(strings):
+    """The shapes the commands print: dicts of scalars, scalar lists, lists
+    of scalar lists, dicts and lists of dicts."""
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30), strings)
+    rows = st.lists(scalars, max_size=4)
+    values = st.recursive(
+        scalars | rows | st.lists(rows, max_size=3),
+        lambda inner: st.dictionaries(strings, inner, max_size=4)
+        | st.lists(st.dictionaries(strings, inner, max_size=3), max_size=3),
+        max_leaves=20)
+    return st.dictionaries(strings, values, max_size=5)
+
+
+def _quote_breaks(value):
+    """value with each key and string that breaks a line as its JSON literal."""
+    if isinstance(value, str):
+        return json.dumps(value) if _breaks_line(value) else value
+    if isinstance(value, dict):
+        return {_quote_breaks(k): _quote_breaks(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_quote_breaks(v) for v in value]
+    return value
+
+
+@settings(max_examples=300)
+@given(_text_documents(st.text(st.characters(exclude_categories=("Cc", "Zl", "Zp")),
+                               max_size=6)))
+@example({"a": [1, True, None, "x"], "b": [[1, 2], [], ["s", False]], "c": [],
+          "d": {}, "e": [{"f": [[0]]}, {}], "i": {"j": [{}]}})
+def test_text_renderer_matches_render_text_per_item(document):
+    assert render_text(document) == render_text_per_item(document)
+
+
+@settings(max_examples=200)
+@given(_text_documents(_odd_text))
+@example({"p\nverdict: pass": ["\x85", "\u2028", "\x7f"], "\x1f": "\u2029\x00"})
+def test_text_renderer_quotes_strings_that_break_lines(document):
+    text = render_text(document)
+    assert text == render_text_per_item(_quote_breaks(document))
+    assert text.splitlines() == text.split("\n")[:-1]
+
+
+def test_scene_names_cannot_forge_text_report_lines(tmp_path, capsys):
+    # a refused pair, whose point and subgroup names each hold a line break
+    scene = dict(CUSP_SCENE, points={"p\nverdict: pass": {"torus": [2]}},
+                 subgroups={"l\u2028x": [1]})
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(scene))
+    code, text, err = run(capsys, "--scene", str(path), "--format=text", "report")
+    assert (code, err) == (0, "")
+    lines = text.splitlines()
+    assert lines == text.split("\n")[:-1]
+    assert [line for line in lines if line.lstrip().startswith("verdict")] == [
+        "    verdict: refused"]
+    assert '    point_name: "p\\nverdict: pass"' in lines
+    assert '    subgroup_name: "l\\u2028x"' in lines
+    assert '  "l\\u2028x":' in lines
+    code, out, err = run(capsys, "--scene", str(path), "report")
+    doc = json.loads(out)
+    assert (code, out) == (0, json_dumps_per_scalar(doc) + "\n")
+    entry = doc["verification"][0]
+    assert (entry["point_name"], entry["subgroup_name"]) == ("p\nverdict: pass", "l\u2028x")
+    assert entry["verdict"] == "refused" and list(doc["classification"]) == ["l\u2028x"]
 
 
 def test_json_is_parseable_for_all_commands(quadric_scene_path, capsys):

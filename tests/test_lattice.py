@@ -64,8 +64,6 @@ def test_vector_container_protocol():
     assert list(v) == [4, 5, 6]
     assert len(v) == 3
     assert v.rank == 3
-    assert not v.is_zero
-    assert LatticeVector((0, 0)).is_zero
 
 
 def test_matrix_rank_known_values():
