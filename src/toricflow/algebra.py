@@ -25,7 +25,7 @@ from operator import mul
 
 from .demazure import DemazureRoot, is_root
 from .errors import BoundExceeded, IllDefinedRoot, NotADemazureRoot
-from .lattice import M_SIDE, Frozen, LatticeVector, dot, matrix_rank
+from .lattice import M_SIDE, Frozen, LatticeVector, dot, int_entries, matrix_rank
 
 # The most bits that one exact power of a point or a flow may reach, by
 # the bound of check_power_bits: about 79,000 decimal digits.
@@ -116,7 +116,7 @@ class HomogeneousLND:
                     % (g.entries, self.root.vector.entries))
 
     def degree(self, u):
-        return dot(self.ray.entries, u)
+        return dot(self.ray.entries, int_entries(u))
 
     def apply(self, f):
         """One application of the derivation to an algebra element."""

@@ -210,12 +210,13 @@ def _roots_doc(scene, box, ray_index=None):
         raise SceneError("ray index %d out of range, cone has %d rays"
                          % (ray_index, len(sigma.rays)))
     roots = roots_in_box(sigma, box, ray_index=ray_index)
-    indices = range(len(sigma.rays)) if ray_index is None else [ray_index]
+    counts = dict.fromkeys(range(len(sigma.rays)) if ray_index is None else [ray_index], 0)
+    for r in roots:
+        counts[r.ray_index] += 1
     return {
         "count": len(roots),
-        "by_ray": [{"ray_index": index, "ray": list(sigma.rays[index].entries),
-                    "count": sum(1 for r in roots if r.ray_index == index)}
-                   for index in indices],
+        "by_ray": [{"ray_index": index, "ray": list(sigma.rays[index].entries), "count": count}
+                   for index, count in counts.items()],
         "roots": [_root_doc(r) for r in roots],
     }
 

@@ -7,12 +7,16 @@ points of {<p,e> = -1, <q,e> >= 0 for the other rays q, |e_k| <= b},
 enumerated by project-and-lift as in Normaliz: over an echelon basis of
 the lattice <p,e> = 0, Fourier-Motzkin elimination gives valid integer
 bounds on each coordinate given the ones before, and the lift meets the
-roots in lex order.  The rounded bounds are not always exact, so a lift
-may meet dead ends.  An enumeration that takes more than ROOT_STEP_CAP
-steps (see StepBudget) is refused.  The box scan and the slice scan are
-kept in the tests as oracles.  For rank two and higher each ray carries
-infinitely many roots, which the toolkit witnesses by strictly growing
-box counts, never by assertion.
+roots in lex order, a run of the last coordinate at a time.  The rounded
+bounds may lead a lift into dead ends, but each row is met exactly at the
+level of its last nonzero coordinate, so a lifted point is a root and is
+not re-checked; it is still charged 1 + the number of rays, the price of
+that check, so that every cap trips at the same step.  An enumeration
+that takes more than ROOT_STEP_CAP steps (see StepBudget) is refused.
+The box scan, the slice scan and the point-by-point lift are the test
+oracles.  For rank two and higher each ray carries infinitely many roots,
+which the toolkit witnesses by strictly growing box counts, never by
+assertion.
 """
 
 from collections import namedtuple
@@ -21,7 +25,7 @@ from math import gcd
 from operator import add, mul
 
 from .errors import BoundExceeded
-from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon
+from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon, int_entries
 
 ROOT_STEP_CAP = 1_000_000
 _ROOT_SEARCH_START = 5
@@ -33,19 +37,6 @@ class DemazureRoot(namedtuple("DemazureRoot", "vector ray_index")):
     __slots__ = ()
 
 
-def _distinguished_ray(rays, entries):
-    """Index of the one ray pairing to -1 with entries while every other
-    ray pairs nonnegatively, or None when the root condition fails."""
-    distinguished = None
-    for i, ray in enumerate(rays):
-        value = sum(map(mul, ray, entries))
-        if value < 0:
-            if value != -1 or distinguished is not None:
-                return None
-            distinguished = i
-    return distinguished
-
-
 def is_root(sigma, e):
     """Check the root condition of e against sigma's rays.
 
@@ -53,13 +44,13 @@ def is_root(sigma, e):
     condition holds) or None.
     """
     rays = _ray_entries(sigma)
-    entries = tuple(int(x) for x in e)
+    entries = int_entries(e)
     if len(entries) != sigma.rank:
         raise ValueError("rank mismatch")
-    distinguished = _distinguished_ray(rays, entries)
-    if distinguished is None:
+    values = [sum(map(mul, ray, entries)) for ray in rays]
+    if [value for value in values if value < 0] != [-1]:
         return None
-    return DemazureRoot(LatticeVector(entries, M_SIDE), distinguished)
+    return DemazureRoot(LatticeVector(entries, M_SIDE), values.index(-1))
 
 
 def _ray_entries(sigma, ray_index=None):
@@ -77,10 +68,12 @@ class StepBudget:
     """Steps spent by one root enumeration or first-root search.
 
     A step is one row formed by elimination, one row read for the bounds
-    of an interval, one value taken by one coordinate, or one ray paired
-    with a full point, so the count bounds the work whatever the number
-    of rays.  The step past ROOT_STEP_CAP raises BoundExceeded naming the
-    subject and the remedy.
+    of an interval, one value taken by one coordinate, or one ray of a
+    root: a lifted point is not re-checked, but a root is charged 1 + the
+    number of rays, the price of that check, so that every cap trips at
+    the same step.  The step past ROOT_STEP_CAP raises BoundExceeded naming
+    the subject and the remedy; spend(count, times) stops where times
+    single charges would.
     """
 
     def __init__(self, subject, remedy=""):
@@ -88,9 +81,10 @@ class StepBudget:
         self.subject = subject
         self.remedy = remedy
 
-    def spend(self, count):
-        self.spent += count
+    def spend(self, count, times=1):
+        self.spent += count * times
         if self.spent > ROOT_STEP_CAP:
+            self.spent -= (self.spent - ROOT_STEP_CAP - 1) // count * count
             raise BoundExceeded("%s reached %d steps, over ROOT_STEP_CAP = %d%s"
                                 % (self.subject, self.spent, ROOT_STEP_CAP, self.remedy))
 
@@ -141,66 +135,57 @@ def _project(rows, m, budget):
     return None if system is None else levels[::-1]
 
 
-def _lift(levels, basis, point, prefix, point_cost, budget):
-    """The points point + sum of y_i*basis[i] over the integer points y of
-    the projected rows that extend prefix, in lex order of y, depth first.
-
-    Each interval is charged its rows, each value of an inner coordinate
-    one step and each full point point_cost steps.
-    """
+def _lift(levels, basis, point, prefix, budget):
+    """Runs (first point, step, count) of the points point + sum of
+    y_i*basis[i] over the integer points y of the projected rows that
+    extend prefix, in lex order of y, depth first: one run per interval of
+    the last coordinate.  Intervals are charged their rows and values of
+    inner coordinates one step each; the caller charges a run's points."""
     j = len(prefix)
     lower, upper = levels[j]
     budget.spend(len(lower) + len(upper))
     lo = max(-((sum(map(mul, a, prefix)) + c) // k) for a, k, c in lower)
     hi = min((sum(map(mul, a, prefix)) + c) // k for a, k, c in upper)
     step = basis[j]
-    last = j + 1 == len(levels)
-    cost = point_cost if last else 1
     # exact-size tuples, so that freed points are reused, not pooled
     point = tuple([x + lo * b for x, b in zip(point, step)])
+    if j + 1 == len(levels):
+        if lo <= hi:
+            yield point, step, hi - lo + 1
+        return
     for y in range(lo, hi + 1):
-        budget.spend(cost)
-        if last:
-            yield point
-        else:
-            yield from _lift(levels, basis, point, prefix + (y,), point_cost, budget)
+        budget.spend(1)
+        yield from _lift(levels, basis, point, prefix + (y,), budget)
         point = tuple([*map(add, point, step)])
 
 
-def lift_roots(rays, index, bound, budget):
-    """Roots at rays[index] with max-norm at most bound, as entry tuples in
-    lex order, with the work charged to budget.
-
-    e = e0 + sum of y_i*b_i, where <p,e0> = -1 and the b_i are an echelon
-    basis of the lattice <p,e> = 0, with positive pivots in strictly
-    increasing columns, so that e rises in lex order with y.  The other
-    rays and the box bound y.  A full point costs one step plus one per
-    ray of its final check.
-    """
+def _ray_lattice(rays, index):
+    """(e0, basis, rows) at p = rays[index] from one echelon form of
+    [p | I], whose rows are [1 | -e0] and then [0 | b_i]: <p,e0> = -1, and
+    the b_i are an echelon basis of <p,e> = 0 with positive pivots in
+    strictly increasing columns, so that e = e0 + sum of y_i*b_i rises in
+    lex order with y.  rows holds <q,e> = a.y + c as (a, c) per other ray q."""
     p = rays[index]
     d = len(p)
-    rows, _ = _echelon([[p[k]] + [int(j == k) for j in range(d)] for k in range(d)],
-                       pivot_cols_limit=1)
+    rows, _ = _echelon([[p[k]] + [int(j == k) for j in range(d)] for k in range(d)])
     e0 = [-x for x in rows[0][1:]]
-    basis, _ = _echelon([row[1:] for row in rows[1:]])
-    rows = [(tuple([sum(map(mul, q, b)) for b in basis]), sum(map(mul, q, e0)))
-            for k, q in enumerate(rays) if k != index]
-    for k in range(d):
+    basis = [row[1:] for row in rows[1:]]
+    return e0, basis, [(tuple([sum(map(mul, q, b)) for b in basis]), sum(map(mul, q, e0)))
+                       for k, q in enumerate(rays) if k != index]
+
+
+def _runs(lattice, bound, budget):
+    """Runs of the roots of max-norm at most bound at the ray of a
+    _ray_lattice, in lex order, with the work charged to budget."""
+    e0, basis, rows = lattice
+    for k, x in enumerate(e0):
         column = tuple(b[k] for b in basis)
-        rows.append((column, bound + e0[k]))
-        rows.append((tuple(-x for x in column), bound - e0[k]))
-    levels = _project(rows, d - 1, budget)
-    if levels is None:
-        return
-    point_cost = 1 + len(rays)
-    if levels:
-        points = _lift(levels, basis, tuple(e0), (), point_cost, budget)
-    else:
-        budget.spend(point_cost)
-        points = [tuple(e0)]
-    for e in points:
-        if _distinguished_ray(rays, e) == index:
-            yield e
+        rows = rows + [(column, bound + x), (tuple(-a for a in column), bound - x)]
+    levels = _project(rows, len(basis), budget)
+    if levels == []:  # rank one: e0 is the one candidate, checked by the box rows
+        yield tuple(e0), (0,), 1
+    elif levels:
+        yield from _lift(levels, basis, tuple(e0), (), budget)
 
 
 def roots_in_box(sigma, bound, ray_index=None):
@@ -215,23 +200,30 @@ def roots_in_box(sigma, bound, ray_index=None):
     indices = range(len(rays)) if ray_index is None else [ray_index]
     budget = StepBudget("root enumeration at max-norm %d" % bound,
                         "; lower --box or give fewer rays")
-    return [DemazureRoot(LatticeVector(e, M_SIDE), i)
-            for i in indices for e in lift_roots(rays, i, bound, budget)]
+    roots = []
+    for i in indices:
+        for point, step, count in _runs(_ray_lattice(rays, i), bound, budget):
+            budget.spend(1 + len(rays), count)
+            for _ in range(count):
+                roots.append(DemazureRoot(LatticeVector(point, M_SIDE), i))
+                point = tuple([*map(add, point, step)])
+    return roots
 
 
 def smallest_root_at_ray(sigma, ray_index):
     """The lex-first root at the ray in the first box 5*2^k that holds a
     root, and that box.
 
-    Every ray of a pointed full-dimensional cone has a root.  Each box is
-    one depth-first lift that stops at its first root; the lifts together
+    Every ray of a pointed full-dimensional cone has a root.  The ray's
+    lattice is set up once, and each box is one depth-first lift that
+    stops at its first run, whose head is the root.  The lifts together
     may take at most ROOT_STEP_CAP steps.
     """
     rays = _ray_entries(sigma, ray_index)
     budget = StepBudget("the search for a root at ray %s" % (rays[ray_index],))
+    lattice = _ray_lattice(rays, ray_index)
     box = _ROOT_SEARCH_START
-    while True:
-        root = next(lift_roots(rays, ray_index, box, budget), None)
-        if root is not None:
-            return DemazureRoot(LatticeVector(root, M_SIDE), ray_index), box
+    while (run := next(_runs(lattice, box, budget), None)) is None:
         box *= 2
+    budget.spend(1 + len(rays))
+    return DemazureRoot(LatticeVector(run[0], M_SIDE), ray_index), box

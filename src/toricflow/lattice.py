@@ -105,6 +105,11 @@ def primitive(v):
     return LatticeVector(primitive_tuple(v.entries), v.side)
 
 
+def int_entries(v):
+    """The entries of a LatticeVector, or of an int sequence as a tuple."""
+    return v.entries if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
+
+
 def primitive_tuple(entries):
     g = gcd(*entries)
     if g == 0:

@@ -22,6 +22,7 @@ from .lattice import (
     adjugate,
     dot,
     generates_full_lattice,
+    int_entries,
     integer_kernel,
 )
 
@@ -197,7 +198,7 @@ class AffineMonoid:
             raise ValueError("rank must be positive")
         gens = []
         for g in generators:
-            entries = tuple(int(e) for e in g)
+            entries = int_entries(g)
             if len(entries) != rank:
                 raise ValueError("generator length does not match rank")
             if all(e == 0 for e in entries):
@@ -277,7 +278,7 @@ class AffineMonoid:
         return memo[target]
 
     def _entries(self, u):
-        entries = tuple(int(e) for e in u)
+        entries = int_entries(u)
         if len(entries) != self.rank:
             raise ValueError("rank mismatch")
         return entries

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,8 +12,9 @@ from toricflow import (AffineMonoid, AlgebraElement, Cone, GradingKind,
                        NotFullDimensional, NotParabolic, NotPointed, ToricPoint,
                        classify, dot, evaluate, matrix_rank, roots_in_box,
                        torus_point)
+from toricflow import demazure
 from toricflow.grading import _divisor
-from toricflow.lattice import primitive_tuple
+from toricflow.lattice import _echelon, primitive_tuple
 
 settings.register_profile(
     "ci",
@@ -188,6 +190,101 @@ def root_growth_witness(sigma, ray_index, small, large):
     at_small = len(roots_in_box(sigma, small, ray_index))
     at_large = len(roots_in_box(sigma, large, ray_index))
     return at_small, at_large
+
+
+def _distinguished_ray(rays, entries):
+    """Index of the one ray pairing to -1 with entries while every other
+    ray pairs nonnegatively, or None when the root condition fails."""
+    distinguished = None
+    for i, ray in enumerate(rays):
+        value = sum(map(mul, ray, entries))
+        if value < 0:
+            if value != -1 or distinguished is not None:
+                return None
+            distinguished = i
+    return distinguished
+
+
+def _lift_points(levels, basis, point, prefix, point_cost, budget):
+    """The points point + sum of y_i*basis[i] over the integer points y of
+    the projected rows that extend prefix, in lex order of y, depth first.
+
+    Each interval is charged its rows, each value of an inner coordinate
+    one step and each full point point_cost steps.
+    """
+    j = len(prefix)
+    lower, upper = levels[j]
+    budget.spend(len(lower) + len(upper))
+    lo = max(-((sum(map(mul, a, prefix)) + c) // k) for a, k, c in lower)
+    hi = min((sum(map(mul, a, prefix)) + c) // k for a, k, c in upper)
+    step = basis[j]
+    last = j + 1 == len(levels)
+    cost = point_cost if last else 1
+    point = tuple([x + lo * b for x, b in zip(point, step)])
+    for y in range(lo, hi + 1):
+        budget.spend(cost)
+        if last:
+            yield point
+        else:
+            yield from _lift_points(levels, basis, point, prefix + (y,), point_cost, budget)
+        point = tuple([x + b for x, b in zip(point, step)])
+
+
+def _lift_roots_by_point(rays, index, bound, budget):
+    """Roots at rays[index] with max-norm at most bound, as entry tuples in
+    lex order: e0 and the echelon basis from two echelon forms, then one
+    point at a time, each charged 1 + the number of rays and re-checked
+    against every ray."""
+    p = rays[index]
+    d = len(p)
+    rows, _ = _echelon([[p[k]] + [int(j == k) for j in range(d)] for k in range(d)],
+                       pivot_cols_limit=1)
+    e0 = [-x for x in rows[0][1:]]
+    basis, _ = _echelon([row[1:] for row in rows[1:]])
+    rows = [(tuple([sum(map(mul, q, b)) for b in basis]), sum(map(mul, q, e0)))
+            for k, q in enumerate(rays) if k != index]
+    for k in range(d):
+        column = tuple(b[k] for b in basis)
+        rows.append((column, bound + e0[k]))
+        rows.append((tuple(-x for x in column), bound - e0[k]))
+    levels = demazure._project(rows, d - 1, budget)
+    if levels is None:
+        return
+    point_cost = 1 + len(rays)
+    if levels:
+        points = _lift_points(levels, basis, tuple(e0), (), point_cost, budget)
+    else:
+        budget.spend(point_cost)
+        points = [tuple(e0)]
+    for e in points:
+        if _distinguished_ray(rays, e) == index:
+            yield e
+
+
+def roots_by_point(sigma, bound, ray_index=None):
+    """Step oracle for roots_in_box: the point-by-point lift with its
+    re-check.  Returns the (ray index, entries) pairs in (ray, lex) order
+    and the steps spent; raises BoundExceeded as the cap trips."""
+    rays = [r.entries for r in sigma.rays]
+    indices = range(len(rays)) if ray_index is None else [ray_index]
+    budget = demazure.StepBudget("root enumeration at max-norm %d" % bound,
+                                 "; lower --box or give fewer rays")
+    roots = [(i, e) for i in indices for e in _lift_roots_by_point(rays, i, bound, budget)]
+    return roots, budget.spent
+
+
+def smallest_root_by_point(sigma, ray_index):
+    """Step oracle for smallest_root_at_ray: ((entries, box), steps), where
+    each box 5*2^k is a point-by-point lift that stops at its first root
+    and one budget is charged over all the boxes."""
+    rays = [r.entries for r in sigma.rays]
+    budget = demazure.StepBudget("the search for a root at ray %s" % (rays[ray_index],))
+    box = 5
+    while True:
+        root = next(_lift_roots_by_point(rays, ray_index, box, budget), None)
+        if root is not None:
+            return (root, box), budget.spent
+        box *= 2
 
 
 _BOX_SCAN_CAP = 400_000

@@ -16,8 +16,8 @@ from toricflow import (
 )
 from toricflow import demazure
 
-from conftest import (DUALITY_CONES, box_scan_roots, cone_fixture,
-                      root_growth_witness, slice_scan_roots)
+from conftest import (DUALITY_CONES, box_scan_roots, cone_fixture, root_growth_witness,
+                      roots_by_point, slice_scan_roots, smallest_root_by_point)
 
 ROOT_CONES = ["quadrant", "quadric", "wide", "octant", "square"]
 
@@ -128,12 +128,13 @@ def _keys(roots):
 
 
 @st.composite
-def pointed_cones(draw):
-    """Rank and rays of a pointed full-dimensional cone: every ray pairs
-    positively with a random sign vector, so the cone is pointed."""
+def pointed_cones(draw, entry=5):
+    """Rank and rays of a pointed full-dimensional cone, with entries in
+    -entry..entry: every ray pairs positively with a random sign vector, so
+    the cone is pointed."""
     rank = draw(st.integers(1, 4))
     signs = draw(st.tuples(*[st.sampled_from((1, -1))] * rank))
-    ray = st.tuples(*[st.integers(-5, 5)] * rank).filter(
+    ray = st.tuples(*[st.integers(-entry, entry)] * rank).filter(
         lambda r: sum(s * a for s, a in zip(signs, r)) > 0)
     return rank, draw(st.lists(ray, min_size=rank, max_size=rank + 2))
 
@@ -305,3 +306,78 @@ def test_first_root_search_cap(monkeypatch):
     monkeypatch.setattr(demazure, "ROOT_STEP_CAP", 46)
     with pytest.raises(BoundExceeded, match="reached 47 steps"):
         smallest_root_at_ray(sigma, index)
+
+
+def _under_cap(cap, call):
+    """call() with ROOT_STEP_CAP = cap, or the text of the BoundExceeded it
+    raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(demazure, "ROOT_STEP_CAP", cap)
+        try:
+            return call()
+        except BoundExceeded as error:
+            return str(error)
+
+
+def _random_cone(cone):
+    rank, rays = cone
+    try:
+        return Cone.from_rays(rays, rank, N_SIDE)
+    except NotFullDimensional:
+        assume(False)
+
+
+# The cap contract is the step at which a run trips ROOT_STEP_CAP, so the
+# runs are held to the point-by-point lift step for step: at the oracle's
+# count the enumeration passes; one below it, and at half of it, where a
+# run may trip part way, both raise the same text.
+@example(cone=(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), bound=2)
+@example(cone=(3, [(2, 0, 3), (0, 3, 2), (-2, 3, 3), (3, -2, 3)]), bound=3)
+@example(cone=(1, [(1,)]), bound=0)
+@given(cone=pointed_cones(entry=3), bound=st.integers(0, 4))
+def test_roots_in_box_spends_the_steps_of_the_point_by_point_lift(cone, bound):
+    sigma = _random_cone(cone)
+    roots, steps = roots_by_point(sigma, bound)
+    assert _under_cap(steps, lambda: _keys(roots_in_box(sigma, bound))) == roots
+    for cap in (steps - 1, steps // 2):
+        assert (_under_cap(cap, lambda: _keys(roots_in_box(sigma, bound)))
+                == _under_cap(cap, lambda: roots_by_point(sigma, bound)[0]))
+
+
+@example(cone=(3, [(-1, 2, 3), (3, 2, 1), (3, 3, 3)]))
+@given(cone=pointed_cones(entry=3))
+def test_first_root_search_spends_the_steps_of_the_point_by_point_search(cone):
+    sigma = _random_cone(cone)
+    for index in range(len(sigma.rays)):
+        found, steps = smallest_root_by_point(sigma, index)
+
+        def search():
+            root, box = smallest_root_at_ray(sigma, index)
+            return root.vector.entries, box
+        assert _under_cap(steps, search) == found
+        for cap in (steps - 1, steps // 2):
+            assert (_under_cap(cap, search)
+                    == _under_cap(cap, lambda: smallest_root_by_point(sigma, index)[0]))
+
+
+@pytest.mark.parametrize("count, times", [(1, 4), (5, 1), (5, 3), (7, 6)])
+def test_a_bulk_charge_stops_where_single_charges_would(count, times):
+    def charge(cap, bulk):
+        budget = demazure.StepBudget("a run", "; a remedy")
+        budget.spend(20)
+
+        def run():
+            if bulk:
+                budget.spend(count, times)
+            else:
+                for _ in range(times):
+                    budget.spend(count)
+        return _under_cap(cap, run), budget.spent
+
+    # every cap from the run's first step to just past its last
+    caps = range(20, 20 + count * times + 3)
+    outcomes = [charge(cap, True) for cap in caps]
+    assert outcomes == [charge(cap, False) for cap in caps]
+    assert outcomes[0] == ("a run reached %d steps, over ROOT_STEP_CAP = 20; a remedy"
+                           % (20 + count), 20 + count)
+    assert outcomes[-1] == (None, 20 + count * times)
