@@ -133,20 +133,22 @@ class Cone(Frozen):
         # Rays that span only a k-dimensional subspace are projected onto
         # the pivot coordinates of their echelon form, which is injective
         # on that subspace, so the image contains a line exactly when the
-        # cone does.  The dual cone is always pointed, and the cone is
-        # pointed exactly when the dual's extreme rays span.
+        # cone does.  A ray on every facet spans a line, and a nonzero
+        # lineality space is spanned by the rays it contains, so a bit set
+        # in every facet mask means a line.  A line is refused first, so a
+        # flat cone with a line keeps its NotPointed error.
         basis = pivot_columns(list(zip(*ray_tuples)))
         coords = pivot_columns(ray_tuples) if len(basis) < rank else range(rank)
         facets = _double_description(
             [tuple(r[c] for c in coords) for r in ray_tuples], basis)
-        if matrix_rank(h for h, _ in facets) < len(basis):
+        everything = (1 << len(ray_tuples)) - 1
+        if reduce(and_, (mask for _, mask in facets), everything):
             raise NotPointed("cone generated by %s contains a line" % (ray_tuples,))
         if len(basis) < rank:
             raise NotFullDimensional(
                 "rays %s span a proper subspace" % (ray_tuples,))
 
         # A ray is extreme when no other ray lies on every facet through it.
-        everything = (1 << len(ray_tuples)) - 1
         extreme = [r for i, r in enumerate(ray_tuples) if reduce(
             and_, (mask for _, mask in facets if mask >> i & 1), everything) == 1 << i]
         facet_normals = sorted(h for h, _ in facets)

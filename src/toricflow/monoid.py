@@ -190,7 +190,9 @@ class AffineMonoid:
 
     _weight_cone is internal to cone scenes, whose generators are the
     Hilbert basis of that cone in hilbert_basis order: the cone and the
-    basis are then taken as given rather than computed a second time.
+    basis are then taken as given rather than computed a second time, and
+    the lattice is not checked, since the basis generates the monoid of
+    lattice points of a full-dimensional cone, and those generate M.
     """
 
     def __init__(self, generators, rank, _weight_cone=None):
@@ -214,7 +216,7 @@ class AffineMonoid:
         self.weight_cone = (Cone.from_rays(gens, rank, M_SIDE)
                             if _weight_cone is None else _weight_cone)
         self.dual_cone = self.weight_cone.dual()
-        if not generates_full_lattice(gens, rank):
+        if _weight_cone is None and not generates_full_lattice(gens, rank):
             raise NotEffective("generators %s do not generate the full lattice" % (gens,))
         self._decompositions = {(0,) * rank: (0,) * len(gens)}
         self._hilbert = None if _weight_cone is None else self.generators
@@ -250,7 +252,6 @@ class AffineMonoid:
             if t in memo:
                 stack.pop()
                 continue
-            descended = False
             result = None
             for idx, g in enumerate(gens):
                 w = tuple(a - b for a, b in zip(t, g))
@@ -263,7 +264,6 @@ class AffineMonoid:
                             "search points; give smaller exponents or roots"
                             % (target, DECOMPOSE_NODE_CAP))
                     stack.append(w)
-                    descended = True
                     break
                 found = memo[w]
                 if found is not None:
@@ -271,10 +271,9 @@ class AffineMonoid:
                     coeffs[idx] += 1
                     result = tuple(coeffs)
                     break
-            if descended:
-                continue
-            memo[t] = result
-            stack.pop()
+            if stack[-1] is t:  # t is decided unless a point below it was pushed
+                memo[t] = result
+                stack.pop()
         return memo[target]
 
     def _entries(self, u):

@@ -14,7 +14,6 @@ construction; generator order of monoid scenes is preserved because point
 coordinates are indexed against it.
 """
 
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -24,6 +23,14 @@ from .errors import SceneError
 from .lattice import LatticeVector, M_SIDE, N_SIDE
 from .monoid import AffineMonoid, hilbert_basis
 from .orbits import torus_point
+
+try:  # CPython's builtin SHA-256: hashlib would load OpenSSL on every call
+    from _sha256 import sha256  # up to Python 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # from Python 3.12
+    except ImportError:  # a build without builtin hashes
+        from hashlib import sha256
 
 _TOP_KEYS = {"rank", "cone_rays", "monoid_generators", "points", "subgroups"}
 # The two vector lists: what one vector is called, and its lattice.
@@ -134,7 +141,7 @@ class Scene:
     @property
     def digest(self):
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     def primary_cone(self):
         """The cone the scene wrote, which `dual` and `facets` operate on:

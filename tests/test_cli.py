@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -655,10 +656,14 @@ def test_python_dash_m_runs_the_cli(quadric_scene_path):
 
 
 def test_cli_import_skips_dataclasses_inspect_and_pathlib():
-    # each CLI call pays for its imports; these three cost about half of them
+    # each CLI call pays for its imports; these three cost about half of them,
+    # and hashlib loads OpenSSL where CPython's builtin SHA-256 module will do
+    heavy = {"dataclasses", "inspect", "pathlib"}
+    if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+        heavy |= {"hashlib", "_hashlib"}
     src = Path(toricflow.__file__).resolve().parents[1]
     code = ("import sys; before = set(sys.modules); import toricflow.cli; "
-            "print(*sorted((set(sys.modules) - before) & {'dataclasses', 'inspect', 'pathlib'}))")
+            "print(*sorted((set(sys.modules) - before) & %r))" % heavy)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")

@@ -177,6 +177,8 @@ def _small_cones(draw):
 
 
 @settings(max_examples=300)
+# no facet survives, so the facet masks that decide NotPointed are none at all
+@example((1, [(1,), (-1,)]))
 @example((2, [(1, 0), (-1, 0), (0, 1)]))
 @example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, -1, 0)]))
 @example((3, [(1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2), (1, 1, 1)]))

@@ -23,6 +23,7 @@ from toricflow import (
     RankLimitExceeded,
     ToricPoint,
     dot,
+    generates_full_lattice,
     hilbert_basis,
     roots_in_box,
 )
@@ -202,7 +203,10 @@ def pointed_weight_cones(draw, ranks=st.integers(1, 4)):
 @example(Cone.from_rays([(-5, 2), (2, 3)], 2, M_SIDE))
 @given(pointed_weight_cones())
 def test_hilbert_basis_matches_box_scan(cone):
-    assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+    basis = [v.entries for v in hilbert_basis(cone)]
+    assert basis == box_scan_hilbert_basis(cone)
+    # a cone scene's monoid takes this basis without checking the lattice
+    assert generates_full_lattice(basis, cone.rank)
 
 
 # few rank-4 cones come from the draws over every rank; the example is the
@@ -211,7 +215,9 @@ def test_hilbert_basis_matches_box_scan(cone):
                          (1, 2, 2, 1), (1, 1, 2, 1), (1, 0, 1, 1)], 4, M_SIDE))
 @given(pointed_weight_cones(st.just(4)))
 def test_hilbert_basis_matches_box_scan_in_rank_4(cone):
-    assert [v.entries for v in hilbert_basis(cone)] == box_scan_hilbert_basis(cone)
+    basis = [v.entries for v in hilbert_basis(cone)]
+    assert basis == box_scan_hilbert_basis(cone)
+    assert generates_full_lattice(basis, cone.rank)
 
 
 # the 49-ray cone over the paraboloid (1, x, y, x^2 + y^2), |x|, |y| <= 3

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toricflow
 from toricflow import SceneError, load_scene, render_text
 from toricflow.scene import parse_rational
 
@@ -104,6 +110,21 @@ def test_digest_ignores_key_order_and_tracks_content():
     assert a.digest == b.digest
     assert a.digest != c.digest
     assert len(a.digest) == 64
+
+
+def test_digest_falls_back_to_hashlib_with_the_same_bytes():
+    # a build without CPython's builtin SHA-256 module hashes through hashlib
+    text = json.dumps(QUADRIC_SCENE)
+    canonical = json.dumps(QUADRIC_SCENE, sort_keys=True, separators=(",", ":"))
+    expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert load_scene(text).digest == expected
+    code = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+            "import hashlib, toricflow.scene as scene; "
+            "print(scene.sha256 is hashlib.sha256, scene.load_scene(sys.argv[1]).digest)")
+    src = Path(toricflow.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True %s\n" % expected, "")
 
 
 def test_primary_cone_follows_scene_kind():
