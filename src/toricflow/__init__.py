@@ -24,7 +24,6 @@ from .lattice import (
     N_SIDE,
     LatticeVector,
     dot,
-    gcd_all,
     generates_full_lattice,
     integer_kernel,
     matrix_rank,
@@ -93,7 +92,6 @@ __all__ = [
     "dot",
     "evaluate",
     "ga_flow_point",
-    "gcd_all",
     "generates_full_lattice",
     "hilbert_basis",
     "integer_kernel",

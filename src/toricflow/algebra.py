@@ -25,7 +25,7 @@ from operator import mul
 
 from .demazure import DemazureRoot, is_root
 from .errors import BoundExceeded, IllDefinedRoot, NotADemazureRoot
-from .lattice import M_SIDE, Frozen, LatticeVector, dot, int_entries, matrix_rank
+from .lattice import M_SIDE, Frozen, LatticeVector, dot, int_entries
 
 # The most bits that one exact power of a point or a flow may reach, by
 # the bound of check_power_bits: about 79,000 decimal digits.
@@ -150,4 +150,6 @@ class HomogeneousLND:
         return tuple(g for g in self.monoid.generators if self.degree(g) == 0)
 
     def kernel_rank(self):
-        return matrix_rank([g.entries for g in self.kernel_generators()])
+        """rank - 1: the degree-0 generators are those on the facet p^perp
+        of the weight cone, and the generators on a face span it."""
+        return self.monoid.rank - 1

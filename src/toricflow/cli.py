@@ -15,8 +15,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (BoundExceeded, HypothesisError, NormalityRequired,
                      NotParabolic, ResourceError, SceneError, ToricError)
+from .lattice import M_SIDE, primitive
 from .monoid import hilbert_basis
-from .grading import GradingKind, classify, straightening_subtori
+from .grading import classify, straightening_subtori
 from .demazure import roots_in_box
 from .algebra import HomogeneousLND
 from .orbits import ga_flow_point, limit_point, verify_compatible, witness_derivation
@@ -68,7 +69,7 @@ def _cone_doc(cone):
     }
 
 
-def _grading_doc(mon, grading):
+def _grading_doc(cone, grading):
     doc = {
         "kind": grading.kind.value,
         "degree_gcd": grading.degree_gcd,
@@ -79,7 +80,7 @@ def _grading_doc(mon, grading):
         "ray_index": grading.ray_index,
     }
     if grading.ray_index is not None:
-        doc["ray"] = list(mon.dual_cone.rays[grading.ray_index].entries)
+        doc["ray"] = list(cone.facet_normals[grading.ray_index].entries)
     return doc
 
 
@@ -162,6 +163,9 @@ def cmd_hilbert(scene, args):
 
 
 def cmd_saturation(scene, args):
+    if scene.side != M_SIDE:  # weight_cone ∩ M is saturated; only the cone is checked
+        scene.weight_cone()
+        return {"saturated": True, "witness": None}
     result = scene.monoid().saturation()
     return {
         "saturated": result.saturated,
@@ -171,11 +175,12 @@ def cmd_saturation(scene, args):
 
 def cmd_classify(scene, args):
     subgroup = scene.subgroup_vector(args.l)
-    mon = scene.monoid()
-    grading = classify(mon, subgroup)
+    if scene.side == M_SIDE:
+        scene.monoid()  # refuses generators that miss part of M
+    cone = scene.weight_cone()
     return {
         "subgroup": list(subgroup.entries),
-        "classification": _grading_doc(mon, grading),
+        "classification": _grading_doc(cone, classify(cone, subgroup)),
     }
 
 
@@ -283,7 +288,7 @@ def cmd_report(scene, args):
     classification, witness_lnd, verification, warnings, facts = {}, {}, [], [], {}
     witnesses = {}  # ray index -> (lnd, box), one first-root search per ray
     mon = scene.monoid()
-    saturation = mon.saturation()
+    cone, saturation = mon.weight_cone, mon.saturation()
     if not saturation.saturated:
         warnings.append("monoid is not saturated, witness %s; straightening and flow "
                         "verification are refused" % (list(saturation.witness.entries),))
@@ -291,13 +296,12 @@ def cmd_report(scene, args):
               if scene.subgroups else {})
     for name in sorted(scene.subgroups):
         subgroup = scene.subgroups[name]
-        grading = classify(mon, subgroup)
-        classification[name] = dict(_grading_doc(mon, grading), subgroup=list(subgroup.entries))
+        grading = classify(cone, subgroup)
+        classification[name] = dict(_grading_doc(cone, grading), subgroup=list(subgroup.entries))
         if not grading.effective:
             warnings.append("subgroup %s acts with degree gcd %d, not effectively"
                             % (name, grading.degree_gcd))
-        if (grading.kind is GradingKind.HYPERBOLIC
-                and classify(mon, -subgroup).kind is GradingKind.PARABOLIC):
+        if primitive(-subgroup) in cone.facet_normals:  # -l parabolic, l hyperbolic
             warnings.append("subgroup %s is hyperbolic for the t->0 "
                             "convention, but its negation is parabolic" % name)
         try:

@@ -18,9 +18,10 @@ positive multiple of its primitive generator.
 
 from collections import namedtuple
 from enum import Enum
+from math import gcd
 
 from .errors import NormalityRequired, NotNonnegative
-from .lattice import N_SIDE, LatticeVector, dot, gcd_all, primitive
+from .lattice import N_SIDE, LatticeVector, dot, primitive
 
 
 class GradingKind(Enum):
@@ -38,29 +39,26 @@ class GradingClass(namedtuple("GradingClass",
     __slots__ = ()
 
 
-def classify(mon, subgroup):
-    """Sort the grading of mon by the N-side vector subgroup into a kind.
-
-    Runs on any monoid, saturated or not; only the weight cone and the
-    generator degrees matter.  degree_gcd is the gcd of the generator
-    degrees, and the grading is effective exactly when it is 1.  A parabolic
-    l is a positive multiple of the inner normal of its zero facet, so
-    ray_index is the index of primitive(l) among the dual cone's rays.
+def classify(cone, subgroup):
+    """Sort the grading by the N-side vector subgroup of a monoid, saturated
+    or not, with weight cone cone.  The monoid's generators generate M, so
+    the gcd of their degrees <l, g> is that of <l, M>: degree_gcd is gcd(l),
+    and the grading is effective exactly when it is 1.  A parabolic l is a
+    positive multiple of the inner normal of its zero facet, so ray_index
+    is the index of primitive(l) among the facet normals, the dual's rays.
     """
     if not isinstance(subgroup, LatticeVector) or subgroup.side != N_SIDE:
         raise ValueError("classify needs an N-side vector")
-    if subgroup.rank != mon.rank:
-        raise ValueError("rank mismatch")
     if not any(subgroup.entries):
         raise ValueError("the zero vector does not grade")
-    degree_gcd = gcd_all(dot(subgroup.entries, g.entries) for g in mon.generators)
+    degree_gcd = gcd(*subgroup.entries)
     effective = degree_gcd == 1
     try:
-        face = mon.weight_cone.zero_face(subgroup)
+        face = cone.zero_face(subgroup)
     except NotNonnegative:
         return GradingClass(GradingKind.HYPERBOLIC, None, None, degree_gcd, effective)
-    if face.dim == mon.rank - 1:
-        ray_index = mon.dual_cone.rays.index(primitive(subgroup))
+    if face.dim == cone.rank - 1:
+        ray_index = cone.facet_normals.index(primitive(subgroup))
         return GradingClass(GradingKind.PARABOLIC, face, ray_index, degree_gcd, effective)
     if face.dim == 0:
         return GradingClass(GradingKind.ELLIPTIC, face, None, degree_gcd, effective)

@@ -7,7 +7,6 @@ elements of Z^k (relation coefficients and the like).  Everything here is
 arbitrary-precision integer arithmetic; the toolkit never touches floats.
 """
 
-from functools import reduce
 from math import gcd
 from operator import mul
 
@@ -93,11 +92,6 @@ def dot(a, b):
     if len(a) != len(b):
         raise ValueError("length mismatch in dot product")
     return sum(map(mul, a, b))
-
-
-def gcd_all(values):
-    """gcd of an iterable of ints, read one at a time; 0 when it is empty."""
-    return reduce(gcd, values, 0)
 
 
 def primitive(v):

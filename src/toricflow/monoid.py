@@ -3,9 +3,9 @@
 An AffineMonoid is given by a finite generator list in M.  Its weight cone
 must be full-dimensional and pointed, and the generators must generate the
 whole lattice as a group (an effectiveness condition; scaling gradings are
-measured against it).  Saturation is decided by checking the Hilbert basis
-of the weight cone for membership, so the cuspidal-style monoids that miss
-lattice points of their cone are detected with an explicit witness.
+measured against it).  Saturation is decided by looking the weight cone's
+Hilbert basis up among the generators, so the cuspidal-style monoids that
+miss lattice points of their cone are detected with an explicit witness.
 """
 
 from bisect import bisect_right
@@ -297,13 +297,12 @@ class AffineMonoid:
 
     def saturation(self):
         """Check that every Hilbert basis element of the weight cone is a
-        monoid member; the first miss (in lex order) is the witness."""
+        monoid member; the first miss (in lex order) is the witness.  A
+        basis element is irreducible in weight_cone ∩ M, so it is a member
+        exactly when it is a generator."""
         if self._saturation is None:
-            witness = None
-            for h in self.hilbert_basis():
-                if not self.contains(h):
-                    witness = h
-                    break
+            gens = set(self._gen_tuples)
+            witness = next((h for h in self.hilbert_basis() if h.entries not in gens), None)
             self._saturation = SaturationResult(witness is None, witness)
         return self._saturation
 

@@ -199,7 +199,7 @@ def verify_compatible(mon, subgroup, point,
     the relation checks of their face.
     """
     if witness is None:
-        witness = witness_derivation(mon, classify(mon, subgroup))
+        witness = witness_derivation(mon, classify(mon.weight_cone, subgroup))
     lnd, root_box = witness
     if lnd.monoid != mon or primitive(subgroup) != lnd.ray:
         raise ValueError("the witness is not at the subgroup's ray of this monoid")

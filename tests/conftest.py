@@ -1,17 +1,18 @@
 import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
 
 from toricflow import (AffineMonoid, AlgebraElement, Cone, GradingKind,
                        HomogeneousLND, LatticeVector, M_SIDE, N_SIDE,
                        NotFullDimensional, NotParabolic, NotPointed, ToricPoint,
-                       classify, dot, evaluate, matrix_rank, roots_in_box,
-                       torus_point)
+                       classify, dot, evaluate, generates_full_lattice,
+                       hilbert_basis, matrix_rank, roots_in_box, torus_point)
 from toricflow import demazure
 from toricflow.grading import _divisor
 from toricflow.lattice import _echelon, primitive_tuple
@@ -339,11 +340,75 @@ def rank_pulling(rays, normals, dim):
 def fixed_locus(mon, subgroup):
     """The divisor fixed pointwise by a parabolic subgroup: its grading's
     distinguished ray, as straightening_subtori gives it for that ray."""
-    grading = classify(mon, subgroup)
+    grading = classify(mon.weight_cone, subgroup)
     if grading.kind is not GradingKind.PARABOLIC:
         raise NotParabolic(grading.kind,
                            "fixed divisors exist only for parabolic gradings")
     return _divisor(mon, grading.ray_index)
+
+
+# Closed-form oracles: the searches that AffineMonoid.saturation, classify's
+# degree_gcd, HomogeneousLND.kernel_rank and the report's warning on a
+# parabolic negation replace with a lookup, gcd(l), rank - 1 and a facet
+# normal test.
+def saturation_by_membership(mon):
+    """The first Hilbert basis element, in lex order, that is no monoid
+    member, or None: each is decomposed, as contains() does before the
+    monoid is known to be saturated."""
+    return next((h for h in mon.hilbert_basis() if mon.decompose(h) is None), None)
+
+
+def generator_degree_gcd(mon, subgroup):
+    """gcd of the degrees <l, g> of the monoid generators g."""
+    return gcd(*(dot(subgroup.entries, g.entries) for g in mon.generators))
+
+
+def kernel_rank_by_echelon(lnd):
+    """Rank of the degree-0 generators, by an echelon form."""
+    return matrix_rank([g.entries for g in lnd.kernel_generators()])
+
+
+def negation_is_parabolic(cone, subgroup):
+    """Whether -l classifies as parabolic on the weight cone."""
+    return classify(cone, -subgroup).kind is GradingKind.PARABOLIC
+
+
+@st.composite
+def random_monoids(draw):
+    """A monoid of rank 1 to 3 on a weight cone with small rays, on
+    generators in a drawn order: the Hilbert basis, or an unsaturated one
+    that drops a basis element h, non-extreme where there is one in mode
+    "inner".  When h is extreme or the rest does not generate M, 2h and 3h
+    are added; that keeps the cone and the lattice and still misses h, as
+    h is irreducible."""
+    rank = draw(st.integers(1, 3))
+    entries = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    rays = draw(st.lists(entries, min_size=rank, max_size=rank + 2))
+    try:
+        cone = Cone.from_rays(rays, rank, M_SIDE)
+    except (NotPointed, NotFullDimensional):
+        assume(False)
+    basis = [h.entries for h in hilbert_basis(cone)]
+    extreme = {r.entries for r in cone.rays}
+    inner = [h for h in basis if h not in extreme]
+    gens = basis
+    mode = draw(st.sampled_from(["saturated", "inner", "any"]))
+    if mode != "saturated":
+        h = draw(st.sampled_from(inner if mode == "inner" and inner else basis))
+        gens = [g for g in basis if g != h]
+        if h in extreme or not generates_full_lattice(gens, rank):
+            gens += [tuple(2 * x for x in h), tuple(3 * x for x in h)]
+    return AffineMonoid(draw(st.permutations(gens)), rank)
+
+
+def random_subgroups(mon):
+    """N-side vectors of the monoid's rank: any small one, or a nonzero
+    multiple of a facet normal, parabolic or with a parabolic negation."""
+    normals = [h.entries for h in mon.weight_cone.facet_normals]
+    scaled = st.tuples(st.sampled_from(normals), st.integers(-3, 3).filter(bool)).map(
+        lambda pair: tuple(pair[1] * x for x in pair[0]))
+    return st.one_of(st.tuples(*[st.integers(-6, 6)] * mon.rank).filter(any), scaled).map(
+        lambda entries: LatticeVector(entries, N_SIDE))
 
 
 # Determinant oracles: the expansions that lattice.adjugate replaces.

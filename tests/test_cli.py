@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 import toricflow
 import toricflow.cones
 import toricflow.monoid
-from toricflow import HomogeneousLND
+from toricflow import HomogeneousLND, hilbert_basis
 from toricflow.cli import build_parser, main
 from toricflow.report import render_text
 from toricflow.scene import load_scene
 
 from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE,
-                      json_dumps_per_scalar, monomial, render_text_per_item)
+                      json_dumps_per_scalar, monomial, negation_is_parabolic,
+                      random_monoids, random_subgroups, render_text_per_item)
 
 REPORT_KEYS = ["scene_digest", "classification", "straightening", "roots",
                "witness_lnd", "verification", "warnings", "derived_facts"]
@@ -375,15 +376,63 @@ def test_zero_and_duplicate_generators_exit_2_everywhere(gens):
         assert err.startswith("error: SceneError: monoid_generators"), err
 
 
+_PENTAGON_SCENE = {"rank": 3, "cone_rays": [[2, 0, 1], [0, 2, 1], [-2, 0, 1], [0, -2, 1],
+                                            [2, 2, 1]]}
+# On cone scenes, classify and saturation read only the weight cone too.
+_CONE_SCENE_RUNS = [(QUADRIC_SCENE, ["saturation"])] + [
+    (QUADRIC_SCENE, ["classify", "--l=" + l]) for l in ("0,1", "2,-1", "0,2", "1,1", "-1,0")] + [
+    (_PENTAGON_SCENE, ["saturation"])] + [
+    (_PENTAGON_SCENE, ["--format=text", "classify", "--l=" + l])
+    for l in ("2,0,1", "-4,0,-2", "0,0,1", "1,0,0")]
+
+
+def _monoid_twin(scene):
+    """The cone scene with its weight cone's Hilbert basis as monoid_generators."""
+    twin = {key: value for key, value in scene.items() if key != "cone_rays"}
+    cone = load_scene(json.dumps(scene)).weight_cone()
+    return {**twin, "monoid_generators": [list(h.entries) for h in hilbert_basis(cone)]}
+
+
+def _run_without_digest(scene, argv):
+    code, out, err = _stdin_run(scene, argv)
+    return code, out.replace(load_scene(json.dumps(scene)).digest, "<digest>"), err
+
+
 def test_cone_commands_build_no_monoid(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("AffineMonoid built")
 
+    unpatched = [_stdin_run(scene, argv) for scene, argv in _CONE_SCENE_RUNS]
+    twins = [_run_without_digest(_monoid_twin(scene), argv) for scene, argv in _CONE_SCENE_RUNS]
     monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", refuse)
     for scene in (QUADRIC_SCENE, A2_SCENE):
         for argv in _CONE_COMMANDS:
             code, out, err = _stdin_run(scene, argv)
             assert code == 0, (scene, argv, err)
+    for (scene, argv), expected, twin in zip(_CONE_SCENE_RUNS, unpatched, twins):
+        code, out, err = _stdin_run(scene, argv)
+        assert (code, out, err) == expected and code == 0, (scene, argv, err)
+        # the monoid path gives the same body, read off the generators
+        assert _run_without_digest(scene, argv) == twin, (scene, argv)
+
+
+_TH3_SCENE = {"rank": 3, "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 1, 1000]]}
+
+
+def test_cone_scene_past_the_hilbert_cap_classifies_and_saturates():
+    # th3's weight cone holds 10^6 Hilbert basis candidates, over the cap
+    code, out, err = _stdin_run(_TH3_SCENE, ["hilbert"])
+    assert code == 4 and "HILBERT_CANDIDATE_CAP" in err, err
+    for l, kind, gcd in (("1,0,0", "Parabolic", 1), ("2,0,0", "Parabolic", 2),
+                         ("1,1,-1", "Hyperbolic", 1), ("3,2,1000", "Elliptic", 1)):
+        code, out, err = _stdin_run(_TH3_SCENE, ["classify", "--l=" + l])
+        assert code == 0, err
+        grading = json.loads(out)["classification"]
+        assert (grading["kind"], grading["degree_gcd"]) == (kind, gcd), l
+    code, out, err = _stdin_run(_TH3_SCENE, ["saturation"])
+    assert code == 0, err
+    assert json.loads(out)["saturated"] is True and json.loads(out)["witness"] is None
+
 
 def test_exit_code_4_resource_errors(tmp_path, capsys):
     # RANK_LIMIT = 4 is the one rank bound: a rank-5 scene exits 4 when its
@@ -825,9 +874,9 @@ def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
     classified = []
     grade = toricflow.grading.classify
 
-    def counted_classify(mon, subgroup):
+    def counted_classify(cone, subgroup):
         classified.append(subgroup.entries)
-        return grade(mon, subgroup)
+        return grade(cone, subgroup)
 
     builds = []
     build = HomogeneousLND.__init__
@@ -849,10 +898,25 @@ def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
     assert rays == {1}
     assert sum(v["verdict"] == "pass" for v in doc["verification"]) == 4
     assert calls == [1]
-    # each of the five subgroups once, and the negation of the hyperbolic
-    # "down"; one derivation for the one parabolic ray
-    assert len(classified) == 6
+    # each of the five subgroups once; the negation of the hyperbolic "down"
+    # is tested against the facet normals, with no classify; one derivation
+    # for the one parabolic ray
+    assert len(classified) == 5
     assert len(builds) == 1
+
+
+@settings(max_examples=30)
+@given(random_monoids(), st.data())
+def test_report_warns_on_exactly_the_parabolic_negations(mon, data):
+    subgroups = data.draw(st.lists(random_subgroups(mon), min_size=1, max_size=4))
+    scene = {"rank": mon.rank, "monoid_generators": [list(g.entries) for g in mon.generators],
+             "subgroups": {"s%d" % k: list(l.entries) for k, l in enumerate(subgroups)}}
+    code, out, err = _stdin_run(scene, ["report", "--box=1"])
+    assert code == 0, err
+    warned = {w.split()[1] for w in json.loads(out)["warnings"]
+              if w.endswith("but its negation is parabolic")}
+    assert warned == {"s%d" % k for k, l in enumerate(subgroups)
+                      if negation_is_parabolic(mon.weight_cone, l)}
 
 
 @pytest.mark.parametrize("scene, argv, code, digest", GOLDEN_RUNS)

@@ -12,14 +12,14 @@ from toricflow import (
     NormalityRequired,
     NotParabolic,
     classify,
-    gcd_all,
     hilbert_basis,
     matrix_rank,
     primitive,
     straightening_subtori,
 )
 
-from conftest import cone_fixture, fixed_locus
+from conftest import (cone_fixture, fixed_locus, generator_degree_gcd,
+                      negation_is_parabolic, random_monoids, random_subgroups)
 
 
 def n(*entries):
@@ -27,7 +27,7 @@ def n(*entries):
 
 
 def test_quadric_parabolic(quadric):
-    grading = classify(quadric, n(0, 1))
+    grading = classify(quadric.weight_cone, n(0, 1))
     assert grading.kind is GradingKind.PARABOLIC
     assert grading.ray_index == 0
     assert grading.degree_gcd == 1
@@ -37,13 +37,13 @@ def test_quadric_parabolic(quadric):
 
 
 def test_quadric_other_ray(quadric):
-    grading = classify(quadric, n(2, -1))
+    grading = classify(quadric.weight_cone, n(2, -1))
     assert grading.kind is GradingKind.PARABOLIC
     assert grading.ray_index == 1
 
 
 def test_scaled_subgroup_is_parabolic_but_not_effective(quadric):
-    grading = classify(quadric, n(0, 2))
+    grading = classify(quadric.weight_cone, n(0, 2))
     assert grading.kind is GradingKind.PARABOLIC
     assert grading.ray_index == 0
     assert grading.degree_gcd == 2
@@ -51,23 +51,23 @@ def test_scaled_subgroup_is_parabolic_but_not_effective(quadric):
 
 
 def test_a2_kinds(a2):
-    assert classify(a2, n(1, 0)).kind is GradingKind.PARABOLIC
-    assert classify(a2, n(1, 0)).ray_index == 1
-    assert classify(a2, n(0, 1)).ray_index == 0
-    assert classify(a2, n(1, 1)).kind is GradingKind.ELLIPTIC
-    assert classify(a2, n(1, -1)).kind is GradingKind.HYPERBOLIC
-    assert classify(a2, n(-1, -1)).kind is GradingKind.HYPERBOLIC
+    assert classify(a2.weight_cone, n(1, 0)).kind is GradingKind.PARABOLIC
+    assert classify(a2.weight_cone, n(1, 0)).ray_index == 1
+    assert classify(a2.weight_cone, n(0, 1)).ray_index == 0
+    assert classify(a2.weight_cone, n(1, 1)).kind is GradingKind.ELLIPTIC
+    assert classify(a2.weight_cone, n(1, -1)).kind is GradingKind.HYPERBOLIC
+    assert classify(a2.weight_cone, n(-1, -1)).kind is GradingKind.HYPERBOLIC
 
 
 def test_a3_degenerate(a3):
-    grading = classify(a3, n(1, 1, 0))
+    grading = classify(a3.weight_cone, n(1, 1, 0))
     assert grading.kind is GradingKind.DEGENERATE_NONNEGATIVE
     assert grading.zero_face.dim == 1
     assert grading.ray_index is None
 
 
 def test_rank_one_parabolic(line):
-    grading = classify(line, n(1))
+    grading = classify(line.weight_cone, n(1))
     assert grading.kind is GradingKind.PARABOLIC
     assert grading.ray_index == 0
     assert grading.zero_face.dim == 0
@@ -75,15 +75,15 @@ def test_rank_one_parabolic(line):
 
 def test_classify_input_validation(a2):
     with pytest.raises(ValueError):
-        classify(a2, LatticeVector((1, 0), "M"))
+        classify(a2.weight_cone, LatticeVector((1, 0), "M"))
     with pytest.raises(ValueError):
-        classify(a2, n(0, 0))
+        classify(a2.weight_cone, n(0, 0))
     with pytest.raises(ValueError):
-        classify(a2, n(1, 0, 0))
+        classify(a2.weight_cone, n(1, 0, 0))
 
 
 def test_classify_runs_on_unsaturated_monoids(cusp):
-    grading = classify(cusp, n(1))
+    grading = classify(cusp.weight_cone, n(1))
     assert grading.kind is GradingKind.PARABOLIC
     assert grading.degree_gcd == 1
 
@@ -111,14 +111,14 @@ def test_sign_oracle_agreement(a2, a3, quadric):
             if all(e == 0 for e in entries):
                 continue
             subgroup = n(*primitive(LatticeVector(entries)).entries)
-            assert classify(mon, subgroup).kind is _sign_oracle(mon, subgroup)
+            assert classify(mon.weight_cone, subgroup).kind is _sign_oracle(mon, subgroup)
 
 
 @given(st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(
     lambda v: v != (0, 0)))
 def test_trichotomy_is_total_and_exclusive(entries):
     mon = AffineMonoid([(1, 0), (1, 1), (1, 2)], 2)
-    grading = classify(mon, n(*entries))
+    grading = classify(mon.weight_cone, n(*entries))
     assert grading.kind in (GradingKind.ELLIPTIC, GradingKind.PARABOLIC,
                             GradingKind.HYPERBOLIC,
                             GradingKind.DEGENERATE_NONNEGATIVE)
@@ -173,10 +173,10 @@ def test_straightening_subtori_are_parabolic(a2, a3, quadric, line):
         for k, divisor in enumerate(divisors):
             p = divisor.ray
             for c in (1, 3):
-                grading = classify(mon, LatticeVector([c * x for x in p], N_SIDE))
+                grading = classify(mon.weight_cone, LatticeVector([c * x for x in p], N_SIDE))
                 assert grading.kind is GradingKind.PARABOLIC
                 assert grading.ray_index == k
-            flipped = classify(mon, -p)
+            flipped = classify(mon.weight_cone, -p)
             assert flipped.kind is GradingKind.HYPERBOLIC
 
 
@@ -199,5 +199,21 @@ def test_straightening_requires_saturation(cusp):
 
 def test_degree_gcd_uses_generators(cusp):
     # degrees 2 and 3 under l=(1): gcd 1 even though no generator has degree 1
-    grading = classify(cusp, n(1))
-    assert grading.degree_gcd == gcd_all([2, 3])
+    grading = classify(cusp.weight_cone, n(1))
+    assert grading.degree_gcd == generator_degree_gcd(cusp, n(1)) == 1
+
+
+@given(random_monoids(), st.data())
+def test_degree_gcd_matches_the_generator_degrees(mon, data):
+    subgroup = data.draw(random_subgroups(mon))
+    grading = classify(mon.weight_cone, subgroup)
+    assert grading.degree_gcd == generator_degree_gcd(mon, subgroup)
+    assert grading.effective is (grading.degree_gcd == 1)
+
+
+@given(random_monoids(), st.data())
+def test_parabolic_negation_is_a_facet_normal(mon, data):
+    # the report's warning tests primitive(-l) against the facet normals
+    subgroup = data.draw(random_subgroups(mon))
+    cone = mon.weight_cone
+    assert (primitive(-subgroup) in cone.facet_normals) is negation_is_parabolic(cone, subgroup)

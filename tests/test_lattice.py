@@ -11,7 +11,6 @@ from toricflow import (
     M_SIDE,
     N_SIDE,
     dot,
-    gcd_all,
     generates_full_lattice,
     integer_kernel,
     matrix_rank,
@@ -37,12 +36,6 @@ def test_primitive_divides_by_gcd_and_keeps_sign():
 def test_primitive_of_zero_rejected():
     with pytest.raises(ValueError):
         primitive(LatticeVector((0, 0)))
-
-
-def test_gcd_all():
-    assert gcd_all([4, -6, 10]) == 2
-    assert gcd_all([0, 0, 5]) == 5
-    assert gcd_all([7]) == 7
 
 
 def test_vector_arithmetic_and_sides():

@@ -21,6 +21,7 @@ from toricflow import (
     NotFullDimensional,
     NotPointed,
     RankLimitExceeded,
+    SaturationResult,
     ToricPoint,
     dot,
     generates_full_lattice,
@@ -30,7 +31,8 @@ from toricflow import (
 from toricflow.lattice import adjugate
 
 from conftest import (FLOW_CASES, box_scan_hilbert_basis, cone_fixture,
-                      laplace_cofactors, permutation_det, rank_pulling)
+                      laplace_cofactors, permutation_det, random_monoids,
+                      rank_pulling, saturation_by_membership)
 
 
 def test_doctests():
@@ -431,6 +433,26 @@ MEMBERSHIP_MONOIDS = {
     "gapped": (lambda: AffineMonoid([(1, 0), (1, 2), (1, 3)], 2), False),
     "holed-square": (_holed_square_monoid, False),
 }
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_MONOIDS))
+def test_saturation_decomposes_nothing(name, monkeypatch):
+    build, saturated = MEMBERSHIP_MONOIDS[name]
+    witness = saturation_by_membership(build())
+
+    def refuse(self, u):
+        raise AssertionError("saturation tested membership")
+
+    monkeypatch.setattr(AffineMonoid, "decompose", refuse)
+    monkeypatch.setattr(AffineMonoid, "contains", refuse)
+    assert build().saturation() == SaturationResult(saturated, witness)
+    assert (witness is None) is saturated
+
+
+@given(random_monoids())
+def test_saturation_matches_the_membership_scan(mon):
+    witness = saturation_by_membership(mon)
+    assert mon.saturation() == SaturationResult(witness is None, witness)
 
 
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_MONOIDS))

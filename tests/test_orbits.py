@@ -222,7 +222,8 @@ def test_invariant_values_match_full_points(name, subgroup, samples):
         kwargs = {"gm_samples": (5, Fraction(-1, 3)), "ga_samples": (Fraction(1, 7), -4)}
     elif samples == "vanishing":
         # the flow time s* at which every factor 1 + s*t^e is zero
-        root, _ = smallest_root_at_ray(mon.dual_cone, classify(mon, subgroup).ray_index)
+        ray_index = classify(mon.weight_cone, subgroup).ray_index
+        root, _ = smallest_root_at_ray(mon.dual_cone, ray_index)
         root_value = character_value_by_powers(point.provenance[1], root.vector.entries)
         kwargs = {"ga_samples": (-1 / root_value, 2)}
         assert 1 + kwargs["ga_samples"][0] * root_value == 0
@@ -241,7 +242,7 @@ def test_invariant_values_match_full_points(name, subgroup, samples):
 
 def test_verify_takes_the_witness_it_is_given(quadric, a2, cusp, monkeypatch):
     point = torus_point(quadric, (3, 2))
-    witness = witness_derivation(quadric, classify(quadric, n(0, 1)))
+    witness = witness_derivation(quadric, classify(quadric.weight_cone, n(0, 1)))
     searched = verify_compatible(quadric, n(0, 1), point)
 
     def refuse(*args):
@@ -252,17 +253,18 @@ def test_verify_takes_the_witness_it_is_given(quadric, a2, cusp, monkeypatch):
     assert verify_compatible(quadric, n(0, 1), point, witness=witness) == searched
     assert verify_compatible(quadric, n(0, 2), point, witness=witness).passed
     monkeypatch.undo()
-    other_ray = witness_derivation(quadric, classify(quadric, quadric.dual_cone.rays[1]))
-    other_monoid = witness_derivation(a2, classify(a2, n(0, 1)))
+    other_ray = witness_derivation(quadric, classify(quadric.weight_cone,
+                                                     quadric.dual_cone.rays[1]))
+    other_monoid = witness_derivation(a2, classify(a2.weight_cone, n(0, 1)))
     assert other_monoid[0].ray == witness[0].ray
     for wrong in (other_ray, other_monoid):
         with pytest.raises(ValueError):
             verify_compatible(quadric, n(0, 1), point, witness=wrong)
     # saturation is decided before the grading
     with pytest.raises(NormalityRequired):
-        witness_derivation(cusp, classify(cusp, n(-1)))
+        witness_derivation(cusp, classify(cusp.weight_cone, n(-1)))
     with pytest.raises(NotParabolic):
-        witness_derivation(a2, classify(a2, n(1, 1)))
+        witness_derivation(a2, classify(a2.weight_cone, n(1, 1)))
 
 
 def test_limit_and_flowed_point_share_their_face_relations(monkeypatch):

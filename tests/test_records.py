@@ -51,7 +51,7 @@ def build(name):
     report = verify_compatible(mon, l, torus_point(mon, (2, 3)))
     return {"LatticeVector": l, "Cone": mon.weight_cone,
             "Face": mon.weight_cone.facets()[0], "ToricPoint": report.point,
-            "SaturationResult": mon.saturation(), "GradingClass": classify(mon, l),
+            "SaturationResult": mon.saturation(), "GradingClass": classify(mon.weight_cone, l),
             "FixedDivisor": fixed_locus(mon, l), "DemazureRoot": report.root,
             "InvariantCheck": report.invariant_checks[0],
             "CompatibilityReport": report}[name]
