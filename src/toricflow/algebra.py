@@ -84,6 +84,15 @@ class AlgebraElement(Frozen):
         self._set(monoid, tuple(sorted(merged.items(), key=lambda t: t[0].entries)))
 
 
+def checked_root(sigma, vector):
+    """is_root's DemazureRoot of the vector against sigma, the dual cone;
+    a vector that is no root raises NotADemazureRoot."""
+    checked = is_root(sigma, vector)
+    if checked is None:
+        raise NotADemazureRoot("%s is not a root of the dual cone" % (tuple(vector),))
+    return checked
+
+
 class HomogeneousLND:
     """Locally nilpotent derivation attached to a Demazure root.
 
@@ -96,14 +105,8 @@ class HomogeneousLND:
     __slots__ = ("monoid", "root", "ray")
 
     def __init__(self, monoid, root):
-        if isinstance(root, DemazureRoot):
-            vector = root.vector
-        else:
-            vector = root
-        checked = is_root(monoid.dual_cone, vector)
-        if checked is None:
-            raise NotADemazureRoot(
-                "%s is not a root of the dual cone" % (tuple(vector),))
+        vector = root.vector if isinstance(root, DemazureRoot) else root
+        checked = checked_root(monoid.dual_cone, vector)
         if isinstance(root, DemazureRoot) and root.ray_index != checked.ray_index:
             raise NotADemazureRoot("distinguished ray index is wrong")
         self.monoid = monoid

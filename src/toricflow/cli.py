@@ -19,7 +19,7 @@ from .lattice import M_SIDE, primitive
 from .monoid import hilbert_basis
 from .grading import classify, straightening_subtori
 from .demazure import roots_in_box
-from .algebra import HomogeneousLND
+from .algebra import HomogeneousLND, checked_root
 from .orbits import ga_flow_point, limit_point, verify_compatible, witness_derivation
 from .report import render_text
 from .scene import load_scene, parse_integers, parse_rational
@@ -236,7 +236,12 @@ def cmd_roots(scene, args):
 
 
 def _lnd_from_arg(scene, text):
-    return HomogeneousLND(scene.monoid(), parse_integers(text, scene.rank, "--root"))
+    if scene.side == M_SIDE:
+        return HomogeneousLND(scene.monoid(), parse_integers(text, scene.rank, "--root"))
+    sigma = scene.sigma()  # the cone first, as when the monoid came first
+    root = parse_integers(text, scene.rank, "--root")
+    checked_root(sigma, root)  # needs only sigma, so it comes before the monoid
+    return HomogeneousLND(scene.monoid(), root)
 
 
 def cmd_lnd(scene, args):
@@ -269,8 +274,15 @@ def cmd_limit(scene, args):
 
 
 def cmd_verify(scene, args):
-    mon = scene.monoid()
-    point = scene.point(args.point)
+    # A monoid scene builds its monoid and point first.  A cone scene builds
+    # its cone and reads the point name first, and refuses a grading that is
+    # not parabolic before the monoid and point, as it is saturated.
+    cone_scene = scene.side != M_SIDE
+    if cone_scene:
+        scene.weight_cone()
+        scene.torus(args.point)
+    else:
+        point = scene.point(args.point)
     subgroup = scene.subgroup_vector(args.l)
     kwargs = {}
     if args.ts is not None:
@@ -279,7 +291,13 @@ def cmd_verify(scene, args):
             raise SceneError("--ts samples must be nonzero")
     if args.ss is not None:
         kwargs["ga_samples"] = tuple(parse_rational(x, "--ss") for x in args.ss.split(","))
-    rep = verify_compatible(mon, subgroup, point, **kwargs)
+    grading = classify(scene.weight_cone(), subgroup)
+    if cone_scene:
+        grading.require_parabolic()
+        point = scene.point(args.point)
+    mon = scene.monoid()
+    witness = witness_derivation(mon, grading)
+    rep = verify_compatible(mon, subgroup, point, witness=witness, **kwargs)
     return {**_verification_doc(rep), "point_name": args.point}
 
 

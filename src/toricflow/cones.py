@@ -12,7 +12,7 @@ one double-description step may combine at most DD_PAIR_CAP facet pairs.
 
 from collections import namedtuple
 from functools import reduce
-from operator import and_
+from operator import and_, mul
 
 from .errors import (
     BoundExceeded,
@@ -25,12 +25,12 @@ from .lattice import (
     M_SIDE,
     N_SIDE,
     Frozen,
-    LatticeVector,
     adjugate,
     dot,
     matrix_rank,
     pivot_columns,
     primitive_tuple,
+    trusted_vectors,
 )
 
 RANK_LIMIT = 4
@@ -57,14 +57,14 @@ def _double_description(rays, basis):
     pairs is refused before any pair is combined.
     """
     dim = len(basis)
-    facets = []
+    normals, masks = [], []
     for i, h in zip(basis, adjugate([rays[i] for i in basis])[1]):
-        h = h if dot(h, rays[i]) > 0 else [-a for a in h]
-        facets.append((primitive_tuple(h), sum(1 << k for k in basis if k != i)))
+        normals.append(primitive_tuple(h if dot(h, rays[i]) > 0 else [-a for a in h]))
+        masks.append(sum(1 << k for k in basis if k != i))
     for j, r in enumerate(rays):
         if j in basis:
             continue
-        values = [dot(h, r) for h, _ in facets]
+        values = [sum(map(mul, h, r)) for h in normals]
         pos = [k for k, v in enumerate(values) if v > 0]
         neg = [k for k, v in enumerate(values) if v < 0]
         if len(pos) * len(neg) > DD_PAIR_CAP:
@@ -73,18 +73,24 @@ def _double_description(rays, basis):
                 "pairs, over DD_PAIR_CAP = %d; give fewer generators"
                 % (j + 1, len(rays), len(pos) * len(neg), DD_PAIR_CAP))
         bit = 1 << j
-        kept = [(h, mask | bit if v == 0 else mask)
-                for (h, mask), v in zip(facets, values) if v >= 0]
+        new_normals = [h for h, v in zip(normals, values) if v >= 0]
+        new_masks = [m | bit if v == 0 else m for m, v in zip(masks, values) if v >= 0]
         for a in pos:
             for b in neg:
-                common = facets[a][1] & facets[b][1]
-                if (common.bit_count() >= dim - 2 and sum(
-                        1 for _, mask in facets if (mask & common) == common) == 2):
-                    h = [values[a] * x - values[b] * y
-                         for x, y in zip(facets[b][0], facets[a][0])]
-                    kept.append((primitive_tuple(h), common | bit))
-        facets = kept
-    return facets
+                common = masks[a] & masks[b]
+                if common.bit_count() < dim - 2:
+                    continue
+                holders = 0  # facets on all of common: a, b and perhaps a third
+                for mask in masks:
+                    holders += mask & common == common
+                    if holders == 3:
+                        break
+                else:
+                    new_normals.append(primitive_tuple(
+                        [values[a] * x - values[b] * y for x, y in zip(normals[b], normals[a])]))
+                    new_masks.append(common | bit)
+        normals, masks = new_normals, new_masks
+    return list(zip(normals, masks))
 
 
 class Face(namedtuple("Face", "rays dim")):
@@ -120,10 +126,10 @@ class Cone(Frozen):
                 % (rank, RANK_LIMIT, RANK_LIMIT))
         cleaned = []
         for r in rays:
-            entries = tuple(int(e) for e in r)
+            entries = tuple(map(int, r))
             if len(entries) != rank:
                 raise ValueError("ray length does not match rank")
-            if all(e == 0 for e in entries):
+            if not any(entries):
                 raise ValueError("zero vector is not a ray")
             cleaned.append(primitive_tuple(entries))
         if not cleaned:
@@ -141,8 +147,9 @@ class Cone(Frozen):
         coords = pivot_columns(ray_tuples) if len(basis) < rank else range(rank)
         facets = _double_description(
             [tuple(r[c] for c in coords) for r in ray_tuples], basis)
+        masks = [mask for _, mask in facets]
         everything = (1 << len(ray_tuples)) - 1
-        if reduce(and_, (mask for _, mask in facets), everything):
+        if reduce(and_, masks, everything):
             raise NotPointed("cone generated by %s contains a line" % (ray_tuples,))
         if len(basis) < rank:
             raise NotFullDimensional(
@@ -150,15 +157,15 @@ class Cone(Frozen):
 
         # A ray is extreme when no other ray lies on every facet through it.
         extreme = [r for i, r in enumerate(ray_tuples) if reduce(
-            and_, (mask for _, mask in facets if mask >> i & 1), everything) == 1 << i]
+            and_, [mask for mask in masks if mask >> i & 1], everything) == 1 << i]
         facet_normals = sorted(h for h, _ in facets)
 
         other = _other_side(side)
         return cls(
             side=side,
             rank=rank,
-            rays=tuple(LatticeVector(r, side) for r in extreme),
-            facet_normals=tuple(LatticeVector(h, other) for h in facet_normals),
+            rays=tuple(trusted_vectors(extreme, side)),
+            facet_normals=tuple(trusted_vectors(facet_normals, other)),
         )
 
     def dual(self):

@@ -25,7 +25,7 @@ from math import gcd
 from operator import add, mul
 
 from .errors import BoundExceeded
-from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon, int_entries
+from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon, int_entries, trusted_vectors
 
 ROOT_STEP_CAP = 1_000_000
 _ROOT_SEARCH_START = 5
@@ -202,11 +202,13 @@ def roots_in_box(sigma, bound, ray_index=None):
                         "; lower --box or give fewer rays")
     roots = []
     for i in indices:
+        points = []
         for point, step, count in _runs(_ray_lattice(rays, i), bound, budget):
             budget.spend(1 + len(rays), count)
             for _ in range(count):
-                roots.append(DemazureRoot(LatticeVector(point, M_SIDE), i))
+                points.append(point)
                 point = tuple([*map(add, point, step)])
+        roots += [DemazureRoot(v, i) for v in trusted_vectors(points, M_SIDE)]
     return roots
 
 

@@ -87,6 +87,18 @@ class LatticeVector(Frozen):
         return "LatticeVector(%r%s)" % (self.entries, tag)
 
 
+def trusted_vectors(tuples, side):
+    """LatticeVectors of a list of int tuples, set through the slot
+    descriptors with none of the constructor's checks: only for tuples of
+    exact ints that the package built itself."""
+    vectors = [object.__new__(LatticeVector) for _ in tuples]
+    set_entries, set_side = LatticeVector.entries.__set__, LatticeVector.side.__set__
+    for vector, entries in zip(vectors, tuples):
+        set_entries(vector, entries)
+        set_side(vector, side)
+    return vectors
+
+
 def dot(a, b):
     """Plain dot product of two equal-length int sequences."""
     if len(a) != len(b):
@@ -108,7 +120,7 @@ def primitive_tuple(entries):
     g = gcd(*entries)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(e // g for e in entries)
+    return tuple(entries) if g == 1 else tuple([e // g for e in entries])
 
 
 def _echelon(rows, pivot_cols_limit=None):

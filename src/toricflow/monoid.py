@@ -9,8 +9,8 @@ miss lattice points of their cone are detected with an explicit witness.
 """
 
 from bisect import bisect_right
-from collections import namedtuple
-from itertools import product
+from collections import defaultdict, namedtuple
+from math import prod
 from operator import mul
 
 from .cones import Cone
@@ -24,6 +24,7 @@ from .lattice import (
     generates_full_lattice,
     int_entries,
     integer_kernel,
+    trusted_vectors,
 )
 
 # The most candidates hilbert_basis takes: parallelepiped points of the
@@ -31,15 +32,6 @@ from .lattice import (
 HILBERT_CANDIDATE_CAP = 400_000
 # The most points one decompose call may search.
 DECOMPOSE_NODE_CAP = 100_000
-
-
-def _combine(coefficients, columns):
-    """The list sum(c_i * columns[i]), entrywise over equal-length columns."""
-    total = [0] * len(columns[0])
-    for c, column in zip(coefficients, columns):
-        if c:
-            total = [t + c * x for t, x in zip(total, column)]
-    return total
 
 
 def _pulling(rays, normals, dim):
@@ -63,17 +55,30 @@ def _parallelepiped_points(simplex, size, cofactor_rows):
     size and cofactor_rows are what adjugate(simplex) returns.
 
     The echelon form of the rows spans VZ^d and is upper triangular with
-    positive pivots p_k, so the residue box 0 <= x_k < p_k, worked on as d
-    coordinate columns, holds one point of each class of Z^d / VZ^d, 0 first.
-    A box point x has coefficients q_i = <x, c_i> / det(V) for the cofactor
-    rows c_i; its class meets the parallelepiped in x - sum floor(q_i) v_i,
-    and floor division by the signed det gives floor(q_i) exactly.
+    positive pivots p_k, so the residue box 0 <= x_k < p_k holds one point
+    of each class of Z^d / VZ^d, 0 first.  A box point x has coefficients
+    q_i = <x, c_i> / det(V) for the cofactor rows c_i; its class meets the
+    parallelepiped in x - sum floor(q_i) v_i, and floor division by the
+    signed det gives floor(q_i) exactly.  The box is worked on as columns
+    in product order: <x, c_i> is summed a coordinate at a time over the
+    box of the coordinates so far, so only the last sum runs over it all.
     """
     rows, _ = _echelon(simplex)
-    box = list(zip(*product(*(range(rows[k][k]) for k in range(len(rows))))))
-    floors = [[n // size for n in _combine(row, box)] for row in cofactor_rows]
-    points = [[a - b for a, b in zip(x, _combine(column, floors))]
-              for x, column in zip(box, zip(*simplex))]
+    sides = [rows[k][k] for k in range(len(rows))]
+    floors = []
+    for row in cofactor_rows:
+        values = [0]
+        for c, side in zip(row, sides):
+            steps = [c * x for x in range(side)]
+            values = [a + b for a in values for b in steps]
+        floors.append([n // size for n in values])
+    points = []
+    for k, column in enumerate(zip(*simplex)):
+        total = [x for x in range(sides[k]) for _ in range(prod(sides[k + 1:]))] * prod(sides[:k])
+        for c, f in zip(column, floors):
+            if c:
+                total = [t - c * q for t, q in zip(total, f)]
+        points.append(total)
     return list(zip(*points))[1:]
 
 
@@ -133,11 +138,13 @@ def hilbert_basis(cone):
     field is below 2^(W-1).  If G holds the top bit of each field,
     (P(u) | G) - P(h) borrows across no field and keeps field j's top bit
     exactly when v_j(h) <= v_j(u), so v(h) <= v(u) iff it keeps all of G.
-    Candidates are taken in increasing level, and one is kept unless an
-    element kept before it lies below it.  If low is the least level of a
-    candidate, the least level of any nonzero cone point, only kept elements
-    of level at most level(u) - low can lie below u; a candidate below level
-    2*low is kept without a scan.
+    Candidates are bucketed by level, the buckets are taken in increasing
+    level, and a candidate is kept unless an element kept before it lies
+    below it.  If low is the least level of a candidate, the least level of
+    any nonzero cone point, only kept elements of level at most
+    level(u) - low can lie below u: candidates of one level never reduce
+    each other, each bucket is scanned against one slice of the kept
+    forms, and a candidate below level 2*low is kept without a scan.
 
     >>> c = Cone.from_rays([(1, 0), (1, 2)], 2, M_SIDE)
     >>> [v.entries for v in hilbert_basis(c)]
@@ -146,7 +153,7 @@ def hilbert_basis(cone):
     if cone.side != M_SIDE:
         raise ValueError("Hilbert basis is computed on the weight side")
     if cone.rank == 2:
-        return [LatticeVector(u, M_SIDE) for u in sorted(_walk(*(r.entries for r in cone.rays)))]
+        return trusted_vectors(sorted(_walk(*(r.entries for r in cone.rays))), M_SIDE)
     normals = [h.entries for h in cone.facet_normals]
     simplices = [(simplex, *adjugate(simplex)) for simplex in _pulling(
         tuple(r.entries for r in cone.rays), normals, cone.rank)]
@@ -160,21 +167,28 @@ def hilbert_basis(cone):
     for simplex, size, cofactor_rows in simplices:
         candidates.update(_parallelepiped_points(simplex, size, cofactor_rows))
     total = [sum(column) for column in zip(*normals)]
-    graded = sorted((sum(map(mul, total, u)), u) for u in candidates)
-    low = graded[0][0]
-    width = graded[-1][0].bit_length() + 1
+    buckets = defaultdict(list)
+    for u in candidates:
+        buckets[sum(map(mul, total, u))].append(u)
+    order = sorted(buckets)
+    low = order[0]
+    width = order[-1].bit_length() + 1
     packed = [sum(c << (width * j) for j, c in enumerate(column)) for column in zip(*normals)]
     guard = sum(1 << (width * j + width - 1) for j in range(len(normals)))
     levels, forms, basis = [], [], []
-    for level, u in graded:
-        top = sum(map(mul, packed, u)) | guard
-        below = bisect_right(levels, level - low)
-        if not any((top - h) & guard == guard for h in forms[:below]):
-            levels.append(level)
-            forms.append(top ^ guard)
-            basis.append(u)
+    for level in order:
+        below = forms[:bisect_right(levels, level - low)]
+        for u in buckets[level]:
+            top = sum(map(mul, packed, u)) | guard
+            for h in below:
+                if (top - h) & guard == guard:
+                    break
+            else:
+                levels.append(level)
+                forms.append(top ^ guard)
+                basis.append(u)
     basis.sort()
-    return [LatticeVector(u, M_SIDE) for u in basis]
+    return trusted_vectors(basis, M_SIDE)
 
 
 class SaturationResult(namedtuple("SaturationResult", "saturated witness")):
@@ -189,10 +203,11 @@ class AffineMonoid:
     only ever grow.
 
     _weight_cone is internal to cone scenes, whose generators are the
-    Hilbert basis of that cone in hilbert_basis order: the cone and the
-    basis are then taken as given rather than computed a second time, and
-    the lattice is not checked, since the basis generates the monoid of
-    lattice points of a full-dimensional cone, and those generate M.
+    LatticeVectors that hilbert_basis returned for that cone: the cone and
+    the basis are then taken as given rather than computed a second time,
+    the vectors are kept, and the lattice is not checked, since the basis
+    generates the monoid of lattice points of a full-dimensional cone, and
+    those generate M.
     """
 
     def __init__(self, generators, rank, _weight_cone=None):
@@ -211,7 +226,8 @@ class AffineMonoid:
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be pairwise distinct")
         self.rank = rank
-        self.generators = tuple(LatticeVector(g, M_SIDE) for g in gens)
+        self.generators = (tuple(trusted_vectors(gens, M_SIDE)) if _weight_cone is None
+                           else tuple(generators))
         self._gen_tuples = tuple(gens)
         self.weight_cone = (Cone.from_rays(gens, rank, M_SIDE)
                             if _weight_cone is None else _weight_cone)

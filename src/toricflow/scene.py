@@ -170,11 +170,15 @@ class Scene:
                                             _weight_cone=cone)
         return self._monoid
 
-    def point(self, name):
+    def torus(self, name):
         if name not in self.point_coords:
             raise SceneError("unknown point %s; scene defines %s"
                              % (_shown(name), _shown(sorted(self.point_coords))))
-        return torus_point(self.monoid(), self.point_coords[name])
+        return self.point_coords[name]
+
+    def point(self, name):
+        """The named torus point; the monoid is built before the name is read."""
+        return torus_point(self.monoid(), self.torus(name))
 
     def subgroup_vector(self, text):
         """Resolve --l arguments: a named subgroup or a comma list."""

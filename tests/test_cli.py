@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import toricflow
 import toricflow.cones
 import toricflow.monoid
-from toricflow import HomogeneousLND, hilbert_basis
+import toricflow.orbits
+from toricflow import HomogeneousLND, classify, hilbert_basis
 from toricflow.cli import build_parser, main
 from toricflow.report import render_text
 from toricflow.scene import load_scene
@@ -432,6 +433,90 @@ def test_cone_scene_past_the_hilbert_cap_classifies_and_saturates():
     code, out, err = _stdin_run(_TH3_SCENE, ["saturation"])
     assert code == 0, err
     assert json.loads(out)["saturated"] is True and json.loads(out)["witness"] is None
+
+
+_WIDE_SCENE = {"rank": 3, "cone_rays": [[-344, -869, 3], [676, 1, -1], [3, 0, 0]],
+               "points": {"p": {"torus": [1, 2, 3]}}}
+# Cone-scene refusals that need only sigma or the weight cone, and the
+# argument errors that still come before them: (scene, argv, code, error).
+_CHEAP_REFUSALS = [
+    (_WIDE_SCENE, ["lnd", "--root=0,-1,560984465"], 3,
+     "NotADemazureRoot: (0, -1, 560984465) is not a root of the dual cone"),
+    (_WIDE_SCENE, ["lnd", "--root=0,-1"], 2, "SceneError: --root must be 3"),
+    (_WIDE_SCENE, ["flow", "--point=p", "--root=5,5,5", "--s=1"], 3,
+     "NotADemazureRoot: (5, 5, 5) is not a root of the dual cone"),
+    (_WIDE_SCENE, ["verify", "--point=p", "--l=1,1,-1"], 3,
+     "NotParabolic: grading is Hyperbolic, need Parabolic"),
+    (_WIDE_SCENE, ["verify", "--point=p", "--l=335,-868,2"], 3,
+     "NotParabolic: grading is Elliptic"),
+    # a bad point name, --l or --ts exits 2 ahead of a hyperbolic --l
+    (_WIDE_SCENE, ["verify", "--point=q", "--l=1,1,-1"], 2, "SceneError: unknown point 'q'"),
+    (_WIDE_SCENE, ["verify", "--point=p", "--l=1,1"], 2, "SceneError: --l, if not"),
+    (_WIDE_SCENE, ["verify", "--point=p", "--l=1,1,-1", "--ts=0"], 2,
+     "SceneError: --ts samples must be nonzero"),
+    (dict(_TH3_SCENE, points={"p": {"torus": [1, 2, 3]}}), ["lnd", "--root=5,5,5"], 3,
+     "NotADemazureRoot: (5, 5, 5) is not a root of the dual cone"),
+    (dict(_TH3_SCENE, points={"p": {"torus": [1, 2, 3]}}), ["verify", "--point=p", "--l=1,1,-1"],
+     3, "NotParabolic: grading is Hyperbolic, need Parabolic"),
+]
+
+
+def _refuse_monoid(*args, **kwargs):
+    raise AssertionError("AffineMonoid built")
+
+
+def test_cone_scene_refusals_build_no_monoid(monkeypatch):
+    # th3 exited 4 on HILBERT_CANDIDATE_CAP here, and the wide cone's lnd
+    # built its 2,848-element basis before the root test
+    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", _refuse_monoid)
+    for scene, argv, expected, error in _CHEAP_REFUSALS:
+        code, out, err = _stdin_run(scene, argv)
+        assert (code, out) == (expected, ""), (argv, err)
+        assert err.startswith("error: " + error) and err.count("\n") == 1, (argv, err)
+
+
+def test_cone_scene_refusals_match_the_monoid_path(monkeypatch):
+    # on a small cone scene the early refusals print what the monoid's own
+    # checks print, unpatched and on the monoid scene of the same cone
+    runs = [["lnd", "--root=1,1"], ["flow", "--point=p", "--root=-1,-1", "--s=1"],
+            ["verify", "--point=p", "--l=1,1"], ["verify", "--point=p", "--l=-1,0"],
+            ["verify", "--point=q", "--l=-1,0"]]
+    unpatched = [_stdin_run(QUADRIC_SCENE, argv) for argv in runs]
+    twins = [_stdin_run(_monoid_twin(QUADRIC_SCENE), argv) for argv in runs]
+    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", _refuse_monoid)
+    for argv, expected, twin in zip(runs, unpatched, twins):
+        assert _stdin_run(QUADRIC_SCENE, argv) == expected, argv
+        assert expected[0] in (2, 3) and expected[1] == "" and expected[2] == twin[2], argv
+
+
+def test_cones_and_monoids_still_come_before_the_arguments():
+    # a cone scene still builds its cone, and a monoid scene its monoid,
+    # before --root or the point name is read
+    flat = {"rank": 2, "cone_rays": [[1, 0], [-1, 0]], "points": {"p": {"torus": [1, 1]}}}
+    sparse = {"rank": 2, "monoid_generators": [[2, 0], [0, 1]],
+              "points": {"p": {"torus": [1, 1]}}}
+    for scene, error in ((flat, "NotPointed"), (sparse, "NotEffective")):
+        for argv in (["lnd", "--root=1"], ["flow", "--point=p", "--root=1", "--s=1"],
+                     ["verify", "--point=q", "--l=1,0"]):
+            code, out, err = _stdin_run(scene, argv)
+            assert code == 3 and err.startswith("error: " + error), (argv, err)
+
+
+def test_verify_classifies_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(toricflow.cli, "classify", counted)
+    monkeypatch.setattr(toricflow.orbits, "classify", counted)
+    for scene, argv in ((QUADRIC_SCENE, ["--point=p", "--l=vertical"]),
+                        (A2_SCENE, ["--point=x", "--l=l"])):
+        calls.clear()
+        code, out, err = _stdin_run(scene, ["verify"] + argv)
+        assert code == 0 and json.loads(out)["verdict"] == "pass", err
+        assert len(calls) == 1
 
 
 def test_exit_code_4_resource_errors(tmp_path, capsys):

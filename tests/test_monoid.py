@@ -15,6 +15,7 @@ from toricflow import (
     Cone,
     HomogeneousLND,
     IllDefinedRoot,
+    LatticeVector,
     M_SIDE,
     N_SIDE,
     NotEffective,
@@ -251,6 +252,32 @@ def test_hilbert_basis_square13_and_thin_cone():
     cone = Cone.from_rays([(0, 1), (3000, -1)], 2, M_SIDE)
     assert [v.entries for v in hilbert_basis(cone)] == [
         (0, 1), (1, 0), (3000, -1)]
+
+
+def test_thin_rank3_weight_cones():
+    # the weight cone of cone((1,0,0),(0,1,0),(1,1,k)) has k + 4 basis
+    # elements among about k^2 parallelepiped points
+    for k in (10, 100):
+        weight = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, k)], 3, N_SIDE).dual()
+        basis = [v.entries for v in hilbert_basis(weight)]
+        assert len(basis) == k + 4
+        if k == 10:
+            assert basis == box_scan_hilbert_basis(weight)
+
+
+def test_package_built_vectors_are_lattice_vectors():
+    # hilbert_basis (the walk included), Cone.from_rays and roots_in_box
+    # wrap their own int tuples unchecked; each vector must be the one the
+    # checking constructor gives
+    sigma = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 5), (2, 1, 1)], 3, N_SIDE)
+    rank2 = Cone.from_rays([(0, 1), (7, -2)], 2, M_SIDE)
+    vectors = [*sigma.rays, *sigma.facet_normals, *hilbert_basis(sigma.dual()),
+               *hilbert_basis(rank2), *(root.vector for root in roots_in_box(sigma, 2))]
+    assert {v.side for v in vectors} == {M_SIDE, N_SIDE}
+    for v in vectors:
+        checked = LatticeVector(v.entries, v.side)
+        assert v == checked and hash(v) == hash(checked) and repr(v) == repr(checked)
+        assert type(v.entries) is tuple and {type(e) for e in v.entries} == {int}
 
 
 def test_one_adjugate_per_simplex(monkeypatch):
