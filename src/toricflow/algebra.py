@@ -100,9 +100,10 @@ class HomogeneousLND:
     positive degree, its shifted exponent must stay in the monoid.  Monoid
     closure extends this to all members, because degrees and shifts both
     add: if u = v + w with deg(v) > 0 admissible, u + e = (u - v) + (v + e).
+    degrees holds <p, g> for each generator g, in generator order.
     """
 
-    __slots__ = ("monoid", "root", "ray")
+    __slots__ = ("monoid", "root", "ray", "degrees")
 
     def __init__(self, monoid, root):
         vector = root.vector if isinstance(root, DemazureRoot) else root
@@ -112,8 +113,9 @@ class HomogeneousLND:
         self.monoid = monoid
         self.root = checked
         self.ray = monoid.dual_cone.rays[checked.ray_index]
-        for g in monoid.generators:
-            if self.degree(g) > 0 and not monoid.contains(g + self.root.vector):
+        self.degrees = tuple(dot(self.ray.entries, g.entries) for g in monoid.generators)
+        for g, k in zip(monoid.generators, self.degrees):
+            if k > 0 and not monoid.contains(g + self.root.vector):
                 raise IllDefinedRoot(
                     "shift of generator %s by root %s leaves the monoid"
                     % (g.entries, self.root.vector.entries))
@@ -150,7 +152,7 @@ class HomogeneousLND:
 
     def kernel_generators(self):
         """Monoid generators of degree zero; they generate the kernel."""
-        return tuple(g for g in self.monoid.generators if self.degree(g) == 0)
+        return tuple(g for g, k in zip(self.monoid.generators, self.degrees) if not k)
 
     def kernel_rank(self):
         """rank - 1: the degree-0 generators are those on the facet p^perp

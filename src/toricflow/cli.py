@@ -38,26 +38,29 @@ def _scalar(value):
     raise TypeError("%s is not a JSON scalar" % type(value).__name__)
 
 
-def _dumps(value, indent=0):
+def _dumps(value, newline="\n"):
     """JSON with 2-space indent, scalar-only lists and empty containers
-    inline; containers are told by exact type, and int lists are their repr."""
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        parts = [_quote(key) + ": " + _dumps(item, indent + 1)
-                 for key, item in value.items()]
-        brackets = "{}"
-    elif type(value) is list:
+    inline, by one exact-type dispatch per value; newline is the line break
+    and indent of the value's line.  An int or int list is its repr."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    inner = newline + "  "
+    if kind is dict and value:
+        parts, brackets = [_quote(key) + ": " + _dumps(item, inner)
+                           for key, item in value.items()], "{}"
+    elif kind is list:
         types = set(map(type, value))
+        if types <= {int}:
+            return repr(value)
         if types.isdisjoint((dict, list)):
-            return repr(value) if types <= {int} else "[" + ", ".join(map(_scalar, value)) + "]"
-        parts = [_dumps(item, indent + 1) for item in value]
-        brackets = "[]"
+            return "[" + ", ".join(map(_quote if types == {str} else _scalar, value)) + "]"
+        parts, brackets = [_dumps(item, inner) for item in value], "[]"
     else:
-        return _scalar(value)
-    inner = "\n" + "  " * (indent + 1)
-    return (brackets[0] + inner + ("," + inner).join(parts)
-            + "\n" + "  " * indent + brackets[1])
+        return "{}" if kind is dict else _scalar(value)
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
 
 
 def _cone_doc(cone):
@@ -95,8 +98,7 @@ def _root_doc(root):
 def _lnd_doc(lnd):
     """The derivation on each generator g: d(chi^g) = <p, g> chi^(g + e)."""
     action = []
-    for gen in lnd.monoid.generators:
-        k = lnd.degree(gen)
+    for gen, k in zip(lnd.monoid.generators, lnd.degrees):
         image = {",".join(map(str, (gen + lnd.root.vector).entries)): str(k)} if k else {}
         action.append({"generator": list(gen.entries), "degree": k, "image": image})
     return {

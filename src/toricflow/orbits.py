@@ -122,19 +122,23 @@ def ga_flow_point(lnd, s, point):
     """Image of a torus point t under the additive flow at time s.
 
     Coordinate j is t^(u_j) * (1 + s*t^e)^<p,u_j>, the closed form of
-    exp(s*d)(chi^(u_j)) evaluated at t.  The point already holds t^(u_j)
-    as its coordinate j, so only t^e is computed from t, and a coordinate
-    of degree 0 is kept as it is.
+    exp(s*d)(chi^(u_j)) evaluated at t.  The point holds the t^(u_j) and
+    lnd.degrees the <p,u_j>, so only t^e is formed from t; the image is
+    built as a ToricPoint, which checks the relations of its face.
     """
     if point.monoid != lnd.monoid:
         raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
         raise ValueError("the additive flow starts from a torus point")
     step = 1 + _fraction(s) * _root_value(lnd, point)
-    degrees = [lnd.degree(g) for g in lnd.monoid.generators]
-    check_power_bits([step], [[max(degrees)]])
-    coords = tuple(c * step ** k if k else c for c, k in zip(point.coords, degrees))
-    return ToricPoint(lnd.monoid, coords, (FLOW,))
+    return ToricPoint(lnd.monoid, _flowed(lnd, step, point.coords), (FLOW,))
+
+
+def _flowed(lnd, step, coords):
+    """The c_j * step^<p,u_j> for step = 1 + s*t^e, refused before they are
+    formed when they could pass POWER_BIT_CAP bits."""
+    check_power_bits([step], [[max(lnd.degrees)]])
+    return tuple(c * step ** k if k else c for c, k in zip(coords, lnd.degrees))
 
 
 def _root_value(lnd, point):
@@ -192,9 +196,10 @@ def verify_compatible(mon, subgroup, point,
     of p, constant, annihilated (see InvariantCheck) and reached_exactly
     follow from closed forms: at s* = -chi^(-e)(t) every factor 1 + s*t^e
     vanishes, so the flow drops the coordinates of positive degree as the
-    limit at t -> 0 does.  The run itself checks that the HomogeneousLND is
-    well defined and that the limit point and the flowed point at s* pass
-    the relation checks of their face.
+    limit at t -> 0 does.  The run forms t^e once and checks that the
+    HomogeneousLND is well defined and that the limit point passes the
+    relation checks of its face; flowed coordinates at s* that differ from
+    the limit's are built as a flow point, which checks its own face.
     """
     if witness is None:
         witness = witness_derivation(mon, classify(mon.weight_cone, subgroup))
@@ -215,13 +220,17 @@ def verify_compatible(mon, subgroup, point,
     # vanishes by form
     checks = tuple(InvariantCheck(g, base, (base,) * len(gm_samples),
                                   (base,) * len(ga_samples), True, True)
-                   for g, base in zip(mon.generators, point.coords) if not lnd.degree(g))
+                   for g, base, k in zip(mon.generators, point.coords, lnd.degrees) if not k)
 
     limit = limit_point(mon, subgroup, point)
     assert limit is not None, "parabolic gradings always have limits"
 
-    flow_parameter = -1 / _root_value(lnd, point)
-    reached = ga_flow_point(lnd, flow_parameter, point).coords == limit.coords
+    root_value = _root_value(lnd, point)
+    flow_parameter = -1 / root_value
+    image = _flowed(lnd, 1 + flow_parameter * root_value, point.coords)
+    reached = image == limit.coords
+    if not reached:
+        ToricPoint(mon, image, (FLOW,))
 
     derived_facts = ()
     if reached:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (FLOW_CASES, add, character_value_by_powers, derivation_powers,
-                      flow_case, iterated_exp_flow, monomial, multiply, scale, zero)
+                      flow_case, iterated_exp_flow, monomial, multiply, random_monoids,
+                      scale, zero)
 
 from toricflow import (
     AffineMonoid,
@@ -21,6 +22,7 @@ from toricflow import (
     evaluate,
     is_root,
     limit_point,
+    smallest_root_at_ray,
     torus_point,
 )
 from toricflow.algebra import POWER_BIT_CAP, character_value, check_power_bits
@@ -191,6 +193,20 @@ def test_lnd_action_on_generators():
     assert lnd.apply(c) == scale(2, b)
     assert lnd.degree((1, 2)) == 2
     assert lnd.degree(mon.generators[0]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_monoids(), st.data())
+def test_degrees_pair_the_ray_with_each_generator(mon, data):
+    ray_index = data.draw(st.integers(0, len(mon.dual_cone.rays) - 1))
+    try:
+        lnd = HomogeneousLND(mon, smallest_root_at_ray(mon.dual_cone, ray_index)[0])
+    except IllDefinedRoot:
+        assume(False)
+    p = mon.dual_cone.rays[ray_index].entries
+    assert lnd.degrees == tuple(sum(a * b for a, b in zip(p, g.entries))
+                                for g in mon.generators)
+    assert lnd.degrees == tuple(map(lnd.degree, mon.generators))
 
 
 def _random_elements(mon, rng_draw):

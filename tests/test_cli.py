@@ -1015,6 +1015,20 @@ def test_output_bytes_match_recorded_digests(tmp_path, capsys, scene, argv,
         "new output of %s %s: exit %d, digest %s" % (scene, argv, got_code, got))
 
 
+@pytest.mark.parametrize("scene, argv, code, digest",
+                         [run for run in GOLDEN_RUNS if {"verify", "report", "lnd"} & set(run[1])])
+def test_certificates_read_the_stored_degrees(tmp_path, capsys, monkeypatch, scene, argv,
+                                              code, digest):
+    def refuse(lnd, u):
+        raise AssertionError("a generator degree was paired again")
+
+    monkeypatch.setattr(HomogeneousLND, "degree", refuse)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_GOLDEN_SCENES[scene]))
+    got_code, out, err = run(capsys, "--scene", str(path), *argv)
+    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
 _odd_text = st.text(st.one_of(st.characters(exclude_categories=()),
                               st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff')))
 _json_scalars = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
@@ -1028,6 +1042,9 @@ _json_scalars = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
                     max_leaves=30))
 @example([True, 1, False, 0, None, [], {}, [[1, True], [0, False]]])
 @example({"": {}, "\"\\\n\ud800": [-10**50, "\u00e9", [[]]], "t": [{"1": True}]})
+@example(["1/2", "", "\u2028\"", "-7"])
+@example([{"coords": ["3", "-1/2"], "gm": []}, {"coords": ["0"], "n": [["a", "b"], [1]]}])
+@example({"a": [], "b": {"c": []}, "d": [[], {}]})
 def test_writer_matches_json_dumps_per_scalar(document):
     assert toricflow.cli._dumps(document) == json_dumps_per_scalar(document)
 
@@ -1036,9 +1053,11 @@ def test_writer_matches_json_dumps_per_scalar(document):
                          ids=["Fraction", "float", "tuple"])
 def test_writer_refuses_a_rational_that_is_not_a_string(stray):
     # inside an otherwise int-only list, so that the list's repr, which
-    # would print 5/2 as Fraction(5, 2), 2.5 or (1, 2), is never taken
-    with pytest.raises(TypeError):
-        toricflow.cli._dumps({"s": [1, stray, -3]})
+    # would print 5/2 as Fraction(5, 2), 2.5 or (1, 2), is never taken, and
+    # inside a str list, which is one join of quoted items
+    for document in ({"s": [1, stray, -3]}, {"s": ["1", stray]}, [["1", stray]], stray):
+        with pytest.raises(TypeError):
+            toricflow.cli._dumps(document)
 
 
 def _breaks_line(text):

@@ -283,6 +283,61 @@ def test_limit_and_flowed_point_share_their_face_relations(monkeypatch):
     assert len(calls) == 1
 
 
+def _watch_certificate(monkeypatch):
+    """The torus points that _root_value is called on, and the (coords,
+    provenance) of each point past the torus that orbits builds."""
+    root_values, built = [], []
+    root_value, point_class = toricflow.orbits._root_value, toricflow.orbits.ToricPoint
+
+    def counted(lnd, point):
+        root_values.append(point)
+        return root_value(lnd, point)
+
+    def recorded(monoid, coords, provenance):
+        point = point_class(monoid, coords, provenance)
+        if provenance[0] != "torus":
+            built.append((point.coords, provenance[0]))
+        return point
+
+    monkeypatch.setattr(toricflow.orbits, "_root_value", counted)
+    monkeypatch.setattr(toricflow.orbits, "ToricPoint", recorded)
+    return root_values, built
+
+
+@pytest.mark.parametrize("name, subgroup, t", [("quadric", (0, 1), (3, 2)),
+                                               ("a2", (1, 0), (2, 5))])
+def test_verify_forms_t_to_the_e_once_and_builds_only_the_limit(request, monkeypatch,
+                                                                 name, subgroup, t):
+    mon = request.getfixturevalue(name)
+    point = torus_point(mon, t)
+    root_values, built = _watch_certificate(monkeypatch)
+    report = verify_compatible(mon, n(*subgroup), point)
+    assert report.passed and report.derived_facts
+    assert root_values == [point]
+    # the flow at s* reaches the limit, whose coordinates were checked once
+    assert built == [(report.limit.coords, "limit")]
+
+
+def test_verify_checks_a_flowed_point_that_misses_the_limit(quadric, monkeypatch):
+    point = torus_point(quadric, (3, 2))
+    other = ToricPoint(quadric, (5, 0, 0), ("limit",))  # on the variety, not the limit
+    monkeypatch.setattr(toricflow.orbits, "limit_point", lambda *args: other)
+    supports = []
+    relations = toricflow.monoid.AffineMonoid.face_relations
+
+    def recorded(mon, support):
+        supports.append(tuple(support))
+        return relations(mon, support)
+
+    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "face_relations", recorded)
+    root_values, built = _watch_certificate(monkeypatch)
+    report = verify_compatible(quadric, n(0, 1), point)
+    assert root_values == [point]
+    assert built == [((3, 0, 0), "flow")] and supports == [(0,)]
+    assert not report.passed and not report.reached_exactly
+    assert report.limit is other and report.derived_facts == ()
+
+
 def test_smallest_roots(a2, quadric):
     root, box = smallest_root_at_ray(quadric.dual_cone, 0)
     assert root.vector.entries == (0, -1)
