@@ -84,15 +84,6 @@ class AlgebraElement(Frozen):
         self._set(monoid, tuple(sorted(merged.items(), key=lambda t: t[0].entries)))
 
 
-def checked_root(sigma, vector):
-    """is_root's DemazureRoot of the vector against sigma, the dual cone;
-    a vector that is no root raises NotADemazureRoot."""
-    checked = is_root(sigma, vector)
-    if checked is None:
-        raise NotADemazureRoot("%s is not a root of the dual cone" % (tuple(vector),))
-    return checked
-
-
 class HomogeneousLND:
     """Locally nilpotent derivation attached to a Demazure root.
 
@@ -107,7 +98,9 @@ class HomogeneousLND:
 
     def __init__(self, monoid, root):
         vector = root.vector if isinstance(root, DemazureRoot) else root
-        checked = checked_root(monoid.dual_cone, vector)
+        checked = is_root(monoid.dual_cone, vector)
+        if checked is None:
+            raise NotADemazureRoot("%s is not a root of the dual cone" % (tuple(vector),))
         if isinstance(root, DemazureRoot) and root.ray_index != checked.ray_index:
             raise NotADemazureRoot("distinguished ray index is wrong")
         self.monoid = monoid

@@ -20,7 +20,7 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
-from .errors import NormalityRequired, NotNonnegative, NotParabolic
+from .errors import NormalityRequired, NotNonnegative
 from .lattice import N_SIDE, LatticeVector, dot, primitive
 
 
@@ -37,10 +37,6 @@ class GradingClass(namedtuple("GradingClass",
     grading is hyperbolic; ray_index is set only for parabolic gradings."""
 
     __slots__ = ()
-
-    def require_parabolic(self):
-        if self.kind is not GradingKind.PARABOLIC:
-            raise NotParabolic(self.kind, "a compatible additive action needs a parabolic grading")
 
 
 def classify(cone, subgroup):

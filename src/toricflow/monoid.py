@@ -10,6 +10,7 @@ miss lattice points of their cone are detected with an explicit witness.
 
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
+from functools import cached_property
 from math import prod
 from operator import mul
 
@@ -200,17 +201,11 @@ class AffineMonoid:
 
     Generator order is preserved; point coordinates and algebra elements
     are indexed against it.  Instances are immutable in value; the caches
-    only ever grow.
-
-    _weight_cone is internal to cone scenes, whose generators are the
-    LatticeVectors that hilbert_basis returned for that cone: the cone and
-    the basis are then taken as given rather than computed a second time,
-    the vectors are kept, and the lattice is not checked, since the basis
-    generates the monoid of lattice points of a full-dimensional cone, and
-    those generate M.
+    only ever grow.  of_cone gives the saturated monoid weight_cone ∩ M
+    of a cone, whose generators are its Hilbert basis, read on first use.
     """
 
-    def __init__(self, generators, rank, _weight_cone=None):
+    def __init__(self, generators, rank):
         if rank < 1:
             raise ValueError("rank must be positive")
         gens = []
@@ -226,18 +221,42 @@ class AffineMonoid:
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be pairwise distinct")
         self.rank = rank
-        self.generators = (tuple(trusted_vectors(gens, M_SIDE)) if _weight_cone is None
-                           else tuple(generators))
+        self.generators = tuple(trusted_vectors(gens, M_SIDE))
         self._gen_tuples = tuple(gens)
-        self.weight_cone = (Cone.from_rays(gens, rank, M_SIDE)
-                            if _weight_cone is None else _weight_cone)
+        self.weight_cone = Cone.from_rays(gens, rank, M_SIDE)
         self.dual_cone = self.weight_cone.dual()
-        if _weight_cone is None and not generates_full_lattice(gens, rank):
+        if not generates_full_lattice(gens, rank):
             raise NotEffective("generators %s do not generate the full lattice" % (gens,))
-        self._decompositions = {(0,) * rank: (0,) * len(gens)}
-        self._hilbert = None if _weight_cone is None else self.generators
-        self._saturation = None if _weight_cone is None else SaturationResult(True, None)
+        self._saturation = None
         self._relations = {}
+
+    @classmethod
+    def of_cone(cls, weight_cone):
+        """weight_cone ∩ M, saturated by construction.  Its lattice is not
+        checked, since the lattice points of a full-dimensional cone
+        generate M, and its Hilbert basis is computed on the first read of
+        generators, so that what needs only the cones never builds it."""
+        mon = cls.__new__(cls)
+        mon.rank, mon.weight_cone = weight_cone.rank, weight_cone
+        mon.dual_cone, mon._saturation = weight_cone.dual(), SaturationResult(True, None)
+        mon._relations = {}
+        return mon
+
+    @cached_property
+    def generators(self):
+        return self.hilbert_basis()
+
+    @cached_property
+    def _gen_tuples(self):
+        return tuple(g.entries for g in self.generators)
+
+    @cached_property
+    def _decompositions(self):
+        return {(0,) * self.rank: (0,) * len(self.generators)}
+
+    @cached_property
+    def _hilbert(self):
+        return tuple(hilbert_basis(self.weight_cone))
 
     def __eq__(self, other):
         return (isinstance(other, AffineMonoid)
@@ -307,8 +326,6 @@ class AffineMonoid:
         return self.decompose(u) is not None
 
     def hilbert_basis(self):
-        if self._hilbert is None:
-            self._hilbert = tuple(hilbert_basis(self.weight_cone))
         return self._hilbert
 
     def saturation(self):

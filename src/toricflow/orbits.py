@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .algebra import HomogeneousLND, character_value, check_power_bits
 from .demazure import smallest_root_at_ray
-from .errors import NormalityRequired
-from .grading import classify
+from .errors import NormalityRequired, NotParabolic
+from .grading import GradingKind, classify
 from .lattice import N_SIDE, Frozen, dot, primitive
 
 TORUS = "torus"
@@ -156,7 +156,8 @@ def witness_derivation(mon, grading):
     saturation = mon.saturation()
     if not saturation.saturated:
         raise NormalityRequired(saturation.witness.entries)
-    grading.require_parabolic()
+    if grading.kind is not GradingKind.PARABOLIC:
+        raise NotParabolic(grading.kind, "a compatible additive action needs a parabolic grading")
     root, box = smallest_root_at_ray(mon.dual_cone, grading.ray_index)
     return HomogeneousLND(mon, root), box
 

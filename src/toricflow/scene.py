@@ -8,10 +8,10 @@ A scene fixes the ambient rank and exactly one of
 plus optional named torus points and named subgroup vectors.  Rationals
 travel as "p/q" strings or plain integers, never floats.  Either list is
 checked at load and spans one cone, from which sigma and the weight cone
-are read without building the monoid.  Cone scenes get their monoid from
-the Hilbert basis of the dual weight cone, so they are saturated by
-construction; generator order of monoid scenes is preserved because point
-coordinates are indexed against it.
+are read without building the monoid.  The monoid of a cone scene is
+weight_cone ∩ M, saturated by construction, whose generators are the
+Hilbert basis, computed on first use; generator order of monoid scenes is
+preserved because point coordinates are indexed against it.
 """
 
 import json
@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cones import Cone
 from .errors import SceneError
 from .lattice import LatticeVector, M_SIDE, N_SIDE
-from .monoid import AffineMonoid, hilbert_basis
+from .monoid import AffineMonoid
 from .orbits import torus_point
 
 try:  # CPython's builtin SHA-256: hashlib would load OpenSSL on every call
@@ -162,12 +162,8 @@ class Scene:
 
     def monoid(self):
         if self._monoid is None:
-            if self.side == M_SIDE:
-                self._monoid = AffineMonoid(self.vectors, self.rank)
-            else:
-                cone = self.weight_cone()
-                self._monoid = AffineMonoid(hilbert_basis(cone), self.rank,
-                                            _weight_cone=cone)
+            self._monoid = (AffineMonoid(self.vectors, self.rank) if self.side == M_SIDE
+                            else AffineMonoid.of_cone(self.weight_cone()))
         return self._monoid
 
     def torus(self, name):
@@ -177,7 +173,8 @@ class Scene:
         return self.point_coords[name]
 
     def point(self, name):
-        """The named torus point; the monoid is built before the name is read."""
+        """The named torus point; the monoid is built before the name is read,
+        and a cone scene's Hilbert basis after it."""
         return torus_point(self.monoid(), self.torus(name))
 
     def subgroup_vector(self, text):

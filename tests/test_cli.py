@@ -20,7 +20,7 @@ import toricflow
 import toricflow.cones
 import toricflow.monoid
 import toricflow.orbits
-from toricflow import HomogeneousLND, classify, hilbert_basis
+from toricflow import BoundExceeded, HomogeneousLND, classify, hilbert_basis
 from toricflow.cli import build_parser, main
 from toricflow.report import render_text
 from toricflow.scene import load_scene
@@ -399,13 +399,25 @@ def _run_without_digest(scene, argv):
     return code, out.replace(load_scene(json.dumps(scene)).digest, "<digest>"), err
 
 
-def test_cone_commands_build_no_monoid(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("AffineMonoid built")
+def _refuse_monoid(*args, **kwargs):
+    raise AssertionError("AffineMonoid built")
 
+
+def _refuse_basis(*args, **kwargs):
+    raise AssertionError("Hilbert basis built")
+
+
+def _build_no_monoid(monkeypatch):
+    """Refuse to build a monoid from generators, and the Hilbert basis that
+    a cone scene's monoid computes on the first read of its generators."""
+    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", _refuse_monoid)
+    monkeypatch.setattr(toricflow.monoid, "hilbert_basis", _refuse_basis)
+
+
+def test_cone_commands_build_no_monoid(monkeypatch):
     unpatched = [_stdin_run(scene, argv) for scene, argv in _CONE_SCENE_RUNS]
     twins = [_run_without_digest(_monoid_twin(scene), argv) for scene, argv in _CONE_SCENE_RUNS]
-    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", refuse)
+    _build_no_monoid(monkeypatch)
     for scene in (QUADRIC_SCENE, A2_SCENE):
         for argv in _CONE_COMMANDS:
             code, out, err = _stdin_run(scene, argv)
@@ -435,6 +447,32 @@ def test_cone_scene_past_the_hilbert_cap_classifies_and_saturates():
     assert json.loads(out)["saturated"] is True and json.loads(out)["witness"] is None
 
 
+def test_cone_scene_monoid_reads_its_basis_on_first_use():
+    mon = load_scene(json.dumps(_TH3_SCENE)).monoid()
+    assert mon.saturation() == (True, None)
+    with pytest.raises(BoundExceeded, match="HILBERT_CANDIDATE_CAP"):
+        mon.generators
+
+
+def test_verify_refuses_the_arguments_and_grading_before_the_torus_point():
+    # (3, 1) raised to the generator (300000, 1) passes POWER_BIT_CAP, and
+    # the point is built last, so only a parabolic --l reaches that cap
+    scene = {"rank": 2, "monoid_generators": [[1, 0], [0, 1], [300000, 1]],
+             "points": {"p": {"torus": [3, 1]}}}
+    for l, code, error in (("1", 2, "SceneError: --l, if not a subgroup name,"),
+                           ("1,1", 3, "NotParabolic: grading is Elliptic"),
+                           ("0,1", 4, "BoundExceeded: an exact power")):
+        result = _stdin_run(scene, ["verify", "--point=p", "--l=" + l])
+        assert result[:2] == (code, "") and result[2].startswith("error: " + error), result
+
+
+def test_cone_scene_verify_searches_the_root_before_the_basis(monkeypatch):
+    monkeypatch.setattr(toricflow.demazure, "ROOT_STEP_CAP", 0)
+    scene = dict(_TH3_SCENE, points={"p": {"torus": [1, 2, 3]}})
+    code, out, err = _stdin_run(scene, ["verify", "--point=p", "--l=1,0,0"])
+    assert (code, out) == (4, "") and "ROOT_STEP_CAP = 0" in err, err
+
+
 _WIDE_SCENE = {"rank": 3, "cone_rays": [[-344, -869, 3], [676, 1, -1], [3, 0, 0]],
                "points": {"p": {"torus": [1, 2, 3]}}}
 # Cone-scene refusals that need only sigma or the weight cone, and the
@@ -461,14 +499,10 @@ _CHEAP_REFUSALS = [
 ]
 
 
-def _refuse_monoid(*args, **kwargs):
-    raise AssertionError("AffineMonoid built")
-
-
 def test_cone_scene_refusals_build_no_monoid(monkeypatch):
     # th3 exited 4 on HILBERT_CANDIDATE_CAP here, and the wide cone's lnd
     # built its 2,848-element basis before the root test
-    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", _refuse_monoid)
+    _build_no_monoid(monkeypatch)
     for scene, argv, expected, error in _CHEAP_REFUSALS:
         code, out, err = _stdin_run(scene, argv)
         assert (code, out) == (expected, ""), (argv, err)
@@ -483,7 +517,7 @@ def test_cone_scene_refusals_match_the_monoid_path(monkeypatch):
             ["verify", "--point=q", "--l=-1,0"]]
     unpatched = [_stdin_run(QUADRIC_SCENE, argv) for argv in runs]
     twins = [_stdin_run(_monoid_twin(QUADRIC_SCENE), argv) for argv in runs]
-    monkeypatch.setattr(toricflow.monoid.AffineMonoid, "__init__", _refuse_monoid)
+    _build_no_monoid(monkeypatch)
     for argv, expected, twin in zip(runs, unpatched, twins):
         assert _stdin_run(QUADRIC_SCENE, argv) == expected, argv
         assert expected[0] in (2, 3) and expected[1] == "" and expected[2] == twin[2], argv

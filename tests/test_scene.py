@@ -65,8 +65,13 @@ def test_parse_rational_refuses_other_forms(text):
     ('{"rank": 2, "cone_rays": [[1,0,0],[0,1]]}', "2 integers"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,0]]}', "cone_rays[1]: the zero vector"),
     ('{"rank": 2, "cone_rays": [[1.5,0],[0,1]]}', "integers"),
+    ('{"rank": 2, "cone_rays": []}', "cone_rays must be a nonempty list"),
+    ('{"rank": 2, "cone_rays": {"a": [1,0]}}', "cone_rays must be a nonempty list"),
+    ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "points": [[1,1]]}', "points must be an object"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "points": {"p": [1,1]}}',
      "torus"),
+    ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "points": {"p": {"torus": [1]}}}',
+     "torus needs 2 coordinates"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,1]], '
      '"points": {"p": {"torus": [1, 0]}}}', "nonzero"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,1]], '
@@ -77,6 +82,8 @@ def test_parse_rational_refuses_other_forms(text):
      "zero"),
     ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "subgroups": {"l": [1]}}',
      "integers"),
+    ('{"rank": 2, "cone_rays": [[1,0],[0,1]], "subgroups": [[1,0]]}',
+     "subgroups must be an object"),
     ("not json", "JSON"),
 ])
 def test_scene_rejections(raw, fragment):
