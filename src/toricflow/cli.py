@@ -370,6 +370,24 @@ COMMANDS = {
 EXIT_CODES = ((SceneError, 2), (HypothesisError, 3), (ResourceError, 4))
 
 
+class _Subparser:
+    """A subcommand's parser, built on its first parse: argparse lists a
+    subcommand by its name and help, and calls it only to parse."""
+
+    def __init__(self, options, **kwargs):
+        self.options, self.kwargs = options, kwargs
+
+    @functools.cached_property
+    def parser(self):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for flag, spec in self.options:
+            parser.add_argument(flag, **spec)
+        return parser
+
+    def parse_known_args(self, args, namespace):
+        return self.parser.parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built from COMMANDS once per process."""
@@ -380,11 +398,9 @@ def build_parser():
                         help="scene JSON path, - for stdin (default)")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     for name, (_, help_text, options) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flag, spec in options:
-            command.add_argument(flag, **spec)
+        sub.add_parser(name, help=help_text, options=options)
     return parser
 
 

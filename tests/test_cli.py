@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import io
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricflow
+import toricflow.cli
 import toricflow.cones
 import toricflow.monoid
 import toricflow.orbits
@@ -861,6 +863,90 @@ def test_help_lists_every_subcommand_and_flag(capsys):
         out = capsys.readouterr().out
         assert out.startswith("usage: toricflow %s" % name)
         assert re.findall(r"^  (--[a-z]+)", out, re.M) == flags, name
+
+
+def eager_parser():
+    """Oracle: the whole argparse tree, every subcommand's parser built up front."""
+    parser = argparse.ArgumentParser(
+        prog="toricflow",
+        description="additive group actions on affine toric varieties, exactly")
+    parser.add_argument("--scene", default="-",
+                        help="scene JSON path, - for stdin (default)")
+    parser.add_argument("--format", choices=("json", "text"), default="json",
+                        help="output format (default json)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in toricflow.cli.COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+    return parser
+
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+# argv lists; "S" stands for the scene path
+_REQUIRED = {"classify": ["--l", "vertical"], "lnd": ["--root", "0,-1"],
+             "flow": ["--point", "p", "--root", "0,-1", "--s", "2"],
+             "limit": ["--point", "p", "--l", "vertical"],
+             "verify": ["--point", "p", "--l", "vertical"]}
+_ORACLE_ARGVS = (
+    [["--help"], ["-h"], [], ["frobnicate"], ["--scene", "S", "frobnicate"],
+     ["--format", "xml", "--scene", "S", "dual"], ["--scene", "S"]]
+    + [[name, "--help"] for name in _SUBCOMMAND_FLAGS]
+    + [["--scene", "S", name] for name in _REQUIRED]
+    + [["--scene", "S", name, *_REQUIRED.get(name, []), "--bogus"]
+       for name in _SUBCOMMAND_FLAGS]
+    + [["--scene", "S", name, *_REQUIRED.get(name, [])] for name in _SUBCOMMAND_FLAGS]
+    + [["--sc", "S", "dual"],
+       ["--sc", "S", "--fo", "text", "verify", "--po", "p", "--l", "vertical"],
+       ["--scene", "S", "flow", "--po", "p", "--ro", "0,-1", "--s", "2"],
+       ["--scene", "S", "flow", "--point", "p", "--root", "0,-1", "--s", "-1/3"],
+       ["--scene", "S", "flow", "--point", "p", "--root", "0,-1", "--s=-1/3"],
+       ["dual", "--scene", "S"], ["--scene", "S", "--format", "text", "report"],
+       ["--scene", "S", "roots", "--box", "x"], ["--scene", "S", "roots", "--ray"],
+       ["--scene", "S", "roots", "--box", "2", "--ray", "1"],
+       ["--scene", "S", "classify", "--l", "nope"], ["--scene", "S", "verify", "--l=-1,0"]])
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = ("exit", done.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=" ".join)
+def test_lazy_subcommand_parsers_match_the_eager_tree(quadric_scene_path, capsys,
+                                                      monkeypatch, fresh_parser, argv):
+    argv = [quadric_scene_path if arg == "S" else arg for arg in argv]
+    first = _outcome(capsys, argv)  # the subcommand's parser built by this parse
+    again = _outcome(capsys, argv)
+    monkeypatch.setattr(toricflow.cli, "build_parser", eager_parser)
+    assert first == again == _outcome(capsys, argv)
+
+
+def test_a_call_builds_only_its_own_subcommand_parser(quadric_scene_path, capsys,
+                                                      monkeypatch, fresh_parser):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    assert main(["--scene", quadric_scene_path, "dual"]) == 0
+    assert built == ["toricflow", "toricflow dual"]
+    assert main(["--scene", quadric_scene_path, "dual"]) == 0
+    assert built == ["toricflow", "toricflow dual"]
+    assert build_parser() is build_parser()
+    capsys.readouterr()
 
 
 def test_report_is_deterministic(quadric_scene_path, capsys):
