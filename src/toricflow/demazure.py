@@ -76,7 +76,7 @@ class StepBudget:
     single charges would.
     """
 
-    def __init__(self, subject, remedy=""):
+    def __init__(self, subject, remedy):
         self.spent = 0
         self.subject = subject
         self.remedy = remedy
@@ -222,7 +222,8 @@ def smallest_root_at_ray(sigma, ray_index):
     may take at most ROOT_STEP_CAP steps.
     """
     rays = _ray_entries(sigma, ray_index)
-    budget = StepBudget("the search for a root at ray %s" % (rays[ray_index],))
+    budget = StepBudget("the search for a root at ray %s" % (rays[ray_index],),
+                        "; give fewer rays or rays with smaller entries")
     lattice = _ray_lattice(rays, ray_index)
     box = _ROOT_SEARCH_START
     while (run := next(_runs(lattice, box, budget), None)) is None:

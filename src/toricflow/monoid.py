@@ -201,34 +201,20 @@ class AffineMonoid:
 
     Generator order is preserved; point coordinates and algebra elements
     are indexed against it.  Instances are immutable in value; the caches
-    only ever grow.  of_cone gives the saturated monoid weight_cone ∩ M
-    of a cone, whose generators are its Hilbert basis, read on first use.
+    only ever grow.  of_cone gives weight_cone ∩ M, saturated, whose
+    generators, its Hilbert basis, are read on first use; hilbert_basis()
+    computes that basis on each call and keeps no copy.
     """
 
     def __init__(self, generators, rank):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        gens = []
-        for g in generators:
-            entries = int_entries(g)
-            if len(entries) != rank:
-                raise ValueError("generator length does not match rank")
-            if all(e == 0 for e in entries):
-                raise ValueError("zero vector cannot be a generator")
-            gens.append(entries)
-        if not gens:
-            raise ValueError("a monoid needs at least one generator")
+        gens = [int_entries(g) for g in generators]
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be pairwise distinct")
-        self.rank = rank
-        self.generators = tuple(trusted_vectors(gens, M_SIDE))
-        self._gen_tuples = tuple(gens)
-        self.weight_cone = Cone.from_rays(gens, rank, M_SIDE)
-        self.dual_cone = self.weight_cone.dual()
+        # The cone refuses a bad rank, a wrong length, a zero vector and an empty list.
+        self._setup(Cone.from_rays(gens, rank, M_SIDE), None)
         if not generates_full_lattice(gens, rank):
             raise NotEffective("generators %s do not generate the full lattice" % (gens,))
-        self._saturation = None
-        self._relations = {}
+        self.generators = tuple(trusted_vectors(gens, M_SIDE))
 
     @classmethod
     def of_cone(cls, weight_cone):
@@ -237,26 +223,21 @@ class AffineMonoid:
         generate M, and its Hilbert basis is computed on the first read of
         generators, so that what needs only the cones never builds it."""
         mon = cls.__new__(cls)
-        mon.rank, mon.weight_cone = weight_cone.rank, weight_cone
-        mon.dual_cone, mon._saturation = weight_cone.dual(), SaturationResult(True, None)
-        mon._relations = {}
+        mon._setup(weight_cone, SaturationResult(True, None))
         return mon
+
+    def _setup(self, weight_cone, saturation):
+        self.rank, self.weight_cone = weight_cone.rank, weight_cone
+        self.dual_cone, self._saturation = weight_cone.dual(), saturation
+        self._relations = {}
 
     @cached_property
     def generators(self):
         return self.hilbert_basis()
 
     @cached_property
-    def _gen_tuples(self):
-        return tuple(g.entries for g in self.generators)
-
-    @cached_property
     def _decompositions(self):
         return {(0,) * self.rank: (0,) * len(self.generators)}
-
-    @cached_property
-    def _hilbert(self):
-        return tuple(hilbert_basis(self.weight_cone))
 
     def __eq__(self, other):
         return (isinstance(other, AffineMonoid)
@@ -279,7 +260,7 @@ class AffineMonoid:
         memo = self._decompositions
         if not self.weight_cone.contains_tuple(target):
             return None
-        gens = self._gen_tuples
+        gens = [g.entries for g in self.generators]
         stack = [target]
         known = len(memo)
         while stack:
@@ -326,7 +307,7 @@ class AffineMonoid:
         return self.decompose(u) is not None
 
     def hilbert_basis(self):
-        return self._hilbert
+        return tuple(hilbert_basis(self.weight_cone))
 
     def saturation(self):
         """Check that every Hilbert basis element of the weight cone is a
@@ -334,7 +315,7 @@ class AffineMonoid:
         basis element is irreducible in weight_cone ∩ M, so it is a member
         exactly when it is a generator."""
         if self._saturation is None:
-            gens = set(self._gen_tuples)
+            gens = {g.entries for g in self.generators}
             witness = next((h for h in self.hilbert_basis() if h.entries not in gens), None)
             self._saturation = SaturationResult(witness is None, witness)
         return self._saturation
@@ -348,7 +329,7 @@ class AffineMonoid:
         """
         support = tuple(support)
         if support not in self._relations:
-            gens = self._gen_tuples
+            gens = [g.entries for g in self.generators]
             cut = [0] * self.rank
             for normal in self.weight_cone.facet_normals:
                 if all(dot(normal.entries, gens[j]) == 0 for j in support):

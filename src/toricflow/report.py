@@ -3,14 +3,15 @@
 from json.encoder import encode_basestring_ascii as _quote
 
 _SCALARS = {type(None), bool, int, str}
-# C0, DEL, C1, U+2028 and U+2029: a key or string holding one is written as
-# its JSON literal, so that no scene string can start a line of its own
+# A key or string holding C0, DEL, C1, U+2028, U+2029 or a lone surrogate is
+# written as its JSON literal: no scene string starts a line or fails UTF-8
 _BREAKS = frozenset(map(chr, [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]))
 
 
 def _scalar(value):
     if type(value) is str:
-        return value if _BREAKS.isdisjoint(value) else _quote(value)
+        return value if _BREAKS.isdisjoint(value) and (
+            value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value)) else _quote(value)
     if value is None or value is True or value is False:
         return "none" if value is None else "true" if value else "false"
     return str(value)

@@ -279,7 +279,8 @@ def smallest_root_by_point(sigma, ray_index):
     each box 5*2^k is a point-by-point lift that stops at its first root
     and one budget is charged over all the boxes."""
     rays = [r.entries for r in sigma.rays]
-    budget = demazure.StepBudget("the search for a root at ray %s" % (rays[ray_index],))
+    budget = demazure.StepBudget("the search for a root at ray %s" % (rays[ray_index],),
+                                 "; give fewer rays or rays with smaller entries")
     box = 5
     while True:
         root = next(_lift_roots_by_point(rays, ray_index, box, budget), None)

@@ -756,7 +756,8 @@ def test_exit_code_4_report_root_search_names_no_box_flag(tmp_path, capsys, monk
                          "report")
     assert (code, out) == (4, "")
     assert err == ("error: BoundExceeded: the search for a root at ray (1, 400, 0) "
-                   "reached 31 steps, over ROOT_STEP_CAP = 30\n")
+                   "reached 31 steps, over ROOT_STEP_CAP = 30; give fewer rays or rays "
+                   "with smaller entries\n")
 
 
 def _thin_scene(tmp_path, k, point):
@@ -1181,8 +1182,8 @@ def test_writer_refuses_a_rational_that_is_not_a_string(stray):
 
 
 def _breaks_line(text):
-    """Holds a C0 or C1 control, DEL, U+2028 or U+2029."""
-    return any(unicodedata.category(c) in ("Cc", "Zl", "Zp") for c in text)
+    """Holds a C0 or C1 control, DEL, U+2028, U+2029 or a lone surrogate."""
+    return any(unicodedata.category(c) in ("Cc", "Zl", "Zp", "Cs") for c in text)
 
 
 def _text_documents(strings):
@@ -1210,7 +1211,7 @@ def _quote_breaks(value):
 
 
 @settings(max_examples=300)
-@given(_text_documents(st.text(st.characters(exclude_categories=("Cc", "Zl", "Zp")),
+@given(_text_documents(st.text(st.characters(exclude_categories=("Cc", "Zl", "Zp", "Cs")),
                                max_size=6)))
 @example({"a": [1, True, None, "x"], "b": [[1, 2], [], ["s", False]], "c": [],
           "d": {}, "e": [{"f": [[0]]}, {}], "i": {"j": [{}]}})
@@ -1250,18 +1251,61 @@ def test_scene_names_cannot_forge_text_report_lines(tmp_path, capsys):
     assert entry["verdict"] == "refused" and list(doc["classification"]) == ["l\u2028x"]
 
 
+def test_text_output_quotes_a_lone_surrogate(tmp_path, capsys):
+    # a name no UTF-8 stream can carry is written as its JSON literal
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({"rank": 1, "cone_rays": [[1]], "subgroups": {"\ud800": [1]},
+                                "points": {"p": {"torus": [2]}, "\udfff": {"torus": [3]}}}))
+    for argv, quoted in ((["report"], b'\n  "\\ud800":\n'),
+                         (["verify", "--l", "\ud800", "--point", "\udfff"],
+                          b'\npoint_name: "\\udfff"\n')):
+        code, text, err = run(capsys, "--scene", str(path), "--format=text", *argv)
+        assert (code, err) == (0, "")
+        assert quoted in text.encode("utf-8")
+
+
+# one call of each subcommand on QUADRIC_SCENE or a scene with its names
+_EVERY_COMMAND = [
+    ("dual",), ("facets",), ("hilbert",), ("saturation",),
+    ("classify", "--l", "vertical"), ("straightening",),
+    ("roots", "--box", "3"), ("lnd", "--root", "0,-1"),
+    ("flow", "--point", "p", "--root", "0,-1", "--s", "1"),
+    ("limit", "--point", "p", "--l", "vertical"),
+    ("verify", "--l", "vertical", "--point", "p"), ("report",),
+]
+
+
 def test_json_is_parseable_for_all_commands(quadric_scene_path, capsys):
-    commands = [
-        ("dual",), ("facets",), ("hilbert",), ("saturation",),
-        ("classify", "--l", "vertical"), ("straightening",),
-        ("roots", "--box", "3"), ("lnd", "--root", "0,-1"),
-        ("flow", "--point", "p", "--root", "0,-1", "--s", "1"),
-        ("limit", "--point", "p", "--l", "vertical"),
-        ("verify", "--l", "vertical", "--point", "p"), ("report",),
-    ]
-    for command in commands:
+    for command in _EVERY_COMMAND:
         doc = run_json(capsys, "--scene", quadric_scene_path, *command)
         assert isinstance(doc, dict)
+
+
+@pytest.mark.parametrize("generators", [None, [[1, 0], [1, 1], [1, 2]], [[1, 0], [1, 1], [1, 3]]],
+                         ids=["cone", "saturated", "holed"])
+def test_each_call_computes_the_hilbert_basis_at_most_once(tmp_path, capsys, monkeypatch,
+                                                           generators):
+    scene = dict(QUADRIC_SCENE)
+    if generators is not None:
+        del scene["cone_rays"]
+        scene["monoid_generators"] = generators
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    calls = []
+
+    def counted(cone):
+        calls.append(cone)
+        return hilbert_basis(cone)
+
+    monkeypatch.setattr(toricflow.monoid, "hilbert_basis", counted)
+    monkeypatch.setattr(toricflow.cli, "hilbert_basis", counted)
+    for command in _EVERY_COMMAND:
+        for form in ("json", "text"):
+            del calls[:]
+            run(capsys, "--scene", str(path), "--format", form, *command)
+            assert len(calls) <= 1, (command, form)
+            if command == ("hilbert",):
+                assert len(calls) == 1
 
 
 def test_exit_code_2_for_malformed_root_and_samples(quadric_scene_path, capsys):

@@ -294,7 +294,8 @@ def test_first_root_search_cap(monkeypatch):
     with pytest.raises(BoundExceeded) as info:
         smallest_root_at_ray(sigma, index)
     assert str(info.value) == ("the search for a root at ray (1, 400, 0) reached 31 "
-                               "steps, over ROOT_STEP_CAP = 30")
+                               "steps, over ROOT_STEP_CAP = 30; give fewer rays or "
+                               "rays with smaller entries")
     # at (4,4,3) the search spends 18 steps on the empty box 5, then 29 at
     # box 10 down to the root (3,-7,5): the cap counts all 47, where a
     # count per box would stop at 29

@@ -395,6 +395,10 @@ def test_monoid_validation():
         AffineMonoid([(1, 0), (1, 0)], 2)
     with pytest.raises(ValueError):
         AffineMonoid([(1,)], 2)
+    with pytest.raises(ValueError):
+        AffineMonoid([(1,)], 0)
+    with pytest.raises(RankLimitExceeded):
+        AffineMonoid([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], 5)
     with pytest.raises(NotPointed):
         AffineMonoid([(1, 0), (-1, 0), (0, 1)], 2)
     with pytest.raises(NotEffective):
