@@ -39,12 +39,11 @@ from .grading import (
     straightening_subtori,
 )
 from .demazure import DemazureRoot, is_root, roots_in_box, smallest_root_at_ray
-from .algebra import AlgebraElement, HomogeneousLND
+from .algebra import HomogeneousLND
 from .orbits import (
     CompatibilityReport,
     InvariantCheck,
     ToricPoint,
-    evaluate,
     ga_flow_point,
     limit_point,
     torus_point,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMonoid",
-    "AlgebraElement",
     "BoundExceeded",
     "CompatibilityReport",
     "Cone",
@@ -90,7 +88,6 @@ __all__ = [
     "ToricPoint",
     "classify",
     "dot",
-    "evaluate",
     "ga_flow_point",
     "generates_full_lattice",
     "hilbert_basis",

@@ -27,21 +27,11 @@ from .scene import load_scene, parse_integers, parse_rational
 DEFAULT_ROOT_BOX = 5
 
 
-def _scalar(value):
-    """A JSON scalar as json.dumps writes it; literals by identity, as True == 1."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    raise TypeError("%s is not a JSON scalar" % type(value).__name__)
-
-
 def _dumps(value, newline="\n"):
     """JSON with 2-space indent, scalar-only lists and empty containers
     inline, by one exact-type dispatch per value; newline is the line break
-    and indent of the value's line.  An int or int list is its repr."""
+    and indent of the value's line.  An int or int list is its repr; the
+    literals are told by identity, as True == 1."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -56,10 +46,14 @@ def _dumps(value, newline="\n"):
         if types <= {int}:
             return repr(value)
         if types.isdisjoint((dict, list)):
-            return "[" + ", ".join(map(_quote if types == {str} else _scalar, value)) + "]"
+            return "[" + ", ".join(map(_quote if types == {str} else _dumps, value)) + "]"
         parts, brackets = [_dumps(item, inner) for item in value], "[]"
+    elif kind is dict:
+        return "{}"
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
     else:
-        return "{}" if kind is dict else _scalar(value)
+        raise TypeError("%s is not a JSON scalar" % kind.__name__)
     return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
 
 

@@ -69,9 +69,6 @@ class LatticeVector(Frozen):
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def __add__(self, other):
         if not isinstance(other, LatticeVector):
             raise TypeError("expected a LatticeVector")

@@ -202,8 +202,7 @@ class AffineMonoid:
     Generator order is preserved; point coordinates and algebra elements
     are indexed against it.  Instances are immutable in value; the caches
     only ever grow.  of_cone gives weight_cone ∩ M, saturated, whose
-    generators, its Hilbert basis, are read on first use; hilbert_basis()
-    computes that basis on each call and keeps no copy.
+    generators, its Hilbert basis, are computed on first read.
     """
 
     def __init__(self, generators, rank):
@@ -233,7 +232,7 @@ class AffineMonoid:
 
     @cached_property
     def generators(self):
-        return self.hilbert_basis()
+        return tuple(hilbert_basis(self.weight_cone))
 
     @cached_property
     def _decompositions(self):
@@ -306,17 +305,14 @@ class AffineMonoid:
             return self.weight_cone.contains_tuple(self._entries(u))
         return self.decompose(u) is not None
 
-    def hilbert_basis(self):
-        return tuple(hilbert_basis(self.weight_cone))
-
     def saturation(self):
         """Check that every Hilbert basis element of the weight cone is a
         monoid member; the first miss (in lex order) is the witness.  A
         basis element is irreducible in weight_cone ∩ M, so it is a member
         exactly when it is a generator."""
         if self._saturation is None:
-            gens = {g.entries for g in self.generators}
-            witness = next((h for h in self.hilbert_basis() if h.entries not in gens), None)
+            basis, gens = hilbert_basis(self.weight_cone), {g.entries for g in self.generators}
+            witness = next((h for h in basis if h.entries not in gens), None)
             self._saturation = SaturationResult(witness is None, witness)
         return self._saturation
 

@@ -35,7 +35,8 @@ except ImportError:
 _TOP_KEYS = {"rank", "cone_rays", "monoid_generators", "points", "subgroups"}
 # The two vector lists: what one vector is called, and its lattice.
 _VECTOR_LISTS = {"cone_rays": ("ray", N_SIDE), "monoid_generators": ("generator", M_SIDE)}
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + "(/[0-9]+)?")
 
 
 def _shown(value):
@@ -60,15 +61,16 @@ def parse_rational(value, where):
 
 
 def parse_integers(text, length, where):
-    """A comma list of exactly length integers, as --root and --l take."""
+    """A comma list of exactly length integers, as --root and --l take; an
+    integer is an optional sign and ASCII digits, as in parse_rational."""
+    parts = text.split(",")
     try:
-        entries = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        entries = None
-    if entries is None or len(entries) != length:
+        if len(parts) != length or not all(map(_INTEGER.fullmatch, parts)):
+            raise ValueError(text)
+        return tuple(map(int, parts))
+    except ValueError:  # a bad part, or one past the int->str digit limit
         raise SceneError("%s must be %d comma separated integers, got %s"
                          % (where, length, _shown(text)))
-    return entries
 
 
 def _int_vector(value, rank, where):

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from toricflow import (AffineMonoid, AlgebraElement, Cone, GradingKind,
-                       HomogeneousLND, LatticeVector, M_SIDE, N_SIDE,
-                       NotFullDimensional, NotParabolic, NotPointed, ToricPoint,
-                       classify, dot, evaluate, generates_full_lattice,
-                       hilbert_basis, matrix_rank, roots_in_box, torus_point)
+from toricflow import (AffineMonoid, Cone, GradingKind, HomogeneousLND,
+                       LatticeVector, M_SIDE, N_SIDE, NotFullDimensional,
+                       NotParabolic, NotPointed, ToricPoint, classify, dot,
+                       generates_full_lattice, hilbert_basis, matrix_rank,
+                       roots_in_box, torus_point)
 from toricflow import demazure
+from toricflow.algebra import AlgebraElement
 from toricflow.grading import _divisor
 from toricflow.lattice import _echelon, primitive_tuple
+from toricflow.orbits import evaluate
 
 settings.register_profile(
     "ci",
@@ -356,7 +358,7 @@ def saturation_by_membership(mon):
     """The first Hilbert basis element, in lex order, that is no monoid
     member, or None: each is decomposed, as contains() does before the
     monoid is known to be saturated."""
-    return next((h for h in mon.hilbert_basis() if mon.decompose(h) is None), None)
+    return next((h for h in hilbert_basis(mon.weight_cone) if mon.decompose(h) is None), None)
 
 
 def generator_degree_gcd(mon, subgroup):
@@ -664,6 +666,18 @@ CUSP_SCENE = {
     "monoid_generators": [[2], [3]],
     "points": {"p": {"torus": [2]}},
     "subgroups": {"l": [1]},
+}
+
+# A rank-3 cone scene with two points and one subgroup of each kind, so the
+# report runs every warning and refusal arm: par is parabolic, double is
+# parabolic but not effective, ell is elliptic, flat is degenerate and down
+# is hyperbolic with a parabolic negation.
+RANK3_SCENE = {
+    "rank": 3,
+    "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2]],
+    "points": {"p": {"torus": [2, "1/3", -1]}, "q": {"torus": [-1, 5, "-7/2"]}},
+    "subgroups": {"par": [1, 0, 0], "ell": [1, 1, 1], "double": [2, 0, 0],
+                  "down": [-1, 0, 0], "flat": [1, 1, 0]},
 }
 
 

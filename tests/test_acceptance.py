@@ -18,7 +18,6 @@ import pytest
 
 from toricflow import (
     AffineMonoid,
-    AlgebraElement,
     Cone,
     GradingKind,
     HomogeneousLND,
@@ -28,6 +27,7 @@ from toricflow import (
     NormalityRequired,
     NotParabolic,
     classify,
+    hilbert_basis,
     matrix_rank,
     primitive,
     roots_in_box,
@@ -35,6 +35,7 @@ from toricflow import (
     torus_point,
     verify_compatible,
 )
+from toricflow.algebra import AlgebraElement
 from toricflow.cli import main as cli_main
 
 from conftest import (CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, add, cone_fixture,
@@ -248,10 +249,10 @@ def test_criterion_5_negative_fixtures(tmp_path, capsys):
 
 def _sign_pattern_oracle(mon, subgroup):
     values = [sum(a * b for a, b in zip(subgroup.entries, h.entries))
-              for h in mon.hilbert_basis()]
+              for h in hilbert_basis(mon.weight_cone)]
     if any(v < 0 for v in values):
         return GradingKind.HYPERBOLIC
-    zero = [h.entries for h, v in zip(mon.hilbert_basis(), values) if v == 0]
+    zero = [h.entries for h, v in zip(hilbert_basis(mon.weight_cone), values) if v == 0]
     zero_rank = matrix_rank(zero) if zero else 0
     if zero_rank == mon.rank - 1:
         return GradingKind.PARABOLIC

@@ -10,7 +10,6 @@ from conftest import (FLOW_CASES, add, character_value_by_powers, derivation_pow
 
 from toricflow import (
     AffineMonoid,
-    AlgebraElement,
     BoundExceeded,
     DemazureRoot,
     HomogeneousLND,
@@ -19,13 +18,13 @@ from toricflow import (
     M_SIDE,
     N_SIDE,
     NotADemazureRoot,
-    evaluate,
     is_root,
     limit_point,
     smallest_root_at_ray,
     torus_point,
 )
-from toricflow.algebra import POWER_BIT_CAP, character_value, check_power_bits
+from toricflow.algebra import POWER_BIT_CAP, AlgebraElement, character_value, check_power_bits
+from toricflow.orbits import evaluate
 
 
 def mono(mon, entries, coeff=1):

@@ -27,7 +27,7 @@ from toricflow.cli import build_parser, main
 from toricflow.report import render_text
 from toricflow.scene import load_scene
 
-from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE,
+from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, RANK3_SCENE,
                       json_dumps_per_scalar, monomial, negation_is_parabolic,
                       random_monoids, random_subgroups, render_text_per_item)
 
@@ -956,19 +956,8 @@ def test_report_is_deterministic(quadric_scene_path, capsys):
     assert first == second
 
 
-# A rank-3 cone scene with two points and one subgroup of each kind, so the
-# report runs every warning and refusal arm: par is parabolic, double is
-# parabolic but not effective, ell is elliptic, flat is degenerate and down
-# is hyperbolic with a parabolic negation.
-_RANK3_SCENE = {
-    "rank": 3,
-    "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2]],
-    "points": {"p": {"torus": [2, "1/3", -1]}, "q": {"torus": [-1, 5, "-7/2"]}},
-    "subgroups": {"par": [1, 0, 0], "ell": [1, 1, 1], "double": [2, 0, 0],
-                  "down": [-1, 0, 0], "flat": [1, 1, 0]},
-}
 _GOLDEN_SCENES = {"quadric": QUADRIC_SCENE, "cusp": CUSP_SCENE,
-                  "rank3": _RANK3_SCENE}
+                  "rank3": RANK3_SCENE}
 
 # (scene, argv, exit code, SHA-256 of stdout)
 GOLDEN_RUNS = [
@@ -1096,7 +1085,7 @@ def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, "classify", counted_classify)
     monkeypatch.setattr(HomogeneousLND, "__init__", counted_build)
     path = tmp_path / "rank3.json"
-    path.write_text(json.dumps(_RANK3_SCENE))
+    path.write_text(json.dumps(RANK3_SCENE))
     doc = run_json(capsys, "--scene", str(path), "report")
     # par and double are parabolic at ray 1, each verified at two points
     rays = {c["ray_index"] for c in doc["classification"].values()

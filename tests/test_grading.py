@@ -91,7 +91,7 @@ def test_classify_runs_on_unsaturated_monoids(cusp):
 def _sign_oracle(mon, subgroup):
     # independent reading of the classification off the Hilbert basis
     values = {h.entries: sum(a * b for a, b in zip(subgroup.entries, h.entries))
-              for h in mon.hilbert_basis()}
+              for h in hilbert_basis(mon.weight_cone)}
     if any(v < 0 for v in values.values()):
         return GradingKind.HYPERBOLIC
     zero = [h for h, v in values.items() if v == 0]

@@ -55,7 +55,6 @@ def test_vector_arithmetic_and_sides():
 def test_vector_container_protocol():
     v = LatticeVector((4, 5, 6))
     assert list(v) == [4, 5, 6]
-    assert len(v) == 3
     assert v.rank == 3
 
 

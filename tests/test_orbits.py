@@ -1,3 +1,6 @@
+import io
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,7 @@ from toricflow import (
     NotParabolic,
     ToricPoint,
     classify,
-    evaluate,
+    dot,
     ga_flow_point,
     limit_point,
     smallest_root_at_ray,
@@ -24,10 +27,11 @@ from toricflow import (
 
 import toricflow.monoid
 import toricflow.orbits
-from toricflow.orbits import witness_derivation
+from toricflow.cli import main
+from toricflow.orbits import evaluate, witness_derivation
 
-from conftest import (FLOW_CASES, add, character_value_by_powers, flow_case, gm_scale,
-                      monomial, pullback_flow_coords)
+from conftest import (FLOW_CASES, QUADRIC_SCENE, add, character_value_by_powers, flow_case,
+                      gm_scale, monomial, pullback_flow_coords)
 
 
 def n(*entries):
@@ -336,6 +340,54 @@ def test_verify_checks_a_flowed_point_that_misses_the_limit(quadric, monkeypatch
     assert built == [((3, 0, 0), "flow")] and supports == [(0,)]
     assert not report.passed and not report.reached_exactly
     assert report.limit is other and report.derived_facts == ()
+
+
+# Faults in the flow or in the limit, each made by patching orbits: the
+# certificate must fail on the first and the face check refuse the second.
+def _double_a_fixed_coordinate(coords, degrees):
+    j = degrees.index(0)
+    return coords[:j] + (2 * coords[j],) + coords[j + 1:]
+
+
+def _set_a_moving_coordinate_to_one(coords, degrees):
+    j = next(j for j, k in enumerate(degrees) if k > 0)
+    return coords[:j] + (Fraction(1),) + coords[j + 1:]
+
+
+def _break(monkeypatch, target, fault):
+    if target == "_flowed":
+        flowed = toricflow.orbits._flowed
+        monkeypatch.setattr(toricflow.orbits, "_flowed", lambda lnd, step, coords: fault(
+            flowed(lnd, step, coords), list(lnd.degrees)))
+    else:
+        limit = toricflow.orbits.limit_point
+
+        def broken(mon, subgroup, point):
+            degrees = [dot(subgroup.entries, g.entries) for g in mon.generators]
+            return ToricPoint(mon, fault(limit(mon, subgroup, point).coords, degrees), ("limit",))
+        monkeypatch.setattr(toricflow.orbits, "limit_point", broken)
+
+
+@pytest.mark.parametrize("target", ["_flowed", "limit_point"])
+def test_verify_fails_on_a_flow_or_limit_that_moves_a_fixed_coordinate(quadric, monkeypatch,
+                                                                       capsys, target):
+    _break(monkeypatch, target, _double_a_fixed_coordinate)
+    report = verify_compatible(quadric, n(0, 1), torus_point(quadric, (3, 2)))
+    assert not report.passed and not report.reached_exactly
+    assert report.derived_facts == ()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(QUADRIC_SCENE)))
+    assert main(["verify", "--point=p", "--l=vertical"]) == 0
+    out = capsys.readouterr().out
+    assert '"verdict": "fail"' in out and json.loads(out)["derived_facts"] == []
+
+
+@pytest.mark.parametrize("target", ["_flowed", "limit_point"])
+def test_the_face_check_refuses_a_flow_or_limit_off_the_variety(quadric, monkeypatch, target):
+    # quadric's generators (1,0), (1,1), (1,2) have degrees 0, 1, 2 under
+    # (0,1); a point nonzero at (1,0) and (1,1) alone is on no face
+    _break(monkeypatch, target, _set_a_moving_coordinate_to_one)
+    with pytest.raises(ValueError, match="not the generators of a face"):
+        verify_compatible(quadric, n(0, 1), torus_point(quadric, (3, 2)))
 
 
 def test_smallest_roots(a2, quadric):

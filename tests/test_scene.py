@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import toricflow
-from toricflow import SceneError, load_scene, render_text
-from toricflow.scene import parse_rational
+from toricflow import SceneError, hilbert_basis, load_scene, render_text
+from toricflow.scene import parse_integers, parse_rational
 
 from conftest import A2_SCENE, CUSP_SCENE, QUADRIC_SCENE
 
@@ -21,7 +21,7 @@ def test_quadric_scene(quadric):
     assert [r.entries for r in scene.sigma().rays] == [(0, 1), (2, -1)]
     assert scene.monoid() == quadric
     assert scene.monoid().weight_cone == quadric.weight_cone
-    assert scene.monoid().hilbert_basis() == quadric.hilbert_basis()
+    assert hilbert_basis(scene.monoid().weight_cone) == hilbert_basis(quadric.weight_cone)
     assert scene.monoid().saturation().saturated
     assert scene.point("p").coords == (3, 6, 12)
     assert scene.subgroup_vector("vertical").entries == (0, 1)
@@ -53,6 +53,17 @@ def test_parse_rational_reads_integers_and_fractions(text, value):
 def test_parse_rational_refuses_other_forms(text):
     with pytest.raises(SceneError, match="x: cannot parse rational"):
         parse_rational(text, "x")
+
+
+def test_parse_integers_reads_signs_and_ascii_digits():
+    assert parse_integers("+3,-4,007", 3, "x") == (3, -4, 7)
+
+
+@pytest.mark.parametrize("text", ["1_0,1", " 1,1", "1,1 ", "\uff11,1", "1,\u0661", "0x1,1",
+                                  "1,,1", "1,1,", "1.0,1", "", "1", "7" * 5000 + ",1"])
+def test_parse_integers_refuses_other_forms(text):
+    with pytest.raises(SceneError, match="x must be 2 comma separated integers"):
+        parse_integers(text, 2, "x")
 
 
 @pytest.mark.parametrize("raw,fragment", [
