@@ -11,7 +11,6 @@ from .errors import (
     NotADemazureRoot,
     NotEffective,
     NotFullDimensional,
-    NotNonnegative,
     NotParabolic,
     NotPointed,
     RankLimitExceeded,
@@ -75,7 +74,6 @@ __all__ = [
     "NotADemazureRoot",
     "NotEffective",
     "NotFullDimensional",
-    "NotNonnegative",
     "NotParabolic",
     "NotPointed",
     "RANK_LIMIT",

@@ -22,7 +22,7 @@ from .demazure import roots_in_box
 from .algebra import HomogeneousLND
 from .orbits import ga_flow_point, limit_point, verify_compatible, witness_derivation
 from .report import render_text
-from .scene import load_scene, parse_integers, parse_rational
+from .scene import integer, load_scene, parse_integers, parse_rational
 
 DEFAULT_ROOT_BOX = 5
 
@@ -284,8 +284,8 @@ def cmd_report(scene, args):
     mon = scene.monoid()
     cone, saturation = mon.weight_cone, mon.saturation()
     if not saturation.saturated:
-        warnings.append("monoid is not saturated, witness %s; straightening and flow "
-                        "verification are refused" % (list(saturation.witness.entries),))
+        warnings.append("%s; straightening and flow verification are refused"
+                        % NormalityRequired(saturation.witness.entries))
     points = ({name: scene.point(name) for name in sorted(scene.point_coords)}
               if scene.subgroups else {})
     for name in sorted(scene.subgroups):
@@ -330,7 +330,7 @@ _L = ("--l", {"required": True,
               "help": "subgroup name from the scene, or comma separated ints (--l=-1,0)"})
 _POINT = ("--point", {"required": True, "help": "point name from the scene"})
 _ROOT = ("--root", {"required": True, "help": "root vector, comma separated (--root=-1,1)"})
-_BOX = ("--box", {"type": int, "default": DEFAULT_ROOT_BOX,
+_BOX = ("--box", {"type": integer, "default": DEFAULT_ROOT_BOX,
                   "help": "root scan box, |e_i| <= box (default %d)"
                   % DEFAULT_ROOT_BOX})
 
@@ -344,7 +344,7 @@ COMMANDS = {
     "straightening": (cmd_straightening,
                       "parabolic subtori and their fixed divisors", ()),
     "roots": (cmd_roots, "Demazure roots inside a coordinate box", (
-        _BOX, ("--ray", {"type": int, "default": None,
+        _BOX, ("--ray", {"type": integer, "default": None,
                          "help": "only roots distinguished at this ray index"}))),
     "lnd": (cmd_lnd, "derivation attached to a Demazure root", (_ROOT,)),
     "flow": (cmd_flow, "flow a named point for time s", (

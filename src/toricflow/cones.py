@@ -17,7 +17,6 @@ from operator import and_, mul
 from .errors import (
     BoundExceeded,
     NotFullDimensional,
-    NotNonnegative,
     NotPointed,
     RankLimitExceeded,
 )
@@ -27,7 +26,6 @@ from .lattice import (
     Frozen,
     adjugate,
     dot,
-    matrix_rank,
     pivot_columns,
     primitive_tuple,
     trusted_vectors,
@@ -186,25 +184,6 @@ class Cone(Frozen):
         return [Face(tuple(r for r in self.rays if dot(h.entries, r.entries) == 0),
                      self.rank - 1)
                 for h in self.facet_normals]
-
-    def zero_face(self, functional):
-        """The face on which a nonnegative functional vanishes.
-
-        The functional lives on the opposite side.  Raises NotNonnegative
-        if it is negative on some ray.
-        """
-        if functional.side != _other_side(self.side):
-            raise ValueError("functional must live on the dual side")
-        if functional.rank != self.rank:
-            raise ValueError("rank mismatch")
-        values = [dot(functional.entries, r.entries) for r in self.rays]
-        bad = [i for i, v in enumerate(values) if v < 0]
-        if bad:
-            raise NotNonnegative(
-                "functional %s is negative on ray %s"
-                % (functional.entries, self.rays[bad[0]].entries))
-        face_rays = tuple(r for r, v in zip(self.rays, values) if v == 0)
-        return Face(face_rays, matrix_rank([r.entries for r in face_rays]))
 
     def __repr__(self):
         return "Cone(%s, rank=%d, rays=%s)" % (

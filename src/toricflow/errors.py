@@ -25,10 +25,6 @@ class NotFullDimensional(HypothesisError):
     """The cone's rays do not span the ambient space."""
 
 
-class NotNonnegative(HypothesisError):
-    """A functional takes a negative value on a ray it must be nonnegative on."""
-
-
 class NotEffective(HypothesisError):
     """Monoid generators do not generate the full character lattice."""
 

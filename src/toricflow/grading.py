@@ -20,8 +20,9 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
-from .errors import NormalityRequired, NotNonnegative
-from .lattice import N_SIDE, LatticeVector, dot, primitive
+from .cones import Face
+from .errors import NormalityRequired
+from .lattice import M_SIDE, N_SIDE, LatticeVector, dot, matrix_rank, primitive
 
 
 class GradingKind(Enum):
@@ -51,12 +52,17 @@ def classify(cone, subgroup):
         raise ValueError("classify needs an N-side vector")
     if not any(subgroup.entries):
         raise ValueError("the zero vector does not grade")
+    if cone.side != M_SIDE:
+        raise ValueError("classify needs the M-side weight cone")
+    if subgroup.rank != cone.rank:
+        raise ValueError("rank mismatch")
     degree_gcd = gcd(*subgroup.entries)
     effective = degree_gcd == 1
-    try:
-        face = cone.zero_face(subgroup)
-    except NotNonnegative:
+    values = [dot(subgroup.entries, r.entries) for r in cone.rays]
+    if min(values) < 0:
         return GradingClass(GradingKind.HYPERBOLIC, None, None, degree_gcd, effective)
+    face_rays = tuple(r for r, v in zip(cone.rays, values) if v == 0)
+    face = Face(face_rays, matrix_rank([r.entries for r in face_rays]))
     if face.dim == cone.rank - 1:
         ray_index = cone.facet_normals.index(primitive(subgroup))
         return GradingClass(GradingKind.PARABOLIC, face, ray_index, degree_gcd, effective)

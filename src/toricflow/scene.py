@@ -60,14 +60,20 @@ def parse_rational(value, where):
                      % (where, _shown(value)))
 
 
+def integer(text):
+    """One command-line integer: an optional sign, then ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_integers(text, length, where):
-    """A comma list of exactly length integers, as --root and --l take; an
-    integer is an optional sign and ASCII digits, as in parse_rational."""
+    """A comma list of exactly length integers, as --root and --l take."""
     parts = text.split(",")
     try:
-        if len(parts) != length or not all(map(_INTEGER.fullmatch, parts)):
+        if len(parts) != length:
             raise ValueError(text)
-        return tuple(map(int, parts))
+        return tuple(map(integer, parts))
     except ValueError:  # a bad part, or one past the int->str digit limit
         raise SceneError("%s must be %d comma separated integers, got %s"
                          % (where, length, _shown(text)))

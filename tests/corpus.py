@@ -356,11 +356,12 @@ def _named_runs(scenes):
     runs += [("holed", ["lnd", "--root=-1,1000"]), ("holed", ["lnd", "--root=0,-1"]),
              ("holed", ["roots", "--box=1"]), ("holed", ["verify", "--point=p", "--l=1,0"]),
              ("digits", ["flow", "--point=p", "--root=39,-1", "--s=1"])]
-    # argument refusals; --box and --ray are argparse's type=int, which
-    # still reads 1_0 as 10
+    # argument refusals; --box and --ray read integers in the grammar of
+    # --root, so argparse refuses 1_0 and full-width digits
     runs += [("quadric", argv) for argv in (
         ["roots", "--box=-1"], ["roots", "--ray=99"], ["roots", "--ray=-1"],
-        ["roots", "--box=1_0"], ["report", "--box=-1"], ["verify", "--point=nope", "--l=vertical"],
+        ["roots", "--box=1_0"], ["roots", "--ray=1_0"], ["roots", "--box=\uff11"],
+        ["report", "--box=-1"], ["verify", "--point=nope", "--l=vertical"],
         ["verify", "--point=p", "--l=0,0"], ["verify", "--point=p", "--l=vertical", "--ts=1,0"],
         ["verify", "--point=p", "--l=vertical", "--ts=1e9"],
         ["verify", "--point=p", "--l=vertical", "--ss=1/0"],

@@ -974,9 +974,9 @@ GOLDEN_RUNS = [
     ("quadric", ("roots", "--box=3"), 0,
      "549c51ffb51d0987ce51080f718cc6ada287c8e10f954527fabd04c1461a0cb8"),
     ("cusp", ("--format=json", "report"), 0,
-     "0df2b42724293f1bd9daa530f84d44c7f49015aa9803463c5e4b6d420c61af7e"),
+     "a1d74bd153a9b0703fc62e3c6b4bccbdf389bd892275eb6cd7e963913c448842"),
     ("cusp", ("--format=text", "report"), 0,
-     "91b2135fe0ea96d80e4f20061dd0d6ac960778af9c8c14f8f7f80eeb88af5ecc"),
+     "e1d59e8adfb640061edd22cfd1255b42c808b155a5a10be8a90c18e0a70269a7"),
     ("cusp", ("verify", "--point=p", "--l=l"), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("cusp", ("classify", "--l=l"), 0,

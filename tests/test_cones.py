@@ -9,7 +9,6 @@ from toricflow import (
     M_SIDE,
     N_SIDE,
     NotFullDimensional,
-    NotNonnegative,
     NotPointed,
     RankLimitExceeded,
     dot,
@@ -126,22 +125,6 @@ def test_facets_have_codimension_one(name, rank, rays):
         off = [r for r in cone.rays if r not in face.rays]
         for r in off:
             assert sum(a * b for a, b in zip(normal, r.entries)) > 0
-
-
-def test_zero_face():
-    omega = cone_fixture("quadric").dual()
-    face = omega.zero_face(LatticeVector((0, 1), N_SIDE))
-    assert [r.entries for r in face.rays] == [(1, 0)]
-    assert face.dim == 1
-    origin = omega.zero_face(LatticeVector((1, 1), N_SIDE))
-    assert origin.dim == 0
-    assert origin.rays == ()
-
-
-def test_zero_face_rejects_negative_functionals():
-    omega = cone_fixture("quadric").dual()
-    with pytest.raises(NotNonnegative):
-        omega.zero_face(LatticeVector((-1, 0), N_SIDE))
 
 
 def test_dual_is_involution():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from toricflow import (
     AffineMonoid,
+    Face,
     GradingKind,
     LatticeVector,
     N_SIDE,
@@ -73,9 +74,18 @@ def test_rank_one_parabolic(line):
     assert grading.zero_face.dim == 0
 
 
+def test_quadric_zero_faces(quadric):
+    # weight cone rays (1,0), (1,2): l = (1,1) is positive on both
+    assert classify(quadric.weight_cone, n(1, 1)).zero_face == Face((), 0)
+    grading = classify(quadric.weight_cone, n(-1, 0))
+    assert grading.kind is GradingKind.HYPERBOLIC and grading.zero_face is None
+
+
 def test_classify_input_validation(a2):
     with pytest.raises(ValueError):
         classify(a2.weight_cone, LatticeVector((1, 0), "M"))
+    with pytest.raises(ValueError):  # the N-side cone is not a weight cone
+        classify(a2.dual_cone, n(1, 0))
     with pytest.raises(ValueError):
         classify(a2.weight_cone, n(0, 0))
     with pytest.raises(ValueError):
@@ -89,18 +99,21 @@ def test_classify_runs_on_unsaturated_monoids(cusp):
 
 
 def _sign_oracle(mon, subgroup):
-    # independent reading of the classification off the Hilbert basis
+    """(kind, zero face rays, zero face dimension), read off the Hilbert
+    basis: the face is spanned by its elements of degree zero, and its rays
+    are the weight cone's rays among them."""
     values = {h.entries: sum(a * b for a, b in zip(subgroup.entries, h.entries))
               for h in hilbert_basis(mon.weight_cone)}
     if any(v < 0 for v in values.values()):
-        return GradingKind.HYPERBOLIC
+        return GradingKind.HYPERBOLIC, None, None
     zero = [h for h, v in values.items() if v == 0]
     zero_rank = matrix_rank(zero) if zero else 0
+    rays = sorted(r.entries for r in mon.weight_cone.rays if r.entries in zero)
     if zero_rank == mon.rank - 1:
-        return GradingKind.PARABOLIC
+        return GradingKind.PARABOLIC, rays, zero_rank
     if zero_rank == 0 and not zero:
-        return GradingKind.ELLIPTIC
-    return GradingKind.DEGENERATE_NONNEGATIVE
+        return GradingKind.ELLIPTIC, rays, zero_rank
+    return GradingKind.DEGENERATE_NONNEGATIVE, rays, zero_rank
 
 
 def test_sign_oracle_agreement(a2, a3, quadric):
@@ -111,7 +124,11 @@ def test_sign_oracle_agreement(a2, a3, quadric):
             if all(e == 0 for e in entries):
                 continue
             subgroup = n(*primitive(LatticeVector(entries)).entries)
-            assert classify(mon.weight_cone, subgroup).kind is _sign_oracle(mon, subgroup)
+            grading = classify(mon.weight_cone, subgroup)
+            face = grading.zero_face
+            seen = (None, None) if face is None else (
+                sorted(r.entries for r in face.rays), face.dim)
+            assert (grading.kind, *seen) == _sign_oracle(mon, subgroup)
 
 
 @given(st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(
