@@ -95,6 +95,9 @@ def _walk(a, b):
     u_(i-1), with c = ceil(det(u_(i-1), b) / det(u_i, b)) the least c that
     keeps it in the cone.  det(u_i, b) falls at every step, and the walk ends
     at det(u_i, b) = 0, where u_i = b.  Consecutive elements have det 1.
+    The elements are counted first, in high = det(u_(i-1), b), low = det(u_i, b):
+    while c = 2, high - low stays fixed and low falls by it, so a run of
+    low // (high - low) such steps is counted at once; the next one has c >= 3.
     """
     high = a[0] * b[1] - a[1] * b[0]
     if high < 0:
@@ -104,13 +107,19 @@ def _walk(a, b):
     t = -((w[0] * b[1] - w[1] * b[0]) // high)
     prev, u = a, (w[0] + t * a[0], w[1] + t * a[1])
     low = u[0] * b[1] - u[1] * b[0]
+    size, hi, lo = 2, high, low
+    while lo:  # a run of c = 2, then one step to c lo - hi = -d mod lo, as hi = lo + d
+        d = hi - lo
+        size, lo = size + lo // d, lo % d
+        if lo:
+            size, hi, lo = size + 1, lo, -d % lo
+    if size > HILBERT_CANDIDATE_CAP:
+        raise BoundExceeded(
+            "cone is too wide for a Hilbert basis: its continued-fraction walk has %d "
+            "basis elements, over HILBERT_CANDIDATE_CAP = %d; give rays with smaller "
+            "entries" % (size, HILBERT_CANDIDATE_CAP))
     basis = [a, u]
     while low:
-        if len(basis) == HILBERT_CANDIDATE_CAP:
-            raise BoundExceeded(
-                "cone is too wide for a Hilbert basis: its continued-fraction "
-                "walk passed %d basis elements, over HILBERT_CANDIDATE_CAP = %d; "
-                "give rays with smaller entries" % (len(basis) + 1, HILBERT_CANDIDATE_CAP))
         c = -(-high // low)
         prev, u = u, (c * u[0] - prev[0], c * u[1] - prev[1])
         high, low = low, c * low - high
@@ -122,10 +131,10 @@ def hilbert_basis(cone):
     """Minimal generating set of cone ∩ M for a pointed full-dimensional cone.
 
     In rank 2 it is walked by the continued fraction of the cone (_walk), in
-    one integer step per basis element; a walk that passes
-    HILBERT_CANDIDATE_CAP elements is refused.  In ranks 1, 3 and 4 the cone
-    is cut into simplicial cones by a pulling triangulation, as no facet
-    need be simplicial.  An irreducible element of
+    one integer step per basis element; a walk of more than
+    HILBERT_CANDIDATE_CAP elements is refused before it is walked.  In ranks
+    1, 3 and 4 the cone is cut into simplicial cones by a pulling
+    triangulation, as no facet need be simplicial.  An irreducible element of
     a simplicial cone is one of its rays or a lattice point of its half-open
     parallelepiped {sum q_i v_i : 0 <= q_i < 1}, so the extreme rays and
     the parallelepiped points are the candidates: |det| of them per

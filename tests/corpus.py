@@ -35,6 +35,7 @@ TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.json")
 SEED = "contract corpus"
 FORMATS = ("--format=json", "--format=text")
 RANDOM_SCENES = 96
+RANDOM_CONE9_SCENES = 8
 
 
 def digest(text):
@@ -154,7 +155,7 @@ def _fixed_scenes():
     scenes["power-monoid"] = {"rank": 2, "monoid_generators": [[1, 0], [10**8, 1]],
                               "points": {"p": {"torus": ["2", "3"]}},
                               "subgroups": {"near": [0, 1]}}
-    # a weight cone of 10^9 basis elements: the walk passes its cap
+    # a weight cone of 10^9 basis elements: the walk's count passes its cap
     scenes["walk9"] = {"rank": 2, "cone_rays": [[0, 1], [10**9 - 1, -10**9]]}
     # cone((1,0,0),(1,400,0),(0,0,1)): the first root at (1,400,0) is in box 640
     scenes["thin3-400"] = {"rank": 3, "cone_rays": [[1, 0, 0], [1, 400, 0], [0, 0, 1]],
@@ -209,6 +210,8 @@ _BAD_SCENES = {
     "point-float": '{"rank": 1, "cone_rays": [[1]], "points": {"p": {"torus": ["1e9"]}}}',
     "point-underscore": '{"rank": 1, "cone_rays": [[1]], "points": {"p": {"torus": ["1_0"]}}}',
     "point-over-zero": '{"rank": 1, "cone_rays": [[1]], "points": {"p": {"torus": ["1/0"]}}}',
+    "point-number": '{"rank": 1, "cone_rays": [[1]], "points": {"p": {"torus": [1.5]}}}',
+    "subgroups-list": '{"rank": 1, "cone_rays": [[1]], "subgroups": []}',
     "subgroup-zero": '{"rank": 1, "cone_rays": [[1]], "subgroups": {"l": [0]}}',
     "subgroup-length": '{"rank": 1, "cone_rays": [[1]], "subgroups": {"l": [1, 0]}}',
     "long-name": json.dumps({"rank": 1, "cone_rays": [[1]],
@@ -261,6 +264,23 @@ def _random_scene(rng, key, rank):
             "subgroups": subgroups}
 
 
+def _random_cone9(rng, long_walk):
+    """A rank-2 cone scene with entries up to 10^9.  With long_walk it is
+    walk9's shape, cone((0,1),(k-1,-k)), under two random shears, and its
+    weight cone's walk has k elements, past HILBERT_CANDIDATE_CAP."""
+    if long_walk:
+        k, s, t = rng.randint(400_001, 10**8), rng.randint(-2, 2), rng.randint(-2, 2)
+        rays = [[x + s * y, y + t * (x + s * y)] for x, y in ((0, 1), (k - 1, -k))]
+    else:
+        a = b = _primitive(_random_vector(rng, 2, 10**9))
+        while a[0] * b[1] == a[1] * b[0]:
+            b = _primitive(_random_vector(rng, 2, 10**9))
+        rays = [a, b]
+    return {"rank": 2, "cone_rays": rays,
+            "points": {"p": {"torus": [_random_rational(rng) for _ in range(2)]}},
+            "subgroups": {"l": _random_vector(rng, 2), "ray": rays[0]}}
+
+
 def _csv(values):
     return ",".join(map(str, values))
 
@@ -303,8 +323,8 @@ def _every_command(scene, root, box=2):
     return argvs
 
 
-# The named scenes whose every subcommand is cheap: the root that lnd and
-# flow take, and the box of the roots scan.
+# The named scenes whose every subcommand is cheap, walk9's refusals
+# included: the root that lnd and flow take, and the box of the roots scan.
 _EVERY_COMMAND = {
     "quadric": ("0,-1", 3), "a2": ("-1,0", 2), "cusp": ("-1", 3), "rank3": ("0,-1,1", 3),
     "line": ("-1", 2), "segment": ("-1,0", 2), "thin8": ("7,-1", 2), "thin40": ("39,-1", 2),
@@ -314,7 +334,7 @@ _EVERY_COMMAND = {
     "orthant4": ("-1,0,0,0", 1), "tilted4": ("-1,0,0,0", 1), "cube4": ("-1,0,0,0", 1),
     "holed": ("-1,1", 2), "saturated": ("-1,1", 2), "surrogate": ("0,-1", 2),
     "rank5": ("-1,0,0,0,0", 2), "pentagon": ("0,0,-1", 2), "not-pointed": ("0,-1", 2),
-    "low-dim": ("-1,0", 2), "not-effective": ("-1,0", 2),
+    "low-dim": ("-1,0", 2), "not-effective": ("-1,0", 2), "walk9": ("-1,-1", 2),
 }
 
 
@@ -330,8 +350,14 @@ def _named_runs(scenes):
              for command in ("dual", "facets")]
     runs += [("orthant4", ["roots", "--box=3"]), ("tilted4", ["roots", "--box=3", "--ray=3"]),
              ("cube4", ["roots", "--box=2"]), ("square4", ["report"]),
-             ("orthant4", ["roots", "--box=200"]), ("walk9", ["hilbert"]),
+             ("orthant4", ["roots", "--box=200"]),
              ("saturated", ["lnd", "--root=1000000,-1"])]
+    # the golden scenes' flows at other times and limits of other points
+    runs += [("quadric", ["flow", "--point=p", "--root=0,-1", "--s=2/3"]),
+             ("cusp", ["flow", "--point=p", "--root=-1", "--s=2"]),
+             ("rank3", ["flow", "--point=q", "--root=0,-1,1", "--s=-5/2"]),
+             ("rank3", ["limit", "--point=q", "--l=par"]),
+             ("rank3", ["limit", "--point=p", "--l=ell"])]
     runs += [(name, argv) for name in ("paraboloid49", "paraboloid81")
              for argv in (["dual"], ["facets"], ["roots", "--box=1"])]
     runs += [("th3-300", argv) for argv in (["dual"], ["facets"], ["saturation"], ["hilbert"],
@@ -389,6 +415,14 @@ def runs():
         key = ("cone_rays", "monoid_generators")[index % 2]
         name = "random-%s-%02d" % (key.split("_")[0], index)
         scene = _random_scene(rng, key, index // 2 % 4 + 1)
+        scenes[name] = json.dumps(scene)
+        pairs += [(name, argv) for argv in _random_argvs(rng, scene)]
+    # random rank-2 cone scenes with entries up to 10^9, every other one
+    # with a weight cone whose walk passes HILBERT_CANDIDATE_CAP
+    rng = random.Random(SEED + ", rank 2")
+    for index in range(RANDOM_CONE9_SCENES):
+        name = "random-cone9-%d" % index
+        scene = _random_cone9(rng, index % 2)
         scenes[name] = json.dumps(scene)
         pairs += [(name, argv) for argv in _random_argvs(rng, scene)]
     usage = {tuple(argv) for argv in _USAGE}

@@ -1,5 +1,4 @@
 import argparse
-import hashlib
 import importlib.util
 import io
 import json
@@ -27,6 +26,7 @@ from toricflow.cli import build_parser, main
 from toricflow.report import render_text
 from toricflow.scene import load_scene
 
+import corpus
 from conftest import (A2_SCENE, CUSP_SCENE, DUALITY_CONES, QUADRIC_SCENE, RANK3_SCENE,
                       json_dumps_per_scalar, monomial, negation_is_parabolic,
                       random_monoids, random_subgroups, render_text_per_item)
@@ -956,106 +956,80 @@ def test_report_is_deterministic(quadric_scene_path, capsys):
     assert first == second
 
 
-_GOLDEN_SCENES = {"quadric": QUADRIC_SCENE, "cusp": CUSP_SCENE,
-                  "rank3": RANK3_SCENE}
+GOLDEN_SCENES = {"quadric": QUADRIC_SCENE, "cusp": CUSP_SCENE, "rank3": RANK3_SCENE}
 
-# (scene, argv, exit code, SHA-256 of stdout)
-GOLDEN_RUNS = [
-    ("quadric", ("--format=json", "report"), 0,
-     "008f69329329c886434f22319b0543efb96ce089697734bd11bd72f9e2b5d6ae"),
-    ("quadric", ("--format=text", "report"), 0,
-     "de8170ce0841c13fceb0bf3bd3ac7fbce93652f8b2d4e1ac76a78d9a88fbe56f"),
-    ("quadric", ("verify", "--point=p", "--l=vertical"), 0,
-     "f84d059f7bf312c473a16d843bd0673ee334383a365035c27bc9cd222ec8ba1c"),
-    ("quadric", ("classify", "--l=vertical"), 0,
-     "82aaf8f7febf66e8a7eda7cdf96a1edf77494e4bbefdcdda8dba3dd79b3efa7d"),
-    ("quadric", ("lnd", "--root=0,-1"), 0,
-     "29a7207894711e135c6c5776297c0562702dbcfb94095b72ccba5828802d5417"),
-    ("quadric", ("roots", "--box=3"), 0,
-     "549c51ffb51d0987ce51080f718cc6ada287c8e10f954527fabd04c1461a0cb8"),
-    ("cusp", ("--format=json", "report"), 0,
-     "a1d74bd153a9b0703fc62e3c6b4bccbdf389bd892275eb6cd7e963913c448842"),
-    ("cusp", ("--format=text", "report"), 0,
-     "e1d59e8adfb640061edd22cfd1255b42c808b155a5a10be8a90c18e0a70269a7"),
-    ("cusp", ("verify", "--point=p", "--l=l"), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("cusp", ("classify", "--l=l"), 0,
-     "cba0a15497ec1c8cdc981008c917a8156e022aeeb827e5a08756d3f7b8625888"),
-    ("cusp", ("lnd", "--root=-1"), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("cusp", ("roots", "--box=3"), 0,
-     "2a268aa5ad3ea3a485ff8459c5e8538fc719fa0d10fc652b90aa4d1558f54cb7"),
-    ("rank3", ("--format=json", "report"), 0,
-     "c8953ebb21aca9f634af643741d67a0ba6947fde46ed44cce771c76b199bfbef"),
-    ("rank3", ("--format=text", "report"), 0,
-     "41a0e5a82564f7e4b1c232b6a758352523227c1e9c8a88077afc770a2f0b529c"),
-    ("rank3", ("verify", "--point=q", "--l=par"), 0,
-     "7c137b607d83c8f784a7a79837924f00e9c9bfe1669ba6ba6cbb47295bcab2aa"),
-    ("rank3", ("classify", "--l=down"), 0,
-     "24b27cc50d200f0c4a39a5b8722fcefce6b3112474d29806906caf97cdf04878"),
-    ("rank3", ("lnd", "--root=0,-1,1"), 0,
-     "79edb66ef743f96d9207a7bfc72abd30125d5a2db844574f39b09051cc55cebd"),
-    ("rank3", ("roots", "--box=3"), 0,
-     "a50a54f2ee88590938fb5a4b45b4e352211f65e51fa99fbba998837141544dfa"),
-    ("quadric", ("dual",), 0,
-     "f2179810a57006d92c40c611ae6e1bcc0ad4d1b2bbdb2a62e0f3dec1daef8be4"),
-    ("cusp", ("dual",), 0,
-     "51ee9d7205972b12c02f264c176b9d9c4c2b0d99ddec27369bc56b5114f4d78d"),
-    ("rank3", ("dual",), 0,
-     "fddfc8b4a40f24df26612a383abd86d0bd3764970416189ec3ad3ef86b96cbf9"),
-    ("quadric", ("facets",), 0,
-     "2403430c132e4aea95fdb72c286efc26e63ffdc3a9487d40e0cbbd582d02edad"),
-    ("cusp", ("facets",), 0,
-     "f85c61f9eb0adaac871bf9e842c8ce7c5cf30c9f5bf010e709fed908fafb6001"),
-    ("rank3", ("facets",), 0,
-     "09c3d66423caba9fafe54a43f79868f02659f38be36458b4d38336177b9a0503"),
-    ("quadric", ("hilbert",), 0,
-     "d5af8cce7441f534168c7c1d8bdff079e6f1f6a073b5c609a1fabcde734e2b99"),
-    ("cusp", ("hilbert",), 0,
-     "a7a242097d6f5c608d6ffd9860d4eafa8a639fe32027d1d28cb8156a1507ad62"),
-    ("rank3", ("hilbert",), 0,
-     "aab58c2edb56ad968d5c7ff9fb2dcecd49ca2302325b698eb8058f5ac789cde8"),
-    ("quadric", ("saturation",), 0,
-     "ab93047a3409df3da04217202ecbbc91910ce8f8d0aeb24c039461d8a1470044"),
-    ("cusp", ("saturation",), 0,
-     "cc8296e02e294eaf8077a591ab48cbfa86b0a9c66a25ca30319129d25ab7b1c2"),
-    ("rank3", ("saturation",), 0,
-     "ab2c1c685273b228dd2a8935dbf48d9848516ee52559a01931531045600623c0"),
-    ("quadric", ("straightening",), 0,
-     "f013efc0180829217bc5579831769f305318acd0273ca739791701c3e97d151d"),
-    ("cusp", ("straightening",), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("rank3", ("straightening",), 0,
-     "9fa28350f1d018c7d43db755b410574033b109cfe0096ddd257184047991d406"),
-    ("quadric", ("flow", "--point=p", "--root=0,-1", "--s=2/3"), 0,
-     "cb078aea285118e8c770d46bd1d1b35e109258feffef07cae90b4092b1e62390"),
-    ("cusp", ("flow", "--point=p", "--root=-1", "--s=2"), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("rank3", ("flow", "--point=q", "--root=0,-1,1", "--s=-5/2"), 0,
-     "ff26b097a94712e2376de7eb86d9160788b9c1852b603ef426db18b4c46dde2a"),
-    ("quadric", ("limit", "--point=p", "--l=vertical"), 0,
-     "3052e0ebc95dacac44a0f0c1ad9992c1a0d3eddd8988efc2c3d6c51d9e57be37"),
-    ("cusp", ("limit", "--point=p", "--l=l"), 0,
-     "d3618627b01010ebbce180132f060b2704eb28b8f20df24419eb027305e512c8"),
-    ("rank3", ("limit", "--point=q", "--l=par"), 0,
-     "2d44ddce4db3b3c324dad1c80d3a795fafb973e1f83a2460b2cabbc97f032cac"),
-    ("rank3", ("limit", "--point=p", "--l=ell"), 0,
-     "4ab780f7247cc2497bcbe30a8d86edf4ae983c7bf514eb439b9b6d2ec3f8b147"),
-    ("quadric", ("--format=text", "lnd", "--root=0,-1"), 0,
-     "ac7947204041244d9a0eed80145c9c59670669497f4d56084da07957775883e9"),
-    ("rank3", ("--format=text", "lnd", "--root=0,-1,1"), 0,
-     "da7557daed77d60f9aea59b194ccb2147dea2b802be765c5b671c5b68a6e81dc"),
-    ("quadric", ("--format=text", "verify", "--point=p", "--l=vertical"), 0,
-     "0829c13b3730ac0fc953816e5906cf3ea47e3427efd7ed70ff96ff901691f9de"),
-    ("rank3", ("--format=text", "verify", "--point=q", "--l=par"), 0,
-     "2060969af7f83ac7d31d7065b94715009e912f0558229856adac3cbb6460d799"),
-    ("quadric", ("--format=text", "roots", "--box=3"), 0,
-     "a07517439df584d27600c4bca2711c64a0f8b049c9e9b18250862ae177ca3311"),
-    ("cusp", ("--format=text", "roots", "--box=3"), 0,
-     "1611269d5d56358e1119179f682e91109a73cb42e379bdf844fba3e6dcdc7a7d"),
-    ("rank3", ("--format=text", "roots", "--box=3"), 0,
-     "3b5a8391ec9260931a10dd5c460cd9d898c16cba4e9c3c3f08899ddd665ac535"),
+# The golden runs as a user types them: most JSON runs name no --format, so
+# they pin the default format's bytes against the corpus record of the same
+# run with --format=json.  They come first and in this order, which fixes
+# their test ids.
+GOLDEN_ARGVS = [
+    ("quadric", ("--format=json", "report")),
+    ("quadric", ("--format=text", "report")),
+    ("quadric", ("verify", "--point=p", "--l=vertical")),
+    ("quadric", ("classify", "--l=vertical")),
+    ("quadric", ("lnd", "--root=0,-1")),
+    ("quadric", ("roots", "--box=3")),
+    ("cusp", ("--format=json", "report")),
+    ("cusp", ("--format=text", "report")),
+    ("cusp", ("verify", "--point=p", "--l=l")),
+    ("cusp", ("classify", "--l=l")),
+    ("cusp", ("lnd", "--root=-1")),
+    ("cusp", ("roots", "--box=3")),
+    ("rank3", ("--format=json", "report")),
+    ("rank3", ("--format=text", "report")),
+    ("rank3", ("verify", "--point=q", "--l=par")),
+    ("rank3", ("classify", "--l=down")),
+    ("rank3", ("lnd", "--root=0,-1,1")),
+    ("rank3", ("roots", "--box=3")),
+    ("quadric", ("dual",)),
+    ("cusp", ("dual",)),
+    ("rank3", ("dual",)),
+    ("quadric", ("facets",)),
+    ("cusp", ("facets",)),
+    ("rank3", ("facets",)),
+    ("quadric", ("hilbert",)),
+    ("cusp", ("hilbert",)),
+    ("rank3", ("hilbert",)),
+    ("quadric", ("saturation",)),
+    ("cusp", ("saturation",)),
+    ("rank3", ("saturation",)),
+    ("quadric", ("straightening",)),
+    ("cusp", ("straightening",)),
+    ("rank3", ("straightening",)),
+    ("quadric", ("flow", "--point=p", "--root=0,-1", "--s=2/3")),
+    ("cusp", ("flow", "--point=p", "--root=-1", "--s=2")),
+    ("rank3", ("flow", "--point=q", "--root=0,-1,1", "--s=-5/2")),
+    ("quadric", ("limit", "--point=p", "--l=vertical")),
+    ("cusp", ("limit", "--point=p", "--l=l")),
+    ("rank3", ("limit", "--point=q", "--l=par")),
+    ("rank3", ("limit", "--point=p", "--l=ell")),
+    ("quadric", ("--format=text", "lnd", "--root=0,-1")),
+    ("rank3", ("--format=text", "lnd", "--root=0,-1,1")),
+    ("quadric", ("--format=text", "verify", "--point=p", "--l=vertical")),
+    ("rank3", ("--format=text", "verify", "--point=q", "--l=par")),
+    ("quadric", ("--format=text", "roots", "--box=3")),
+    ("cusp", ("--format=text", "roots", "--box=3")),
+    ("rank3", ("--format=text", "roots", "--box=3")),
 ]
+
+
+def _golden_runs():
+    """(scene, argv, exit code, stdout digest) of the golden argv lists, then
+    of every other corpus run of the golden scenes that records a digest,
+    each with the exit code and digest of its corpus record."""
+    _, runs = corpus.runs()
+    recorded = corpus.table()["runs"]
+    typed = {" ".join((scene,) + (() if argv[0] in corpus.FORMATS else ("--format=json",))
+                      + argv): (scene, argv) for scene, argv in GOLDEN_ARGVS}
+    params = [pytest.param(scene, argv, *recorded[run_id][:2])
+              for run_id, (scene, argv) in typed.items()]
+    params += [pytest.param(name, tuple(argv), *recorded[run_id][:2], id=run_id)
+               for run_id, name, _, argv in runs
+               if name in GOLDEN_SCENES and len(recorded[run_id]) == 3 and run_id not in typed]
+    return params
+
+
+GOLDEN_RUNS = _golden_runs()
 
 
 def test_report_searches_once_per_parabolic_ray(tmp_path, capsys, monkeypatch):
@@ -1114,29 +1088,30 @@ def test_report_warns_on_exactly_the_parabolic_negations(mon, data):
                       if negation_is_parabolic(mon.weight_cone, l)}
 
 
-@pytest.mark.parametrize("scene, argv, code, digest", GOLDEN_RUNS)
-def test_output_bytes_match_recorded_digests(tmp_path, capsys, scene, argv,
-                                             code, digest):
+def _scene_run(tmp_path, capsys, scene, argv):
+    """Exit code and stdout digest of a golden scene's run through --scene PATH."""
     path = tmp_path / "scene.json"
-    path.write_text(json.dumps(_GOLDEN_SCENES[scene]))
-    got_code, out, err = run(capsys, "--scene", str(path), *argv)
-    got = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert (got_code, got) == (code, digest), (
-        "new output of %s %s: exit %d, digest %s" % (scene, argv, got_code, got))
+    path.write_text(json.dumps(GOLDEN_SCENES[scene]))
+    code, out, _ = run(capsys, "--scene", str(path), *argv)
+    return code, corpus.digest(out)
+
+
+@pytest.mark.parametrize("scene, argv, code, digest", GOLDEN_RUNS)
+def test_output_bytes_match_recorded_digests(tmp_path, capsys, scene, argv, code, digest):
+    # the corpus feeds stdin; the file route gives the same bytes
+    assert _scene_run(tmp_path, capsys, scene, argv) == (code, digest)
 
 
 @pytest.mark.parametrize("scene, argv, code, digest",
-                         [run for run in GOLDEN_RUNS if {"verify", "report", "lnd"} & set(run[1])])
+                         [run for run in GOLDEN_RUNS
+                          if {"verify", "report", "lnd"} & set(run.values[1])])
 def test_certificates_read_the_stored_degrees(tmp_path, capsys, monkeypatch, scene, argv,
                                               code, digest):
     def refuse(lnd, u):
         raise AssertionError("a generator degree was paired again")
 
     monkeypatch.setattr(HomogeneousLND, "degree", refuse)
-    path = tmp_path / "scene.json"
-    path.write_text(json.dumps(_GOLDEN_SCENES[scene]))
-    got_code, out, err = run(capsys, "--scene", str(path), *argv)
-    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+    assert _scene_run(tmp_path, capsys, scene, argv) == (code, digest)
 
 
 _odd_text = st.text(st.one_of(st.characters(exclude_categories=()),

@@ -2,6 +2,7 @@ import doctest
 import time
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -128,16 +129,19 @@ def test_hilbert_basis_box_cap():
 
 
 def test_hilbert_basis_walk_cap():
-    # The weight cone of cone((1,0),(1,400001)) has 3 basis elements, which
-    # the walk finds at once; the cone((1,0),(1,400001)) itself has the
-    # 400,002 elements (1,j), and the walk stops one past the cap.
-    weight = Cone.from_rays([(1, 0), (1, 400001)], 2, N_SIDE).dual()
-    assert [v.entries for v in hilbert_basis(weight)] == [(0, 1), (1, 0), (400001, -1)]
-    cone = Cone.from_rays([(1, 0), (1, 400001)], 2, M_SIDE)
+    # The weight cone of cone((1,0),(1,400000)) has 3 basis elements, which
+    # the walk finds at once; cone((1,0),(1,k)) itself has the k + 1 elements
+    # (1,j), which the walk counts before it builds any: 400,000 of them pass
+    # the cap and 400,001 are refused.
+    weight = Cone.from_rays([(1, 0), (1, 400000)], 2, N_SIDE).dual()
+    assert [v.entries for v in hilbert_basis(weight)] == [(0, 1), (1, 0), (400000, -1)]
+    cone = Cone.from_rays([(1, 0), (1, 399999)], 2, M_SIDE)
+    assert len(hilbert_basis(cone)) == 400000
+    cone = Cone.from_rays([(1, 0), (1, 400000)], 2, M_SIDE)
     with pytest.raises(BoundExceeded) as info:
         hilbert_basis(cone)
     assert str(info.value) == (
-        "cone is too wide for a Hilbert basis: its continued-fraction walk passed "
+        "cone is too wide for a Hilbert basis: its continued-fraction walk has "
         "400001 basis elements, over HILBERT_CANDIDATE_CAP = 400000; give rays "
         "with smaller entries")
 
@@ -175,6 +179,21 @@ def test_rank2_walk_structure(cone):
         total = (before[0] + after[0], before[1] + after[1])
         b, remainder = divmod(total[0] * u[0] + total[1] * u[1], u[0] ** 2 + u[1] ** 2)
         assert remainder == 0 and b >= 2 and total == (b * u[0], b * u[1])
+
+
+@example(Cone.from_rays([(1, 0), (1000, 999)], 2, M_SIDE))
+@example(Cone.from_rays([(2, -1), (-397, 1)], 2, M_SIDE))
+@given(_rank2_cones(400))
+def test_rank2_walk_is_counted_before_it_is_walked(cone):
+    # the count the cap reads is the walk's length: a cap of that length
+    # passes the walk, and a cap one lower refuses it and names the length
+    rays = [r.entries for r in cone.rays]
+    walk = toricflow.monoid._walk(*rays)
+    with mock.patch.object(toricflow.monoid, "HILBERT_CANDIDATE_CAP", len(walk)):
+        assert toricflow.monoid._walk(*rays) == walk
+    with mock.patch.object(toricflow.monoid, "HILBERT_CANDIDATE_CAP", len(walk) - 1):
+        with pytest.raises(BoundExceeded, match="walk has %d basis elements" % len(walk)):
+            toricflow.monoid._walk(*rays)
 
 
 def test_thin_weight_cones_take_milliseconds():

@@ -12,6 +12,7 @@ import toricflow
 from toricflow import SceneError, hilbert_basis, load_scene, render_text
 from toricflow.scene import parse_integers, parse_rational
 
+import corpus
 from conftest import A2_SCENE, CUSP_SCENE, QUADRIC_SCENE
 
 
@@ -101,6 +102,26 @@ def test_scene_rejections(raw, fragment):
     with pytest.raises(SceneError) as info:
         load_scene(raw)
     assert fragment in str(info.value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int->str digit limit")
+def test_an_integer_past_the_digit_limit_cannot_be_read():
+    # this refusal embeds CPython's own message, which Python 3.10 words
+    # "limit (4300)" and later ones "limit (4300 digits)", so the corpus,
+    # whose stderr must replay alike on each of them, leaves it to this test
+    text = '{"rank": 1, "cone_rays": [[%s]]}' % ("1" * 5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SceneError, match=r"^scene cannot be read: Exceeds the limit \(4300"):
+            load_scene(text)
+        code, stdout_digest, err = corpus.outcome(text, ["dual"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, stdout_digest) == (2, corpus.digest(""))
+    assert err.startswith("error: SceneError: scene cannot be read: Exceeds the limit (4300")
+    assert err.count("\n") == 1, err
 
 
 def test_unknown_point_and_bad_subgroup_text():
