@@ -68,8 +68,6 @@ class AlgebraElement(Frozen):
         for u, c in terms:
             if not isinstance(u, LatticeVector):
                 u = LatticeVector(tuple(u), M_SIDE)
-            if u.side != M_SIDE or u.rank != monoid.rank:
-                raise ValueError("exponent %r does not fit the monoid" % (u,))
             c = Fraction(c)
             if c == 0:
                 continue

@@ -116,8 +116,6 @@ class Cone(Frozen):
         """
         if side not in (N_SIDE, M_SIDE):
             raise ValueError("side must be N or M")
-        if rank < 1:
-            raise ValueError("rank must be positive")
         if rank > RANK_LIMIT:
             raise RankLimitExceeded(
                 "rank %d exceeds RANK_LIMIT = %d; give vectors of at most %d entries"

@@ -25,7 +25,7 @@ from math import gcd
 from operator import add, mul
 
 from .errors import BoundExceeded
-from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon, int_entries, trusted_vectors
+from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon, dot, int_entries, trusted_vectors
 
 ROOT_STEP_CAP = 1_000_000
 _ROOT_SEARCH_START = 5
@@ -43,11 +43,8 @@ def is_root(sigma, e):
     Returns the DemazureRoot (the distinguished ray is unique when the
     condition holds) or None.
     """
-    rays = _ray_entries(sigma)
     entries = int_entries(e)
-    if len(entries) != sigma.rank:
-        raise ValueError("rank mismatch")
-    values = [sum(map(mul, ray, entries)) for ray in rays]
+    values = [dot(ray, entries) for ray in _ray_entries(sigma)]
     if [value for value in values if value < 0] != [-1]:
         return None
     return DemazureRoot(LatticeVector(entries, M_SIDE), values.index(-1))

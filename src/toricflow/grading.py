@@ -54,8 +54,6 @@ def classify(cone, subgroup):
         raise ValueError("the zero vector does not grade")
     if cone.side != M_SIDE:
         raise ValueError("classify needs the M-side weight cone")
-    if subgroup.rank != cone.rank:
-        raise ValueError("rank mismatch")
     degree_gcd = gcd(*subgroup.entries)
     effective = degree_gcd == 1
     values = [dot(subgroup.entries, r.entries) for r in cone.rays]

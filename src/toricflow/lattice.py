@@ -71,7 +71,7 @@ class LatticeVector(Frozen):
 
     def __add__(self, other):
         if not isinstance(other, LatticeVector):
-            raise TypeError("expected a LatticeVector")
+            return NotImplemented
         if other.side != self.side or other.rank != self.rank:
             raise ValueError("vectors live in different lattices")
         return LatticeVector(tuple(a + b for a, b in zip(self.entries, other.entries)), self.side)

@@ -264,7 +264,7 @@ class AffineMonoid:
         generator order, first success wins.  A search that would take more
         than DECOMPOSE_NODE_CAP points raises BoundExceeded.
         """
-        target = self._entries(u)
+        target = int_entries(u)
         memo = self._decompositions
         if not self.weight_cone.contains_tuple(target):
             return None
@@ -300,18 +300,12 @@ class AffineMonoid:
                 stack.pop()
         return memo[target]
 
-    def _entries(self, u):
-        entries = int_entries(u)
-        if len(entries) != self.rank:
-            raise ValueError("rank mismatch")
-        return entries
-
     def contains(self, u):
         """Whether u is a monoid member: once saturation() has found the
         monoid saturated, it is weight_cone ∩ M and this is the cone's facet
         test; otherwise u is decomposed."""
         if self._saturation is not None and self._saturation.saturated:
-            return self.weight_cone.contains_tuple(self._entries(u))
+            return self.weight_cone.contains_tuple(int_entries(u))
         return self.decompose(u) is not None
 
     def saturation(self):

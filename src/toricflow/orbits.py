@@ -35,8 +35,9 @@ class ToricPoint(Frozen):
     """Coordinates indexed by the monoid generators, with provenance.
 
     provenance is ("torus", t) for torus points, whose coords must be the
-    chi^(u_j)(t), and ("flow",) or ("limit",) for toolkit-computed images.
-    A torus point given coords None takes the chi^(u_j)(t) as its coords.
+    chi^(u_j)(t), and ("flow",) or ("limit",) for toolkit-computed images,
+    whose coords must be given.  A torus point given coords None takes the
+    chi^(u_j)(t) as its coords.  Any other provenance raises ValueError.
     """
 
     __slots__ = ("monoid", "coords", "provenance")
@@ -46,8 +47,8 @@ class ToricPoint(Frozen):
             coords = tuple(map(_fraction, coords))
             if len(coords) != len(monoid.generators):
                 raise ValueError("coordinate count does not match the generators")
-        if provenance[0] == TORUS:  # chi(t) for a nonzero t meets every relation
-            t = provenance[1]
+        if len(provenance) == 2 and provenance[0] == TORUS:
+            t = provenance[1]  # chi(t) for a nonzero t meets every relation
             if len(t) != monoid.rank or any(x == 0 for x in t):
                 raise ValueError("a torus point needs %d nonzero coordinates" % monoid.rank)
             check_power_bits(t, [g.entries for g in monoid.generators])
@@ -56,6 +57,9 @@ class ToricPoint(Frozen):
                 raise ValueError("coordinates %s are not the characters at the "
                                  "torus point %s" % (coords, t))
             coords = characters
+        elif coords is None or provenance not in ((FLOW,), (LIMIT,)):
+            raise ValueError("provenance must be (%r, t), or (%r,) or (%r,) with coordinates"
+                             % (TORUS, FLOW, LIMIT))
         else:
             support = [j for j, c in enumerate(coords) if c != 0]
             relations = monoid.face_relations(support)
@@ -85,8 +89,8 @@ def limit_point(mon, subgroup, point):
     The limit exists exactly when every coordinate that is nonzero at the
     point has nonnegative degree; positive-degree coordinates go to zero.
     """
-    if subgroup.side != N_SIDE or subgroup.rank != mon.rank:
-        raise ValueError("subgroup must be an N-side vector of the right rank")
+    if subgroup.side != N_SIDE:
+        raise ValueError("subgroup must be an N-side vector")
     if point.monoid != mon:
         raise ValueError("point belongs to a different monoid")
     degrees = [dot(subgroup.entries, g.entries) for g in mon.generators]

@@ -960,8 +960,8 @@ GOLDEN_SCENES = {"quadric": QUADRIC_SCENE, "cusp": CUSP_SCENE, "rank3": RANK3_SC
 
 # The golden runs as a user types them: most JSON runs name no --format, so
 # they pin the default format's bytes against the corpus record of the same
-# run with --format=json.  They come first and in this order, which fixes
-# their test ids.
+# run with --format=json.  Each takes the id of that corpus run, so a golden
+# byte that moves renames no test.
 GOLDEN_ARGVS = [
     ("quadric", ("--format=json", "report")),
     ("quadric", ("--format=text", "report")),
@@ -1021,7 +1021,7 @@ def _golden_runs():
     recorded = corpus.table()["runs"]
     typed = {" ".join((scene,) + (() if argv[0] in corpus.FORMATS else ("--format=json",))
                       + argv): (scene, argv) for scene, argv in GOLDEN_ARGVS}
-    params = [pytest.param(scene, argv, *recorded[run_id][:2])
+    params = [pytest.param(scene, argv, *recorded[run_id][:2], id=run_id)
               for run_id, (scene, argv) in typed.items()]
     params += [pytest.param(name, tuple(argv), *recorded[run_id][:2], id=run_id)
                for run_id, name, _, argv in runs

@@ -72,6 +72,11 @@ def test_bad_inputs():
         Cone.from_rays([(1, 0, 0)], 2, N_SIDE)
     with pytest.raises(ValueError):
         Cone.from_rays([(1, 0), (0, 1)], 2, "X")
+    # a rank below 1 fails the ray length, the zero-vector or the empty-list check
+    for rays in ([(1,)], [()], []):
+        for rank in (0, -1):
+            with pytest.raises(ValueError):
+                Cone.from_rays(rays, rank, N_SIDE)
 
 
 @pytest.mark.parametrize("name,rank,rays", DUALITY_CONES)

@@ -10,12 +10,17 @@ from toricflow import (
     LatticeVector,
     M_SIDE,
     N_SIDE,
+    classify,
     dot,
     generates_full_lattice,
     integer_kernel,
+    is_root,
+    limit_point,
     matrix_rank,
     primitive,
+    torus_point,
 )
+from toricflow.algebra import AlgebraElement
 from toricflow.lattice import adjugate
 
 from conftest import laplace_cofactors, permutation_det
@@ -50,6 +55,16 @@ def test_vector_arithmetic_and_sides():
     # combining tagged and untagged vectors is refused too
     with pytest.raises(ValueError):
         a + LatticeVector((5, 5))
+    # a tuple is no vector: the sum returns NotImplemented and Python refuses it
+    with pytest.raises(TypeError):
+        a + (1, 2)
+
+
+def test_vector_validation():
+    with pytest.raises(ValueError, match="empty vector"):
+        LatticeVector(())
+    with pytest.raises(ValueError, match="side must be"):
+        LatticeVector((1, 2), "X")
 
 
 def test_vector_container_protocol():
@@ -148,3 +163,23 @@ def test_generates_full_lattice():
 
 def test_dot():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
+    with pytest.raises(ValueError, match="length mismatch"):
+        dot((1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("entries", [(1,), (0, 1, 0)])
+def test_dot_is_the_one_rank_check(quadric, entries):
+    # no caller checks a vector's length: the pairing refuses the wrong rank
+    point = torus_point(quadric, (3, 2))
+    calls = [lambda: classify(quadric.weight_cone, LatticeVector(entries, N_SIDE)),
+             lambda: quadric.decompose(entries),
+             lambda: quadric.contains(entries),
+             lambda: is_root(quadric.dual_cone, entries),
+             lambda: limit_point(quadric, LatticeVector(entries, N_SIDE), point),
+             lambda: AlgebraElement(quadric, [(entries, 1)])]
+    for call in calls:
+        with pytest.raises(ValueError, match="length mismatch in dot product"):
+            call()
+    quadric.saturation()  # contains now takes the cone's facet test
+    with pytest.raises(ValueError, match="length mismatch in dot product"):
+        quadric.contains(entries)

@@ -90,6 +90,18 @@ def test_point_relations_enforced(quadric):
     assert not ok.is_torus
 
 
+def test_point_provenance_and_coordinate_count(quadric):
+    with pytest.raises(ValueError, match="coordinate count"):
+        ToricPoint(quadric, (3, 0), ("limit",))
+    # a flow or limit point needs its coordinates, a torus point its t,
+    # and no other provenance is a point's
+    for coords, provenance in [(None, ("flow",)), (None, ("limit",)), ((3, 0, 0), ("torus",)),
+                               ((3, 0, 0), ("bogus",)), ((3, 0, 0), ()),
+                               ((3, 0, 0), ("limit", 1)), ((3, 0, 0), ["limit"])]:
+        with pytest.raises(ValueError, match="provenance must be"):
+            ToricPoint(quadric, coords, provenance)
+
+
 def test_point_support_must_be_a_face():
     # the rational normal curve: weight cone cone((1,0),(1,3)) with the
     # relations c0*c2 = c1^2, c1*c3 = c2^2 and c0*c3 = c1*c2
@@ -137,6 +149,10 @@ def test_limit_points(a2, quadric):
     assert limit_point(quadric, n(0, 1), p).coords == (3, 0, 0)
     # nonzero coordinate of negative degree: no limit
     assert limit_point(quadric, n(0, -1), p) is None
+    with pytest.raises(ValueError, match="N-side"):
+        limit_point(a2, LatticeVector((1, 0), M_SIDE), x)
+    with pytest.raises(ValueError, match="different monoid"):
+        limit_point(quadric, n(0, 1), x)
 
 
 def test_evaluate_on_limit_point(quadric):
