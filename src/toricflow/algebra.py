@@ -45,6 +45,13 @@ def check_power_bits(values, exponent_rows):
             "give smaller coordinates, exponents or flow times" % (bound, POWER_BIT_CAP))
 
 
+def rational(x):
+    """An int, a Fraction or a "p/q" str as a Fraction; anything else raises TypeError."""
+    if not isinstance(x, (int, Fraction, str)):
+        raise TypeError("rationals are ints, Fractions or 'p/q' strings, got %r" % (x,))
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def character_value(t, u):
     """Value of chi^u at the torus point with coordinates t: prod t_k^(u_k),
     as one Fraction of two integer products.  t holds ints or Fractions; a
@@ -66,9 +73,8 @@ class AlgebraElement(Frozen):
     def __init__(self, monoid, terms):
         merged = {}
         for u, c in terms:
-            if not isinstance(u, LatticeVector):
-                u = LatticeVector(tuple(u), M_SIDE)
-            c = Fraction(c)
+            u = u if isinstance(u, LatticeVector) else LatticeVector(u, M_SIDE)
+            c = rational(c)
             if c == 0:
                 continue
             total = merged.get(u, 0) + c
@@ -82,8 +88,8 @@ class AlgebraElement(Frozen):
         self._set(monoid, tuple(sorted(merged.items(), key=lambda t: t[0].entries)))
 
 
-class HomogeneousLND:
-    """Locally nilpotent derivation attached to a Demazure root.
+class HomogeneousLND(Frozen):
+    """Immutable locally nilpotent derivation attached to a Demazure root.
 
     Well-definedness is checked on the generators: whenever a generator has
     positive degree, its shifted exponent must stay in the monoid.  Monoid
@@ -101,15 +107,13 @@ class HomogeneousLND:
             raise NotADemazureRoot("%s is not a root of the dual cone" % (tuple(vector),))
         if isinstance(root, DemazureRoot) and root.ray_index != checked.ray_index:
             raise NotADemazureRoot("distinguished ray index is wrong")
-        self.monoid = monoid
-        self.root = checked
-        self.ray = monoid.dual_cone.rays[checked.ray_index]
-        self.degrees = tuple(dot(self.ray.entries, g.entries) for g in monoid.generators)
-        for g, k in zip(monoid.generators, self.degrees):
-            if k > 0 and not monoid.contains(g + self.root.vector):
-                raise IllDefinedRoot(
-                    "shift of generator %s by root %s leaves the monoid"
-                    % (g.entries, self.root.vector.entries))
+        ray = monoid.dual_cone.rays[checked.ray_index]
+        degrees = tuple(dot(ray.entries, g.entries) for g in monoid.generators)
+        for g, k in zip(monoid.generators, degrees):
+            if k > 0 and not monoid.contains(g + checked.vector):
+                raise IllDefinedRoot("shift of generator %s by root %s leaves the monoid"
+                                     % (g.entries, checked.vector.entries))
+        self._set(monoid, checked, ray, degrees)
 
     def degree(self, u):
         return dot(self.ray.entries, int_entries(u))
@@ -130,7 +134,7 @@ class HomogeneousLND:
         """exp(s*d) applied to f, by the binomial closed form term by term."""
         if f.monoid != self.monoid:
             raise ValueError("element of a different algebra")
-        s = Fraction(s)
+        s = rational(s)
         e = self.root.vector
         out = []
         for u, c in f.terms:

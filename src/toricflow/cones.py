@@ -26,6 +26,7 @@ from .lattice import (
     Frozen,
     adjugate,
     dot,
+    int_entries,
     pivot_columns,
     primitive_tuple,
     trusted_vectors,
@@ -122,7 +123,7 @@ class Cone(Frozen):
                 % (rank, RANK_LIMIT, RANK_LIMIT))
         cleaned = []
         for r in rays:
-            entries = tuple(map(int, r))
+            entries = int_entries(r)
             if len(entries) != rank:
                 raise ValueError("ray length does not match rank")
             if not any(entries):

@@ -41,8 +41,10 @@ def is_root(sigma, e):
     """Check the root condition of e against sigma's rays.
 
     Returns the DemazureRoot (the distinguished ray is unique when the
-    condition holds) or None.
+    condition holds) or None.  An N-side vector raises ValueError.
     """
+    if isinstance(e, LatticeVector) and e.side == N_SIDE:
+        raise ValueError("a root is an M-side vector, got an N-side one")
     entries = int_entries(e)
     values = [dot(ray, entries) for ray in _ray_entries(sigma)]
     if [value for value in values if value < 0] != [-1]:

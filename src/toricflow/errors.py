@@ -42,14 +42,10 @@ class NormalityRequired(HypothesisError):
 class NotParabolic(HypothesisError):
     """Operation needs a parabolic grading.  Carries the actual kind."""
 
-    def __init__(self, kind, detail=""):
+    def __init__(self, kind, detail):
         self.kind = kind
-        label = getattr(kind, "value", str(kind))
-        self.verdict = "NotParabolic(%s)" % label
-        message = "grading is %s, need Parabolic" % label
-        if detail:
-            message += ": " + detail
-        super().__init__(message)
+        self.verdict = "NotParabolic(%s)" % kind.value
+        super().__init__("grading is %s, need Parabolic: %s" % (kind.value, detail))
 
 
 class IllDefinedRoot(HypothesisError):

@@ -8,7 +8,7 @@ arbitrary-precision integer arithmetic; the toolkit never touches floats.
 """
 
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 N_SIDE = "N"
 M_SIDE = "M"
@@ -54,7 +54,7 @@ class LatticeVector(Frozen):
     __slots__ = ("entries", "side")
 
     def __init__(self, entries, side=None):
-        entries = tuple(map(int, entries))
+        entries = int_entries(entries)
         if not entries:
             raise ValueError("empty vector")
         if side not in _SIDES:
@@ -109,8 +109,8 @@ def primitive(v):
 
 
 def int_entries(v):
-    """The entries of a LatticeVector, or of an int sequence as a tuple."""
-    return v.entries if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
+    """A LatticeVector's entries, or an int sequence's read by operator.index."""
+    return v.entries if isinstance(v, LatticeVector) else tuple(map(index, v))
 
 
 def primitive_tuple(entries):

@@ -15,7 +15,7 @@ and flow checks its powers with check_power_bits before forming them.
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import HomogeneousLND, character_value, check_power_bits
+from .algebra import HomogeneousLND, character_value, check_power_bits, rational
 from .demazure import smallest_root_at_ray
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
@@ -25,10 +25,6 @@ TORUS = "torus"
 FLOW = "flow"
 LIMIT = "limit"
 _ZERO = Fraction(0)
-
-
-def _fraction(x):
-    return x if type(x) is Fraction else Fraction(x)
 
 
 class ToricPoint(Frozen):
@@ -44,10 +40,11 @@ class ToricPoint(Frozen):
 
     def __init__(self, monoid, coords, provenance):
         if coords is not None:
-            coords = tuple(map(_fraction, coords))
+            coords = tuple(map(rational, coords))
             if len(coords) != len(monoid.generators):
                 raise ValueError("coordinate count does not match the generators")
         if len(provenance) == 2 and provenance[0] == TORUS:
+            provenance = (TORUS, tuple(map(rational, provenance[1])))
             t = provenance[1]  # chi(t) for a nonzero t meets every relation
             if len(t) != monoid.rank or any(x == 0 for x in t):
                 raise ValueError("a torus point needs %d nonzero coordinates" % monoid.rank)
@@ -80,7 +77,7 @@ class ToricPoint(Frozen):
 
 def torus_point(mon, t):
     """The point with chi^(u_j) = prod_k t_k^(u_j_k); t must be nonzero."""
-    return ToricPoint(mon, None, (TORUS, tuple(map(_fraction, t))))
+    return ToricPoint(mon, None, (TORUS, t))
 
 
 def limit_point(mon, subgroup, point):
@@ -134,7 +131,7 @@ def ga_flow_point(lnd, s, point):
         raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
         raise ValueError("the additive flow starts from a torus point")
-    step = 1 + _fraction(s) * _root_value(lnd, point)
+    step = 1 + rational(s) * _root_value(lnd, point)
     return ToricPoint(lnd.monoid, _flowed(lnd, step, point.coords), (FLOW,))
 
 
@@ -215,8 +212,8 @@ def verify_compatible(mon, subgroup, point,
         raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
         raise ValueError("verification starts from a torus point")
-    gm_samples = tuple(map(_fraction, gm_samples))
-    ga_samples = tuple(map(_fraction, ga_samples))
+    gm_samples = tuple(map(rational, gm_samples))
+    ga_samples = tuple(map(rational, ga_samples))
     if any(t == 0 for t in gm_samples):
         raise ValueError("multiplicative samples must be nonzero")
 

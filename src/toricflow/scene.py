@@ -73,7 +73,7 @@ def parse_integers(text, length, where):
     try:
         if len(parts) != length:
             raise ValueError(text)
-        return tuple(map(integer, parts))
+        return tuple([integer(part) for part in parts])
     except ValueError:  # a bad part, or one past the int->str digit limit
         raise SceneError("%s must be %d comma separated integers, got %s"
                          % (where, length, _shown(text)))

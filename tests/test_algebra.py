@@ -174,6 +174,23 @@ def test_lnd_accepts_root_object_and_vector(quadric):
 def test_lnd_rejects_non_roots(quadric):
     with pytest.raises(NotADemazureRoot):
         HomogeneousLND(quadric, LatticeVector((1, 1), M_SIDE))
+    with pytest.raises(ValueError, match="M-side"):
+        HomogeneousLND(quadric, LatticeVector((1, -1), N_SIDE))
+
+
+def test_lnd_is_immutable(quadric):
+    # the flow and the certificates read degrees after the well-definedness
+    # check has passed on them, so no slot can be set again or deleted
+    lnd = HomogeneousLND(quadric, LatticeVector((0, -1), M_SIDE))
+    for name in ("monoid", "root", "ray", "degrees"):
+        with pytest.raises(AttributeError):
+            setattr(lnd, name, getattr(lnd, name))
+        with pytest.raises(AttributeError):
+            delattr(lnd, name)
+    with pytest.raises(AttributeError):
+        lnd.degrees = (9,)
+    assert lnd.degrees == (0, 1, 2)
+    assert lnd == HomogeneousLND(quadric, LatticeVector((0, -1), M_SIDE))
 
 
 def test_ill_defined_root_on_unsaturated_monoid():

@@ -1356,11 +1356,11 @@ def test_readme_classify_example_matches_the_cli(tmp_path, capsys):
 
 
 _A3_SCENE = {"rank": 3, "monoid_generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-_PENTAGON_SCENE = {"rank": 3, "cone_rays": [
+_DUALITY_PENTAGON_SCENE = {"rank": 3, "cone_rays": [
     list(r) for name, _, rays in DUALITY_CONES if name == "pentagon" for r in rays]}
 
 
-@pytest.mark.parametrize("scene", [QUADRIC_SCENE, _A3_SCENE, _PENTAGON_SCENE])
+@pytest.mark.parametrize("scene", [QUADRIC_SCENE, _A3_SCENE, _DUALITY_PENTAGON_SCENE])
 def test_lnd_images_match_applying_the_derivation(tmp_path, capsys, scene):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))

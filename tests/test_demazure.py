@@ -53,6 +53,12 @@ def test_is_root_validation():
         is_root(sigma.dual(), (-1, 0))
     with pytest.raises(ValueError):
         is_root(sigma, (-1, 0, 0))
+    # a root is a character: an N-side vector is refused, not read as one,
+    # while plain tuples and untagged vectors stay accepted
+    with pytest.raises(ValueError, match="M-side"):
+        is_root(sigma, LatticeVector((0, -1), N_SIDE))
+    assert is_root(sigma, LatticeVector((0, -1))) == is_root(sigma, (0, -1))
+    assert is_root(sigma, (0, -1)) == is_root(sigma, LatticeVector((0, -1), M_SIDE))
 
 
 @pytest.mark.parametrize("name", ROOT_CONES)
