@@ -19,6 +19,7 @@ arithmetic: they are built, differentiated, flowed and evaluated at a
 point (orbits.evaluate).
 """
 
+import re
 from fractions import Fraction
 from math import comb, prod
 from operator import mul
@@ -30,6 +31,9 @@ from .lattice import M_SIDE, Frozen, LatticeVector, dot, int_entries
 # The most bits that one exact power of a point or a flow may reach, by
 # the bound of check_power_bits: about 79,000 decimal digits.
 POWER_BIT_CAP = 1 << 18
+# Text that reads as a number: [+-]p or [+-]p/q in ASCII digits, nothing else.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(INTEGER.pattern + "(/[0-9]+)?")
 
 
 def check_power_bits(values, exponent_rows):
@@ -46,7 +50,10 @@ def check_power_bits(values, exponent_rows):
 
 
 def rational(x):
-    """An int, a Fraction or a "p/q" str as a Fraction; anything else raises TypeError."""
+    """An int, a Fraction or a "[+-]p[/q]" str as a Fraction.  Any other str
+    raises ValueError before Fraction reads it, and any other type TypeError."""
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError("rational strings read [+-]p or [+-]p/q, got %r" % (x,))
     if not isinstance(x, (int, Fraction, str)):
         raise TypeError("rationals are ints, Fractions or 'p/q' strings, got %r" % (x,))
     return x if type(x) is Fraction else Fraction(x)
@@ -73,7 +80,7 @@ class AlgebraElement(Frozen):
     def __init__(self, monoid, terms):
         merged = {}
         for u, c in terms:
-            u = u if isinstance(u, LatticeVector) else LatticeVector(u, M_SIDE)
+            u = LatticeVector(int_entries(u, M_SIDE), M_SIDE)
             c = rational(c)
             if c == 0:
                 continue
@@ -116,7 +123,7 @@ class HomogeneousLND(Frozen):
         self._set(monoid, checked, ray, degrees)
 
     def degree(self, u):
-        return dot(self.ray.entries, int_entries(u))
+        return dot(self.ray.entries, int_entries(u, M_SIDE))
 
     def apply(self, f):
         """One application of the derivation to an algebra element."""

@@ -126,8 +126,6 @@ class Cone(Frozen):
             entries = int_entries(r)
             if len(entries) != rank:
                 raise ValueError("ray length does not match rank")
-            if not any(entries):
-                raise ValueError("zero vector is not a ray")
             cleaned.append(primitive_tuple(entries))
         if not cleaned:
             raise ValueError("a cone needs at least one ray")

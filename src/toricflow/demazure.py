@@ -43,9 +43,7 @@ def is_root(sigma, e):
     Returns the DemazureRoot (the distinguished ray is unique when the
     condition holds) or None.  An N-side vector raises ValueError.
     """
-    if isinstance(e, LatticeVector) and e.side == N_SIDE:
-        raise ValueError("a root is an M-side vector, got an N-side one")
-    entries = int_entries(e)
+    entries = int_entries(e, M_SIDE)
     values = [dot(ray, entries) for ray in _ray_entries(sigma)]
     if [value for value in values if value < 0] != [-1]:
         return None

@@ -108,8 +108,11 @@ def primitive(v):
     return LatticeVector(primitive_tuple(v.entries), v.side)
 
 
-def int_entries(v):
-    """A LatticeVector's entries, or an int sequence's read by operator.index."""
+def int_entries(v, side=None):
+    """A LatticeVector's entries, or an int sequence's read by operator.index.
+    Given the side its caller reads, a vector of the other side raises ValueError."""
+    if side and isinstance(v, LatticeVector) and v.side not in (side, None):
+        raise ValueError("expected an %s-side vector, got an %s-side one" % (side, v.side))
     return v.entries if isinstance(v, LatticeVector) else tuple(map(index, v))
 
 
@@ -218,6 +221,7 @@ def integer_kernel(rows):
         left = [rows[j][i] for j in range(nrows)]
         right = [1 if k == i else 0 for k in range(ncols)]
         augmented.append(left + right)
+    # pivots in mat^T only: echelon through I as well costs ~35x at 196 columns
     reduced, pivots = _echelon(augmented, pivot_cols_limit=nrows)
     start = len(pivots)
     basis = []

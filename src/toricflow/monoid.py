@@ -215,7 +215,7 @@ class AffineMonoid:
     """
 
     def __init__(self, generators, rank):
-        gens = [int_entries(g) for g in generators]
+        gens = [int_entries(g, M_SIDE) for g in generators]
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be pairwise distinct")
         # The cone refuses a bad rank, a wrong length, a zero vector and an empty list.
@@ -264,7 +264,7 @@ class AffineMonoid:
         generator order, first success wins.  A search that would take more
         than DECOMPOSE_NODE_CAP points raises BoundExceeded.
         """
-        target = int_entries(u)
+        target = int_entries(u, M_SIDE)
         memo = self._decompositions
         if not self.weight_cone.contains_tuple(target):
             return None
@@ -305,7 +305,7 @@ class AffineMonoid:
         monoid saturated, it is weight_cone ∩ M and this is the cone's facet
         test; otherwise u is decomposed."""
         if self._saturation is not None and self._saturation.saturated:
-            return self.weight_cone.contains_tuple(int_entries(u))
+            return self.weight_cone.contains_tuple(int_entries(u, M_SIDE))
         return self.decompose(u) is not None
 
     def saturation(self):

@@ -208,8 +208,6 @@ def verify_compatible(mon, subgroup, point,
     lnd, root_box = witness
     if lnd.monoid != mon or primitive(subgroup) != lnd.ray:
         raise ValueError("the witness is not at the subgroup's ray of this monoid")
-    if point.monoid != mon:
-        raise ValueError("point belongs to a different monoid")
     if not point.is_torus:
         raise ValueError("verification starts from a torus point")
     gm_samples = tuple(map(rational, gm_samples))

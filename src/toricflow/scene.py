@@ -15,9 +15,8 @@ preserved because point coordinates are indexed against it.
 """
 
 import json
-import re
-from fractions import Fraction
 
+from .algebra import INTEGER, rational
 from .cones import Cone
 from .errors import SceneError
 from .lattice import LatticeVector, M_SIDE, N_SIDE
@@ -35,8 +34,6 @@ except ImportError:
 _TOP_KEYS = {"rank", "cone_rays", "monoid_generators", "points", "subgroups"}
 # The two vector lists: what one vector is called, and its lattice.
 _VECTOR_LISTS = {"cone_rays": ("ray", N_SIDE), "monoid_generators": ("generator", M_SIDE)}
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(_INTEGER.pattern + "(/[0-9]+)?")
 
 
 def _shown(value):
@@ -46,23 +43,20 @@ def _shown(value):
 
 
 def parse_rational(value, where):
-    """An exact rational from an integer or a string such as '-7/3', not '1e9'."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            if not _RATIONAL.fullmatch(value):
-                raise ValueError(value)
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SceneError("%s: cannot parse rational %s" % (where, _shown(value)))
-    raise SceneError("%s: rationals are integers or 'p/q' strings, got %s"
-                     % (where, _shown(value)))
+    """An exact rational from an integer or a string such as '-7/3', not
+    '1e9': algebra.rational's reading, refused as a SceneError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SceneError("%s: rationals are integers or 'p/q' strings, got %s"
+                         % (where, _shown(value)))
+    try:
+        return rational(value)
+    except (ValueError, ZeroDivisionError):
+        raise SceneError("%s: cannot parse rational %s" % (where, _shown(value)))
 
 
 def integer(text):
     """One command-line integer: an optional sign, then ASCII digits."""
-    if not _INTEGER.fullmatch(text):
+    if not INTEGER.fullmatch(text):
         raise ValueError(text)
     return int(text)
 
