@@ -21,7 +21,7 @@ point (orbits.evaluate).
 
 import re
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 from operator import mul
 
 from .demazure import DemazureRoot, is_root
@@ -29,24 +29,37 @@ from .errors import BoundExceeded, IllDefinedRoot, NotADemazureRoot
 from .lattice import M_SIDE, Frozen, LatticeVector, dot, int_entries
 
 # The most bits that one exact power of a point or a flow may reach, by
-# the bound of check_power_bits: about 79,000 decimal digits.
+# the bound of characters: about 79,000 decimal digits.
 POWER_BIT_CAP = 1 << 18
 # Text that reads as a number: [+-]p or [+-]p/q in ASCII digits, nothing else.
 INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(INTEGER.pattern + "(/[0-9]+)?")
 
 
-def check_power_bits(values, exponent_rows):
-    """Refuse, before any is formed, the products prod x_k^(e_k) of the
-    values x over the exponent rows e whose size could pass POWER_BIT_CAP.
-    x^e has at most |e| * ceil(log2 m) bits, plus one, for m the larger of
-    |numerator| and denominator, so 0 and +-1 cost nothing."""
-    sizes = [(max(abs(x.numerator), x.denominator) - 1).bit_length() for x in values]
+def characters(values, exponent_rows):
+    """chi^e(x) = prod x_k^(e_k) at the values x for each row e of the list
+    exponent_rows, as one Fraction of two integer products.  The whole batch
+    is refused first if one power could pass POWER_BIT_CAP bits: x^e has at
+    most |e| * ceil(log2 m) + 1 bits, m the larger of |numerator| and
+    denominator, so 0 and +-1 cost nothing.  A zero exponent contributes 1,
+    a zero x under a negative one raises ZeroDivisionError."""
+    pairs = [(x.numerator, x.denominator) for x in values]
+    sizes = [(max(abs(a), b) - 1).bit_length() for a, b in pairs]
     bound = max([sum(map(mul, map(abs, row), sizes)) for row in exponent_rows], default=0)
     if bound > POWER_BIT_CAP:
         raise BoundExceeded(
             "an exact power would have up to %d bits, over POWER_BIT_CAP = %d; "
             "give smaller coordinates, exponents or flow times" % (bound, POWER_BIT_CAP))
+    out = []
+    for row in exponent_rows:
+        num = den = 1
+        for (a, b), e in zip(pairs, row):
+            if e > 0:
+                num, den = num * a ** e, den * b ** e
+            elif e:
+                num, den = num * b ** -e, den * a ** -e
+        out.append(Fraction(num, den))
+    return out
 
 
 def rational(x):
@@ -57,16 +70,6 @@ def rational(x):
     if not isinstance(x, (int, Fraction, str)):
         raise TypeError("rationals are ints, Fractions or 'p/q' strings, got %r" % (x,))
     return x if type(x) is Fraction else Fraction(x)
-
-
-def character_value(t, u):
-    """Value of chi^u at the torus point with coordinates t: prod t_k^(u_k),
-    as one Fraction of two integer products.  t holds ints or Fractions; a
-    zero exponent contributes 1, a zero base under a negative one raises
-    ZeroDivisionError."""
-    pairs = [(x.numerator, x.denominator, e) for x, e in zip(t, u) if e]
-    return Fraction(prod(a ** e if e > 0 else b ** -e for a, b, e in pairs),
-                    prod(b ** e if e > 0 else a ** -e for a, b, e in pairs))
 
 
 class AlgebraElement(Frozen):
@@ -138,17 +141,17 @@ class HomogeneousLND(Frozen):
         return AlgebraElement(self.monoid, out)
 
     def exp_flow(self, s, f):
-        """exp(s*d) applied to f, by the binomial closed form term by term."""
+        """exp(s*d)(f) by the binomial closed form, its powers of s bounded by characters."""
         if f.monoid != self.monoid:
             raise ValueError("element of a different algebra")
-        s = rational(s)
         e = self.root.vector
+        degrees = [self.degree(u) for u, _ in f.terms]
+        powers = characters([rational(s)], [[j] for j in range(max(degrees, default=0) + 1)])
         out = []
-        for u, c in f.terms:
-            k = self.degree(u)
+        for (u, c), k in zip(f.terms, degrees):
             shifted = u
             for j in range(k + 1):
-                out.append((shifted, c * comb(k, j) * s ** j))
+                out.append((shifted, c * comb(k, j) * powers[j]))
                 shifted = shifted + e
         return AlgebraElement(self.monoid, out)
 

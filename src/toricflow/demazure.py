@@ -22,7 +22,7 @@ assertion.
 from collections import namedtuple
 from itertools import chain
 from math import gcd
-from operator import add, mul
+from operator import add, index, mul
 
 from .errors import BoundExceeded
 from .lattice import M_SIDE, N_SIDE, LatticeVector, _echelon, dot, int_entries, trusted_vectors
@@ -188,10 +188,11 @@ def _runs(lattice, bound, budget):
 def roots_in_box(sigma, bound, ray_index=None):
     """All roots with max-norm at most bound, ordered by (ray, lex).
 
-    ray_index restricts the enumeration to one distinguished ray.  Raises
-    BoundExceeded when the lifts take more than ROOT_STEP_CAP steps.
+    ray_index restricts the enumeration to one distinguished ray.  bound is
+    read by operator.index.  Raises BoundExceeded when the lifts take more
+    than ROOT_STEP_CAP steps.
     """
-    rays = _ray_entries(sigma, ray_index)
+    rays, bound = _ray_entries(sigma, ray_index), index(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     indices = range(len(rays)) if ray_index is None else [ray_index]

@@ -8,14 +8,14 @@ other must vanish exactly off the generators of one face of the weight
 cone (the orbit-cone correspondence) and satisfy the binomial relations
 among them.  Flows start from torus points t and use the closed form
 chi^u(phi_s(t)) = t^u * (1 + s*t^e)^<p,u> for the root e at the ray p.
-Limits are taken as the multiplicative parameter goes to zero.  Each point
-and flow checks its powers with check_power_bits before forming them.
+Limits are taken as the multiplicative parameter goes to zero.  Every
+exact power is formed by algebra.characters, which bounds each batch first.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import HomogeneousLND, character_value, check_power_bits, rational
+from .algebra import HomogeneousLND, characters, rational
 from .demazure import smallest_root_at_ray
 from .errors import NormalityRequired, NotParabolic
 from .grading import GradingKind, classify
@@ -48,21 +48,20 @@ class ToricPoint(Frozen):
             t = provenance[1]  # chi(t) for a nonzero t meets every relation
             if len(t) != monoid.rank or any(x == 0 for x in t):
                 raise ValueError("a torus point needs %d nonzero coordinates" % monoid.rank)
-            check_power_bits(t, [g.entries for g in monoid.generators])
-            characters = tuple(character_value(t, g.entries) for g in monoid.generators)
-            if coords not in (None, characters):
+            values = tuple(characters(t, [g.entries for g in monoid.generators]))
+            if coords not in (None, values):
                 raise ValueError("coordinates %s are not the characters at the "
                                  "torus point %s" % (coords, t))
-            coords = characters
+            coords = values
         elif coords is None or provenance not in ((FLOW,), (LIMIT,)):
             raise ValueError("provenance must be (%r, t), or (%r,) or (%r,) with coordinates"
                              % (TORUS, FLOW, LIMIT))
         else:
             support = [j for j, c in enumerate(coords) if c != 0]
             relations = monoid.face_relations(support)
-            check_power_bits(coords, [r.entries for r in relations])
-            for relation in relations:
-                if character_value(coords, relation.entries) != 1:
+            values = characters(coords, [r.entries for r in relations])
+            for relation, value in zip(relations, values):
+                if value != 1:
                     raise ValueError("coordinates %s violate the relation %s"
                                      % (coords, relation.entries))
         self._set(monoid, coords, provenance)
@@ -109,14 +108,11 @@ def evaluate(element, point):
     if element.monoid != point.monoid:
         raise ValueError("element and point live over different monoids")
     if point.is_torus:
-        return sum((c * character_value(point.provenance[1], u.entries)
-                    for u, c in element.terms), _ZERO)
-    total = _ZERO
-    for u, c in element.terms:
-        decomposition = point.monoid.decompose(u)
-        assert decomposition is not None, "exponent invariant violated"
-        total += c * character_value(point.coords, decomposition)
-    return total
+        values, rows = point.provenance[1], [u.entries for u, _ in element.terms]
+    else:
+        values, rows = point.coords, [point.monoid.decompose(u) for u, _ in element.terms]
+        assert None not in rows, "exponent invariant violated"
+    return sum((c * x for (_, c), x in zip(element.terms, characters(values, rows))), _ZERO)
 
 
 def ga_flow_point(lnd, s, point):
@@ -138,16 +134,14 @@ def ga_flow_point(lnd, s, point):
 def _flowed(lnd, step, coords):
     """The c_j * step^<p,u_j> for step = 1 + s*t^e, refused before they are
     formed when they could pass POWER_BIT_CAP bits."""
-    check_power_bits([step], [[max(lnd.degrees)]])
-    return tuple(c * step ** k if k else c for c, k in zip(coords, lnd.degrees))
+    powers = iter(characters([step], [[k] for k in lnd.degrees if k]))
+    return tuple(c * next(powers) if k else c for c, k in zip(coords, lnd.degrees))
 
 
 def _root_value(lnd, point):
     """t^e for the root e of lnd at the torus point t, refused before it is
     formed when it could pass POWER_BIT_CAP bits."""
-    t, e = point.provenance[1], lnd.root.vector.entries
-    check_power_bits(t, [e])
-    return character_value(t, e)
+    return characters(point.provenance[1], [lnd.root.vector.entries])[0]
 
 
 def witness_derivation(mon, grading):

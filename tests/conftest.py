@@ -520,7 +520,7 @@ def render_text_per_item(document):
     return "\n".join(lines) + "\n"
 
 # Character oracle: the product of Fraction powers that
-# algebra.character_value replaces with two integer products.
+# algebra.characters replaces with two integer products per row.
 def character_value_by_powers(t, u):
     """prod t_k^(u_k), one Fraction power and product per coordinate."""
     value = Fraction(1)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (FLOW_CASES, add, character_value_by_powers, derivation_pow
 from toricflow import (
     AffineMonoid,
     BoundExceeded,
+    Cone,
     DemazureRoot,
     HomogeneousLND,
     IllDefinedRoot,
@@ -23,8 +25,8 @@ from toricflow import (
     smallest_root_at_ray,
     torus_point,
 )
-from toricflow.algebra import POWER_BIT_CAP, AlgebraElement, character_value, check_power_bits
-from toricflow.orbits import evaluate
+from toricflow.algebra import POWER_BIT_CAP, AlgebraElement, characters
+from toricflow.orbits import FLOW, ToricPoint, evaluate
 
 
 def mono(mon, entries, coeff=1):
@@ -101,11 +103,11 @@ _bases = st.one_of(st.integers(-9, 9),
 
 @settings(max_examples=200)
 @given(data=st.data(), rank=st.integers(1, 4))
-def test_character_value_matches_fraction_powers(data, rank):
+def test_characters_match_fraction_powers(data, rank):
     # ints and Fractions of either sign, exponents of either sign or zero
     t = data.draw(st.lists(_bases.filter(bool), min_size=rank, max_size=rank))
     u = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
-    value = character_value(t, u)
+    [value] = characters(t, [u])
     assert type(value) is Fraction
     assert value == character_value_by_powers(t, u)
 
@@ -122,24 +124,24 @@ def test_power_cap_lets_no_larger_power_through(data, rank):
         min_size=rank, max_size=rank))
     u = data.draw(st.lists(st.integers(-10**5, 10**5), min_size=rank, max_size=rank))
     try:
-        check_power_bits(t, [[0] * rank, u])
+        one, value = characters(t, [[0] * rank, u])
     except BoundExceeded as error:
         assert "over POWER_BIT_CAP = %d;" % POWER_BIT_CAP in str(error)
         return
-    value = character_value(t, u)
+    assert one == 1
     assert max(value.numerator.bit_length(), value.denominator.bit_length()) <= (
         POWER_BIT_CAP + rank)
 
 
 def test_power_cap_refuses_one_past_the_bound():
     # 0, 1 and -1 cost no bits, whatever their exponent
-    check_power_bits([0, 1, -1, Fraction(1)], [[10**12] * 4])
+    assert characters([0, 1, -1, Fraction(1)], [[10**12] * 4]) == [0]
     for x in (2, 3, Fraction(-7, 3), Fraction(1, 1024), 12345678901234567):
         size = (max(abs(Fraction(x).numerator), Fraction(x).denominator) - 1).bit_length()
         most = POWER_BIT_CAP // size
-        check_power_bits([x], [(most,), (-most,)])
+        assert characters([x], [(most,), (-most,)]) == [Fraction(x) ** most, Fraction(x) ** -most]
         with pytest.raises(BoundExceeded) as info:
-            check_power_bits([x], [(1,), (-most - 1,)])
+            characters([x], [(1,), (-most - 1,)])
         assert str(info.value) == (
             "an exact power would have up to %d bits, over POWER_BIT_CAP = %d; give "
             "smaller coordinates, exponents or flow times" % ((most + 1) * size, POWER_BIT_CAP))
@@ -147,18 +149,61 @@ def test_power_cap_refuses_one_past_the_bound():
 
 @settings(max_examples=50)
 @given(data=st.data(), rank=st.integers(1, 4))
-def test_character_value_of_zero_base(data, rank):
+def test_characters_of_zero_base(data, rank):
     t = data.draw(st.lists(_bases.filter(bool), min_size=rank, max_size=rank))
     u = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank))
     k = data.draw(st.integers(0, rank - 1))
     t[k] = data.draw(st.sampled_from([0, Fraction(0)]))
     if u[k] < 0:
         with pytest.raises(ZeroDivisionError):
-            character_value(t, u)
+            characters(t, [u])
         with pytest.raises(ZeroDivisionError):
             character_value_by_powers(t, u)
     else:
-        assert character_value(t, u) == character_value_by_powers(t, u)
+        assert characters(t, [u]) == [character_value_by_powers(t, u)]
+
+
+def test_characters_bound_the_batch_before_forming_a_row():
+    # the first row divides by zero once formed, so only a bound taken over
+    # the whole batch first can raise BoundExceeded
+    with pytest.raises(BoundExceeded, match="up to %d bits, over" % (POWER_BIT_CAP + 1)):
+        characters([0, 2], [[-1, 0], [0, POWER_BIT_CAP + 1]])
+    # a batch whose largest row is at the cap is formed
+    assert characters([0, 2], [[0, 1], [1, POWER_BIT_CAP]]) == [2, 0]
+
+
+PLANE = AffineMonoid.of_cone(Cone.from_rays([(1, 0), (0, 1)], 2, M_SIDE))
+
+
+def _refuses_quickly(run, bits):
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded) as info:
+        run()
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value).startswith("an exact power would have up to %d bits, over "
+                                      "POWER_BIT_CAP = %d;" % (bits, POWER_BIT_CAP))
+
+
+@pytest.mark.parametrize("point, u, bits", [
+    # 3^(10^7) has 15,849,626 bits; its bound is 10^7 * 2
+    (torus_point(PLANE, (3, 1)), (10**7, 0), 2 * 10**7),
+    # off the torus, of the coordinate 2^1000 at the generator (1, 0)
+    (ToricPoint(PLANE, (0, 2**1000), (FLOW,)), (300, 0), 300 * 1000),
+])
+def test_evaluate_refuses_a_power_past_the_cap(point, u, bits):
+    f = mono(PLANE, u)
+    _refuses_quickly(lambda: evaluate(f, point), bits)
+
+
+def test_exp_flow_refuses_a_power_of_s_past_the_cap():
+    # s^1400 for s = 2^200 has 280,001 bits; its bound is 1400 * 200
+    lnd = HomogeneousLND(PLANE, LatticeVector((-1, 0), M_SIDE))
+    f = mono(PLANE, (1400, 0))
+    _refuses_quickly(lambda: lnd.exp_flow(2**200, f), 280_000)
+    # s^2 for s = 2^(cap/2) is the largest square the cap lets through
+    square = mono(PLANE, (2, 0))
+    assert lnd.exp_flow(2**(POWER_BIT_CAP // 2), square).terms[0][1] == 2**POWER_BIT_CAP
+    _refuses_quickly(lambda: lnd.exp_flow(2**(POWER_BIT_CAP // 2 + 1), square), POWER_BIT_CAP + 2)
 
 
 def test_lnd_accepts_root_object_and_vector(quadric):

@@ -19,6 +19,7 @@ from toricflow import (
     ToricPoint,
     ga_flow_point,
     is_root,
+    roots_in_box,
     torus_point,
     verify_compatible,
 )
@@ -45,6 +46,8 @@ INEXACT = {
     "gm-sample-float": lambda: verify_compatible(QUADRIC, SUBGROUP, POINT, gm_samples=(0.5,)),
     "flow-time-float": lambda: ga_flow_point(LND, 0.1, POINT),
     "provenance-float": lambda: ToricPoint(QUADRIC, None, ("torus", (0.5, 3))),
+    "roots-box-fraction": lambda: roots_in_box(PLANE, Fraction(3, 2)),
+    "roots-box-float": lambda: roots_in_box(PLANE, 1.5),
 }
 
 
