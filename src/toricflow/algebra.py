@@ -31,6 +31,10 @@ from .lattice import M_SIDE, Frozen, LatticeVector, dot, int_entries
 # The most bits that one exact power of a point or a flow may reach, by
 # the bound of characters: about 79,000 decimal digits.
 POWER_BIT_CAP = 1 << 18
+# The most terms that one exp_flow may build, k + 1 for each term of degree
+# k; 0 and +-1 have powers of no bits, so POWER_BIT_CAP alone does not bound
+# them.  At s = 1 a flow at the cap returns in about 0.13 s.
+FLOW_TERM_CAP = 2_000
 # Text that reads as a number: [+-]p or [+-]p/q in ASCII digits, nothing else.
 INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(INTEGER.pattern + "(/[0-9]+)?")
@@ -141,11 +145,15 @@ class HomogeneousLND(Frozen):
         return AlgebraElement(self.monoid, out)
 
     def exp_flow(self, s, f):
-        """exp(s*d)(f) by the binomial closed form, its powers of s bounded by characters."""
+        """exp(s*d)(f) by the binomial closed form, under FLOW_TERM_CAP and characters."""
         if f.monoid != self.monoid:
             raise ValueError("element of a different algebra")
         e = self.root.vector
         degrees = [self.degree(u) for u, _ in f.terms]
+        count = sum(degrees) + len(degrees)
+        if count > FLOW_TERM_CAP:
+            raise BoundExceeded("the flow would build %d terms, over FLOW_TERM_CAP = %d; "
+                                "flow an element of lower degree" % (count, FLOW_TERM_CAP))
         powers = characters([rational(s)], [[j] for j in range(max(degrees, default=0) + 1)])
         out = []
         for (u, c), k in zip(f.terms, degrees):

@@ -8,10 +8,10 @@ stdout, and exits 0.  Failures map to exit codes by error family:
     4  resource bound hit (rank limit, enumeration cap, output digit limit)
 """
 
-import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .errors import (BoundExceeded, HypothesisError, NormalityRequired,
                      NotParabolic, ResourceError, SceneError, ToricError)
@@ -363,39 +363,68 @@ COMMANDS = {
 
 EXIT_CODES = ((SceneError, 2), (HypothesisError, 3), (ResourceError, 4))
 
-
-class _Subparser:
-    """A subcommand's parser, built on its first parse: argparse lists a
-    subcommand by its name and help, and calls it only to parse."""
-
-    def __init__(self, options, **kwargs):
-        self.options, self.kwargs = options, kwargs
-
-    @functools.cached_property
-    def parser(self):
-        parser = argparse.ArgumentParser(**self.kwargs)
-        for flag, spec in self.options:
-            parser.add_argument(flag, **spec)
-        return parser
-
-    def parse_known_args(self, args, namespace):
-        return self.parser.parse_known_args(args, namespace)
+# options before the subcommand
+OPTIONS = (
+    ("--scene", {"default": "-", "help": "scene JSON path, - for stdin (default)"}),
+    ("--format", {"choices": ("json", "text"), "default": "json",
+                  "help": "output format (default json)"}),
+)
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built from COMMANDS once per process."""
+    """The argument parser, built from OPTIONS and COMMANDS once per process
+    for the calls that _exact_args leaves to it (see main)."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="toricflow",
         description="additive group actions on affine toric varieties, exactly")
-    parser.add_argument("--scene", default="-",
-                        help="scene JSON path, - for stdin (default)")
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format (default json)")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    for flag, spec in OPTIONS:
+        parser.add_argument(flag, **spec)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, options=options)
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
     return parser
+
+
+def _exact_args(argv):
+    """The arguments build_parser() would read from argv, read from the same
+    option tables with no parser, or None.  A namespace comes back only when
+    every option is spelled in full and given once, its value joined by "="
+    or the next argument not starting with "-", and passes its type, choices
+    and required checks; help, abbreviations and anything argparse would
+    refuse get None, so that argparse handles them."""
+    given, table, command = {}, dict(OPTIONS), None
+    args = iter(argv)
+    for arg in args:
+        flag, joined, value = arg.partition("=")
+        if flag not in table:
+            if command is not None or arg not in COMMANDS:
+                return None
+            command, table = arg, dict(COMMANDS[arg][2])
+            continue
+        if not joined:
+            value = next(args, "-")  # a missing value is refused as "-" is
+            if value.startswith("-"):
+                return None
+        spec = table[flag]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if flag in given or value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if command is None:
+        return None
+    values = {"command": command}
+    for flag, spec in OPTIONS + COMMANDS[command][2]:
+        if flag not in given and spec.get("required"):
+            return None
+        values[flag[2:]] = given.get(flag, spec.get("default"))
+    return SimpleNamespace(**values)
 
 
 def _read_scene(args):
@@ -441,7 +470,8 @@ def _output(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _exact_args(argv) or build_parser().parse_args(argv)
     try:
         text = _output(args)
     except ToricError as error:

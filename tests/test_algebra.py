@@ -25,7 +25,7 @@ from toricflow import (
     smallest_root_at_ray,
     torus_point,
 )
-from toricflow.algebra import POWER_BIT_CAP, AlgebraElement, characters
+from toricflow.algebra import FLOW_TERM_CAP, POWER_BIT_CAP, AlgebraElement, characters
 from toricflow.orbits import FLOW, ToricPoint, evaluate
 
 
@@ -204,6 +204,31 @@ def test_exp_flow_refuses_a_power_of_s_past_the_cap():
     square = mono(PLANE, (2, 0))
     assert lnd.exp_flow(2**(POWER_BIT_CAP // 2), square).terms[0][1] == 2**POWER_BIT_CAP
     _refuses_quickly(lambda: lnd.exp_flow(2**(POWER_BIT_CAP // 2 + 1), square), POWER_BIT_CAP + 2)
+
+
+@pytest.mark.parametrize("s, degrees", [
+    # 0 and +-1 have powers of no bits, so only the term count bounds them
+    (0, [20_000]), (1, [5_000]), (-1, [FLOW_TERM_CAP]),
+    # k + 1 terms for each term of degree k
+    (Fraction(1, 2), [FLOW_TERM_CAP // 2 - 1, FLOW_TERM_CAP // 2]),
+])
+def test_exp_flow_refuses_a_flow_past_the_term_cap(s, degrees):
+    lnd = HomogeneousLND(PLANE, LatticeVector((-1, 0), M_SIDE))
+    f = AlgebraElement(PLANE, [((k, 0), 1) for k in degrees])
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded) as info:
+        lnd.exp_flow(s, f)
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == (
+        "the flow would build %d terms, over FLOW_TERM_CAP = %d; flow an element of "
+        "lower degree" % (sum(degrees) + len(degrees), FLOW_TERM_CAP))
+
+
+def test_exp_flow_builds_the_largest_flow_the_term_cap_admits():
+    lnd = HomogeneousLND(PLANE, LatticeVector((-1, 0), M_SIDE))
+    flowed = lnd.exp_flow(1, mono(PLANE, (FLOW_TERM_CAP - 1, 0)))
+    assert len(flowed.terms) == FLOW_TERM_CAP
+    assert flowed.terms[1][1] == FLOW_TERM_CAP - 1
 
 
 def test_lnd_accepts_root_object_and_vector(quadric):

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import importlib.util
 import io
 import json
@@ -828,8 +829,9 @@ def test_python_dash_m_runs_the_cli(quadric_scene_path):
 
 def test_cli_import_skips_dataclasses_inspect_and_pathlib():
     # each CLI call pays for its imports; these three cost about half of them,
-    # and hashlib loads OpenSSL where CPython's builtin SHA-256 module will do
-    heavy = {"dataclasses", "inspect", "pathlib"}
+    # hashlib loads OpenSSL where CPython's builtin SHA-256 module will do,
+    # and argparse (with gettext) loads only when a call needs a parser
+    heavy = {"dataclasses", "inspect", "pathlib", "argparse", "gettext"}
     if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
         heavy |= {"hashlib", "_hashlib"}
     src = Path(toricflow.__file__).resolve().parents[1]
@@ -926,15 +928,18 @@ def _outcome(capsys, argv):
 @pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=" ".join)
 def test_lazy_subcommand_parsers_match_the_eager_tree(quadric_scene_path, capsys,
                                                       monkeypatch, fresh_parser, argv):
+    # main as it runs (the exact reader, else the parser tree built by this
+    # call), again, and through argparse's eager tree alone
     argv = [quadric_scene_path if arg == "S" else arg for arg in argv]
-    first = _outcome(capsys, argv)  # the subcommand's parser built by this parse
+    first = _outcome(capsys, argv)
     again = _outcome(capsys, argv)
     monkeypatch.setattr(toricflow.cli, "build_parser", eager_parser)
+    monkeypatch.setattr(toricflow.cli, "_exact_args", lambda argv: None)
     assert first == again == _outcome(capsys, argv)
 
 
-def test_a_call_builds_only_its_own_subcommand_parser(quadric_scene_path, capsys,
-                                                      monkeypatch, fresh_parser):
+def test_a_fully_spelled_call_builds_no_parser(quadric_scene_path, capsys,
+                                               monkeypatch, fresh_parser):
     built, init = [], argparse.ArgumentParser.__init__
 
     def recording_init(self, *args, **kwargs):
@@ -942,12 +947,100 @@ def test_a_call_builds_only_its_own_subcommand_parser(quadric_scene_path, capsys
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
-    assert main(["--scene", quadric_scene_path, "dual"]) == 0
-    assert built == ["toricflow", "toricflow dual"]
-    assert main(["--scene", quadric_scene_path, "dual"]) == 0
-    assert built == ["toricflow", "toricflow dual"]
+    assert main(["--scene", quadric_scene_path, "--format=text", "dual"]) == 0
+    assert main(["--scene=" + quadric_scene_path, "roots", "--box", "2", "--ray=0"]) == 0
+    assert built == []
+    # an abbreviation goes to argparse, which builds the whole tree once
+    tree = ["toricflow"] + ["toricflow " + name for name in toricflow.cli.COMMANDS]
+    assert main(["--sc", quadric_scene_path, "dual"]) == 0
+    assert built == tree
+    assert main(["--sc", quadric_scene_path, "dual"]) == 0
+    assert built == tree
     assert build_parser() is build_parser()
     capsys.readouterr()
+
+
+@functools.cache
+def _eager_tree():
+    return eager_parser()
+
+
+def _argparse_vars(argv):
+    """vars of the eager tree's parse of argv, or None where argparse exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(_eager_tree().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _readers(argv):
+    """Whether _exact_args and argparse each read argv; where the exact
+    reader reads it, both must give the same arguments."""
+    read, parsed = toricflow.cli._exact_args(argv), _argparse_vars(argv)
+    assert read is None or vars(read) == parsed, argv
+    return read is not None, parsed is not None
+
+
+def test_exact_args_agrees_with_argparse_on_the_corpus():
+    for argv in _ORACLE_ARGVS:
+        _readers(argv)
+    # every corpus run spells its options in full, so the exact reader reads
+    # each one that argparse accepts
+    readers = [_readers(argv) for _, _, _, argv in corpus.runs()[1]]
+    assert all(read == parsed for read, parsed in readers)
+    assert sum(read for read, _ in readers) > 3000
+    # help, an abbreviation, a repeated option and a value that starts with
+    # "-" given as the next argument are left to argparse
+    for argv in (["dual", "-h"], ["--sc", "S", "dual"], ["--format=json", "--format=text", "dual"],
+                 ["roots", "--box", "-1"]):
+        assert toricflow.cli._exact_args(argv) is None
+
+
+# words of the token soup: every flag and subcommand, their abbreviations,
+# and values argparse reads in its own ways
+_TOKENS = (list(toricflow.cli.COMMANDS)
+           + [flag for flag, _ in toricflow.cli.OPTIONS]
+           + [flag for _, _, options in toricflow.cli.COMMANDS.values() for flag, _ in options]
+           + ["--", "-", "", "-h", "--help", "-1", "--l=", "--l=-1,0", "x=y", "a b", "1_0",
+              "--sc", "--fo", "--po", "--ro", "--b", "--scene=S", "--format=text",
+              "--format=xml", "--box=2", "--box=-1", "--ray=0", "--point=p", "--s=2",
+              "S", "json", "text", "xml", "p", "0", "2", "0,-1", "vertical", "1/2", "\uff11"])
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=9))
+def test_exact_args_agrees_with_argparse_on_a_token_soup(argv):
+    _readers(argv)
+
+
+_VALUES = ["S", "p", "0", "2", "-1", "0,-1", "-1,0", "vertical", "1/2", "json", "text", "",
+           "x=y", "a b", "1_0", "--point"]
+
+
+@st.composite
+def _spelled_argvs(draw):
+    """Mostly well formed calls: options before the subcommand, the
+    subcommand, its options in any order, each value joined by "=" or
+    next, then one soup token perhaps put in anywhere."""
+    command = draw(st.sampled_from(list(toricflow.cli.COMMANDS)))
+    argv = []
+    for flags, tail in ((toricflow.cli.OPTIONS, [command]),
+                        (toricflow.cli.COMMANDS[command][2], [])):
+        for flag, _ in draw(st.permutations(flags)):
+            if draw(st.booleans()):
+                value = draw(st.sampled_from(_VALUES))
+                argv += [flag + "=" + value] if draw(st.booleans()) else [flag, value]
+        argv += tail
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+@settings(max_examples=400)
+@given(_spelled_argvs())
+def test_exact_args_agrees_with_argparse_on_spelled_calls(argv):
+    _readers(argv)
 
 
 def test_report_is_deterministic(quadric_scene_path, capsys):
