@@ -42,8 +42,9 @@ _RATIONAL = re.compile(INTEGER.pattern + "(/[0-9]+)?")
 
 def characters(values, exponent_rows):
     """chi^e(x) = prod x_k^(e_k) at the values x for each row e of the list
-    exponent_rows, as one Fraction of two integer products.  The whole batch
-    is refused first if one power could pass POWER_BIT_CAP bits: x^e has at
+    exponent_rows, as one Fraction of two integer products, or as Fraction's
+    own power of a lone value, whose powers need no gcd.  The whole batch is
+    refused first if one power could pass POWER_BIT_CAP bits: x^e has at
     most |e| * ceil(log2 m) + 1 bits, m the larger of |numerator| and
     denominator, so 0 and +-1 cost nothing.  A zero exponent contributes 1,
     a zero x under a negative one raises ZeroDivisionError."""
@@ -54,6 +55,8 @@ def characters(values, exponent_rows):
         raise BoundExceeded(
             "an exact power would have up to %d bits, over POWER_BIT_CAP = %d; "
             "give smaller coordinates, exponents or flow times" % (bound, POWER_BIT_CAP))
+    if len(pairs) == 1:
+        return [Fraction(values[0]) ** e for (e,) in exponent_rows]
     out = []
     for row in exponent_rows:
         num = den = 1

@@ -8,7 +8,6 @@ stdout, and exits 0.  Failures map to exit codes by error family:
     4  resource bound hit (rank limit, enumeration cap, output digit limit)
 """
 
-import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
@@ -371,10 +370,9 @@ OPTIONS = (
 )
 
 
-@functools.cache
 def build_parser():
-    """The argument parser, built from OPTIONS and COMMANDS once per process
-    for the calls that _exact_args leaves to it (see main)."""
+    """The argument parser, built from OPTIONS and COMMANDS for the calls
+    that _exact_args leaves to it (see main)."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="toricflow",

@@ -9,11 +9,10 @@ mutually exclusive kinds:
   Elliptic               l > 0 on every ray (zero face is the origin)
   DegenerateNonnegative  l >= 0 with a zero face of intermediate dimension
 
-Parabolic is tested before Elliptic: in rank one the origin is itself the
-facet, the two conditions coincide there, and the straightening pairs
-require the parabolic reading.  For a parabolic l the zero face is dual to
-a unique ray of the dual cone, the distinguished ray; l is automatically a
-positive multiple of its primitive generator.
+A nonnegative l fixes the divisor of a facet pointwise exactly when it is a
+positive multiple of that facet's inner normal, a ray of the dual cone
+(the distinguished ray); so Parabolic is the lookup of primitive(l) among
+the facet normals, and only a degenerate zero face needs its rank taken.
 """
 
 from collections import namedtuple
@@ -44,10 +43,8 @@ def classify(cone, subgroup):
     """Sort the grading by the N-side vector subgroup of a monoid, saturated
     or not, with weight cone cone.  The monoid's generators generate M, so
     the gcd of their degrees <l, g> is that of <l, M>: degree_gcd is gcd(l),
-    and the grading is effective exactly when it is 1.  A parabolic l is a
-    positive multiple of the inner normal of its zero facet, so ray_index
-    is the index of primitive(l) among the facet normals, the dual's rays.
-    """
+    and the grading is effective exactly when it is 1.  ray_index is the
+    index of primitive(l) among the facet normals, the dual's rays."""
     if not isinstance(subgroup, LatticeVector) or subgroup.side != N_SIDE:
         raise ValueError("classify needs an N-side vector")
     if not any(subgroup.entries):
@@ -60,13 +57,13 @@ def classify(cone, subgroup):
     if min(values) < 0:
         return GradingClass(GradingKind.HYPERBOLIC, None, None, degree_gcd, effective)
     face_rays = tuple(r for r, v in zip(cone.rays, values) if v == 0)
-    face = Face(face_rays, matrix_rank([r.entries for r in face_rays]))
-    if face.dim == cone.rank - 1:
-        ray_index = cone.facet_normals.index(primitive(subgroup))
+    normal = primitive(subgroup)
+    if normal in cone.facet_normals:
+        face, ray_index = Face(face_rays, cone.rank - 1), cone.facet_normals.index(normal)
         return GradingClass(GradingKind.PARABOLIC, face, ray_index, degree_gcd, effective)
-    if face.dim == 0:
-        return GradingClass(GradingKind.ELLIPTIC, face, None, degree_gcd, effective)
-    return GradingClass(GradingKind.DEGENERATE_NONNEGATIVE, face, None, degree_gcd, effective)
+    kind = GradingKind.DEGENERATE_NONNEGATIVE if face_rays else GradingKind.ELLIPTIC
+    face = Face(face_rays, matrix_rank([r.entries for r in face_rays]) if face_rays else 0)
+    return GradingClass(kind, face, None, degree_gcd, effective)
 
 
 class FixedDivisor(namedtuple("FixedDivisor", "ray_index ray vanishing surviving")):

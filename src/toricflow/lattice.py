@@ -42,6 +42,10 @@ class Frozen:
     def __hash__(self):
         return hash(self._values())
 
+    def __repr__(self):
+        fields = map("%s=%r".__mod__, zip(self.__slots__, self._values()))
+        return "%s(%s)" % (type(self).__name__, ", ".join(fields))
+
 
 class LatticeVector(Frozen):
     """Immutable integer vector with an optional side tag.

@@ -70,9 +70,6 @@ class ToricPoint(Frozen):
     def is_torus(self):
         return self.provenance[0] == TORUS
 
-    def __repr__(self):
-        return "ToricPoint(monoid=%r, coords=%r, provenance=%r)" % self._values()
-
 
 def torus_point(mon, t):
     """The point with chi^(u_j) = prod_k t_k^(u_j_k); t must be nonzero."""

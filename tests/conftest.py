@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from toricflow import (AffineMonoid, Cone, GradingKind, HomogeneousLND,
-                       LatticeVector, M_SIDE, N_SIDE, NotFullDimensional,
-                       NotParabolic, NotPointed, ToricPoint, classify, dot,
-                       generates_full_lattice, hilbert_basis, matrix_rank,
-                       roots_in_box, torus_point)
+from toricflow import (AffineMonoid, Cone, Face, GradingClass, GradingKind,
+                       HomogeneousLND, LatticeVector, M_SIDE, N_SIDE,
+                       NotFullDimensional, NotParabolic, NotPointed, ToricPoint,
+                       classify, dot, generates_full_lattice, hilbert_basis,
+                       matrix_rank, primitive, roots_in_box, torus_point)
 from toricflow import demazure
 from toricflow.algebra import AlgebraElement
 from toricflow.grading import _divisor
@@ -351,9 +351,9 @@ def fixed_locus(mon, subgroup):
 
 
 # Closed-form oracles: the searches that AffineMonoid.saturation, classify's
-# degree_gcd, HomogeneousLND.kernel_rank and the report's warning on a
-# parabolic negation replace with a lookup, gcd(l), rank - 1 and a facet
-# normal test.
+# kind and degree_gcd, HomogeneousLND.kernel_rank and the report's warning on
+# a parabolic negation replace with a lookup, a facet normal lookup, gcd(l),
+# rank - 1 and a facet normal test.
 def saturation_by_membership(mon):
     """The first Hilbert basis element, in lex order, that is no monoid
     member, or None: each is decomposed, as contains() does before the
@@ -371,20 +371,38 @@ def kernel_rank_by_echelon(lnd):
     return matrix_rank([g.entries for g in lnd.kernel_generators()])
 
 
+def classify_by_rank(cone, subgroup):
+    """classify with the zero face's dimension taken by an echelon form for
+    every nonnegative l.  A face of dimension rank - 1 is a facet, and l is
+    then a positive multiple of its normal.  Parabolic is tested before
+    Elliptic: in rank one the origin is itself the facet."""
+    degree_gcd = gcd(*subgroup.entries)
+    values = [dot(subgroup.entries, r.entries) for r in cone.rays]
+    if min(values) < 0:
+        return GradingClass(GradingKind.HYPERBOLIC, None, None, degree_gcd, degree_gcd == 1)
+    face_rays = tuple(r for r, v in zip(cone.rays, values) if v == 0)
+    face = Face(face_rays, matrix_rank([r.entries for r in face_rays]))
+    if face.dim == cone.rank - 1:
+        ray_index = cone.facet_normals.index(primitive(subgroup))
+        return GradingClass(GradingKind.PARABOLIC, face, ray_index, degree_gcd, degree_gcd == 1)
+    kind = GradingKind.ELLIPTIC if face.dim == 0 else GradingKind.DEGENERATE_NONNEGATIVE
+    return GradingClass(kind, face, None, degree_gcd, degree_gcd == 1)
+
+
 def negation_is_parabolic(cone, subgroup):
-    """Whether -l classifies as parabolic on the weight cone."""
-    return classify(cone, -subgroup).kind is GradingKind.PARABOLIC
+    """Whether -l is parabolic on the weight cone, by classify_by_rank."""
+    return classify_by_rank(cone, -subgroup).kind is GradingKind.PARABOLIC
 
 
 @st.composite
-def random_monoids(draw):
-    """A monoid of rank 1 to 3 on a weight cone with small rays, on
+def random_monoids(draw, max_rank=3):
+    """A monoid of rank 1 to max_rank on a weight cone with small rays, on
     generators in a drawn order: the Hilbert basis, or an unsaturated one
     that drops a basis element h, non-extreme where there is one in mode
     "inner".  When h is extreme or the rest does not generate M, 2h and 3h
     are added; that keeps the cone and the lattice and still misses h, as
     h is irreducible."""
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, max_rank))
     entries = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
     rays = draw(st.lists(entries, min_size=rank, max_size=rank + 2))
     try:
@@ -405,13 +423,16 @@ def random_monoids(draw):
 
 
 def random_subgroups(mon):
-    """N-side vectors of the monoid's rank: any small one, or a nonzero
-    multiple of a facet normal, parabolic or with a parabolic negation."""
+    """N-side vectors of the monoid's rank: any small one, a nonzero multiple
+    of a facet normal, parabolic or with a parabolic negation, or the sum of
+    two or three facet normals, zero on the face where their facets meet."""
     normals = [h.entries for h in mon.weight_cone.facet_normals]
     scaled = st.tuples(st.sampled_from(normals), st.integers(-3, 3).filter(bool)).map(
         lambda pair: tuple(pair[1] * x for x in pair[0]))
-    return st.one_of(st.tuples(*[st.integers(-6, 6)] * mon.rank).filter(any), scaled).map(
-        lambda entries: LatticeVector(entries, N_SIDE))
+    sums = st.lists(st.sampled_from(normals), min_size=2, max_size=3).map(
+        lambda some: tuple(map(sum, zip(*some))))
+    return st.one_of(st.tuples(*[st.integers(-6, 6)] * mon.rank).filter(any), scaled,
+                     sums).map(lambda entries: LatticeVector(entries, N_SIDE))
 
 
 # Determinant oracles: the expansions that lattice.adjugate replaces.

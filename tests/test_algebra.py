@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -172,6 +173,19 @@ def test_characters_bound_the_batch_before_forming_a_row():
     assert characters([0, 2], [[0, 1], [1, POWER_BIT_CAP]]) == [2, 0]
 
 
+def test_characters_of_one_value_are_its_fraction_powers():
+    # a lone value takes Fraction's own power: an int gives Fractions, never
+    # floats, and a zero base under a negative exponent still divides by zero
+    for x in (0, 1, -1, 2, -3, Fraction(0), Fraction(-7, 3), Fraction(5, 12)):
+        rows = [(e,) for e in range(0 if x == 0 else -6, 7)]
+        values = characters([x], rows)
+        assert [type(v) for v in values] == [Fraction] * len(rows)
+        assert values == [Fraction(x) ** e for (e,) in rows]
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            characters([zero], [(2,), (-1,)])
+
+
 PLANE = AffineMonoid.of_cone(Cone.from_rays([(1, 0), (0, 1)], 2, M_SIDE))
 
 
@@ -222,6 +236,18 @@ def test_exp_flow_refuses_a_flow_past_the_term_cap(s, degrees):
     assert str(info.value) == (
         "the flow would build %d terms, over FLOW_TERM_CAP = %d; flow an element of "
         "lower degree" % (sum(degrees) + len(degrees), FLOW_TERM_CAP))
+
+
+def test_exp_flow_forms_the_powers_of_a_large_s_without_a_gcd():
+    # the powers s^0 .. s^100 of a 2,621-bit s; forming each as Fraction(num,
+    # den) spends about 20 ms a power in gcd, Fraction's own power none
+    lnd = HomogeneousLND(PLANE, LatticeVector((-1, 0), M_SIDE))
+    s = Fraction(2**2621 - 1, 2**2621 - 3)
+    start = time.perf_counter()
+    flowed = lnd.exp_flow(s, mono(PLANE, (100, 0)))
+    assert time.perf_counter() - start < 1
+    assert flowed.terms[0] == (LatticeVector((0, 0), M_SIDE), s**100)
+    assert flowed.terms[50] == (LatticeVector((50, 0), M_SIDE), comb(100, 50) * s**50)
 
 
 def test_exp_flow_builds_the_largest_flow_the_term_cap_admits():

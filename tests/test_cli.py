@@ -23,7 +23,7 @@ import toricflow.cones
 import toricflow.monoid
 import toricflow.orbits
 from toricflow import BoundExceeded, HomogeneousLND, classify, hilbert_basis
-from toricflow.cli import build_parser, main
+from toricflow.cli import main
 from toricflow.report import render_text
 from toricflow.scene import load_scene
 
@@ -852,8 +852,7 @@ _SUBCOMMAND_FLAGS = {
 }
 
 
-def test_help_lists_every_subcommand_and_flag(capsys):
-    assert build_parser() is build_parser()
+def test_help_lists_every_subcommand_and_flag(capsys, built_parsers):
     with pytest.raises(SystemExit) as done:
         main(["--help"])
     assert done.value.code == 0
@@ -866,6 +865,8 @@ def test_help_lists_every_subcommand_and_flag(capsys):
         out = capsys.readouterr().out
         assert out.startswith("usage: toricflow %s" % name)
         assert re.findall(r"^  (--[a-z]+)", out, re.M) == flags, name
+    # argparse reads each of these calls, and each builds the whole tree once
+    assert built_parsers == _tree() * (1 + len(_SUBCOMMAND_FLAGS))
 
 
 def eager_parser():
@@ -885,11 +886,22 @@ def eager_parser():
     return parser
 
 
+def _tree():
+    """The prog of each parser that build_parser builds, in build order."""
+    return ["toricflow"] + ["toricflow " + name for name in toricflow.cli.COMMANDS]
+
+
 @pytest.fixture
-def fresh_parser():
-    build_parser.cache_clear()
-    yield
-    build_parser.cache_clear()
+def built_parsers(monkeypatch):
+    """The prog of every ArgumentParser built while the test runs."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    return built
 
 
 # argv lists; "S" stands for the scene path
@@ -927,7 +939,7 @@ def _outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=" ".join)
 def test_lazy_subcommand_parsers_match_the_eager_tree(quadric_scene_path, capsys,
-                                                      monkeypatch, fresh_parser, argv):
+                                                      monkeypatch, argv):
     # main as it runs (the exact reader, else the parser tree built by this
     # call), again, and through argparse's eager tree alone
     argv = [quadric_scene_path if arg == "S" else arg for arg in argv]
@@ -938,25 +950,16 @@ def test_lazy_subcommand_parsers_match_the_eager_tree(quadric_scene_path, capsys
     assert first == again == _outcome(capsys, argv)
 
 
-def test_a_fully_spelled_call_builds_no_parser(quadric_scene_path, capsys,
-                                               monkeypatch, fresh_parser):
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def recording_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+def test_a_fully_spelled_call_builds_no_parser(quadric_scene_path, capsys, built_parsers):
     assert main(["--scene", quadric_scene_path, "--format=text", "dual"]) == 0
     assert main(["--scene=" + quadric_scene_path, "roots", "--box", "2", "--ray=0"]) == 0
-    assert built == []
-    # an abbreviation goes to argparse, which builds the whole tree once
-    tree = ["toricflow"] + ["toricflow " + name for name in toricflow.cli.COMMANDS]
+    assert built_parsers == []
+    # an abbreviation goes to argparse, and each such call builds the whole
+    # tree once
     assert main(["--sc", quadric_scene_path, "dual"]) == 0
-    assert built == tree
+    assert built_parsers == _tree()
     assert main(["--sc", quadric_scene_path, "dual"]) == 0
-    assert built == tree
-    assert build_parser() is build_parser()
+    assert built_parsers == _tree() * 2
     capsys.readouterr()
 
 

@@ -19,7 +19,7 @@ from toricflow import (
     straightening_subtori,
 )
 
-from conftest import (cone_fixture, fixed_locus, generator_degree_gcd,
+from conftest import (classify_by_rank, cone_fixture, fixed_locus, generator_degree_gcd,
                       negation_is_parabolic, random_monoids, random_subgroups)
 
 
@@ -116,6 +116,16 @@ def _sign_oracle(mon, subgroup):
     return GradingKind.DEGENERATE_NONNEGATIVE, rays, zero_rank
 
 
+def _check_oracles(mon, subgroup):
+    """classify equals classify_by_rank field by field, and the sign oracle."""
+    grading = classify(mon.weight_cone, subgroup)
+    assert grading == classify_by_rank(mon.weight_cone, subgroup)
+    face = grading.zero_face
+    seen = (None, None) if face is None else (sorted(r.entries for r in face.rays), face.dim)
+    assert (grading.kind, *seen) == _sign_oracle(mon, subgroup)
+    return grading
+
+
 def test_sign_oracle_agreement(a2, a3, quadric):
     rng = random.Random(7)
     for mon in (a2, a3, quadric):
@@ -123,12 +133,25 @@ def test_sign_oracle_agreement(a2, a3, quadric):
             entries = tuple(rng.randint(-5, 5) for _ in range(mon.rank))
             if all(e == 0 for e in entries):
                 continue
-            subgroup = n(*primitive(LatticeVector(entries)).entries)
-            grading = classify(mon.weight_cone, subgroup)
-            face = grading.zero_face
-            seen = (None, None) if face is None else (
-                sorted(r.entries for r in face.rays), face.dim)
-            assert (grading.kind, *seen) == _sign_oracle(mon, subgroup)
+            _check_oracles(mon, n(*primitive(LatticeVector(entries)).entries))
+
+
+@given(random_monoids(max_rank=4), st.data())
+def test_classify_matches_the_oracles_on_random_monoids(mon, data):
+    _check_oracles(mon, data.draw(random_subgroups(mon)))
+
+
+@pytest.mark.parametrize("entries, kind, dim, rays", [
+    ((0, 0, 0, 2), GradingKind.PARABOLIC, 3, 4),  # the square base, a facet of 4 rays
+    ((0, 0, 1, 1), GradingKind.DEGENERATE_NONNEGATIVE, 2, 2),
+    ((0, 1, 1, 1), GradingKind.DEGENERATE_NONNEGATIVE, 1, 1),
+    ((1, 0, 0, 0), GradingKind.ELLIPTIC, 0, 0),
+])
+def test_classify_matches_the_oracles_on_each_kind_in_rank_4(entries, kind, dim, rays):
+    # the cone over a square pyramid at height one
+    mon = AffineMonoid([(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1)], 4)
+    grading = _check_oracles(mon, n(*entries))
+    assert (grading.kind, grading.zero_face.dim, len(grading.zero_face.rays)) == (kind, dim, rays)
 
 
 @given(st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(

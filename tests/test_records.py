@@ -6,12 +6,14 @@ import pytest
 
 from toricflow import (
     AffineMonoid,
+    HomogeneousLND,
     LatticeVector,
     N_SIDE,
     classify,
     torus_point,
     verify_compatible,
 )
+from toricflow.algebra import AlgebraElement
 
 from conftest import fixed_locus
 
@@ -20,6 +22,8 @@ FIELDS = {
     "Cone": "side rank rays facet_normals",
     "Face": "rays dim",
     "ToricPoint": "monoid coords provenance",
+    "AlgebraElement": "monoid terms",
+    "HomogeneousLND": "monoid root ray degrees",
     "SaturationResult": "saturated witness",
     "GradingClass": "kind zero_face ray_index degree_gcd effective",
     "FixedDivisor": "ray_index ray vanishing surviving",
@@ -40,6 +44,11 @@ REPRS = {
     "FixedDivisor": "FixedDivisor(ray_index=1, ray=LatticeVector((1, 0), N), "
                     "vanishing=(0,), surviving=(1,))",
     "DemazureRoot": "DemazureRoot(vector=LatticeVector((-1, 0), M), ray_index=1)",
+    "AlgebraElement": "AlgebraElement(monoid=AffineMonoid([(1, 0), (0, 1)]), "
+                      "terms=((LatticeVector((2, 0), M), Fraction(1, 3)),))",
+    "HomogeneousLND": "HomogeneousLND(monoid=AffineMonoid([(1, 0), (0, 1)]), "
+                      "root=DemazureRoot(vector=LatticeVector((-1, 0), M), ray_index=1), "
+                      "ray=LatticeVector((1, 0), N), degrees=(1, 0))",
 }
 
 
@@ -51,6 +60,8 @@ def build(name):
     report = verify_compatible(mon, l, torus_point(mon, (2, 3)))
     return {"LatticeVector": l, "Cone": mon.weight_cone,
             "Face": mon.weight_cone.facets()[0], "ToricPoint": report.point,
+            "AlgebraElement": AlgebraElement(mon, [((2, 0), "1/3")]),
+            "HomogeneousLND": HomogeneousLND(mon, report.root),
             "SaturationResult": mon.saturation(), "GradingClass": classify(mon.weight_cone, l),
             "FixedDivisor": fixed_locus(mon, l), "DemazureRoot": report.root,
             "InvariantCheck": report.invariant_checks[0],
